@@ -8,85 +8,39 @@ condition-number bound, and decomposes quasi-positive-definite functions
 on finite groups.
 """
 
-from .spaces import (
-    IndefiniteSpace,
-    BlockOperator,
-    BallPoint,
-    Subspace,
-    Inertia,
-    OperatorClasses,
-    NotAGraphError,
-    build_space,
-    indefinite_product,
-    j_adjoint,
-    classify_operator,
-    graph_of,
-    graph_from_subspace,
-    subspace_signature,
-    invariance_residual,
-    operator_norm,
-)
-from .ball import (
-    BoundaryError,
-    MapUndefinedError,
-    MobiusNormBounds,
-    mobius_apply,
-    mobius_matrix,
-    fractional_linear,
-    hyperbolic_distance,
-    mobius_norm,
-    radius_from_norm,
-)
-from .mnps import (
-    NotDissipativeError,
-    SpectrumOnAxisError,
-    MnpsReport,
-    LadderReport,
-    VerifyReport,
-    strongify,
-    spectral_split,
-    mnps_strong,
-    mnps,
-    approximation_ladder,
-    verify_mnps,
-)
-from .groups import (
-    GroupStructureError,
-    FiniteGroup,
-    cyclic,
-    dihedral,
-    symmetric,
-    quaternion,
-    direct_product,
-    named_group,
-)
-from .fixpoint import (
-    DegeneratePencilError,
-    GroupRep,
-    FixedPointReport,
-    UnitarizationReport,
-    rep_validate,
-    orbit_radius,
-    group_average_metric,
-    word_average_metric,
-    common_fixed_point,
-    common_fixed_point_words,
-    invariant_dual_pair,
-    unitarize,
-    fixture_conjugated_rep,
-    fixture_double_rep,
-    doubled_form_matrix,
-)
-from .qpd import (
-    GroupFunction,
-    GnsResult,
-    DecompositionCertificate,
-    gram_matrix,
-    negative_squares,
-    finite_type_rank,
-    gns_construct,
-    decompose,
-    verify_decomposition,
-)
+from .spaces import *  # noqa: F403
+from .ball import *  # noqa: F403
+from .mnps import *  # noqa: F403
+from .groups import *  # noqa: F403
+from .fixpoint import *  # noqa: F403
+from .qpd import *  # noqa: F403
+
+__all__ = [
+    # spaces
+    "IndefiniteSpace", "Subspace", "Inertia", "OperatorClasses",
+    "NotAGraphError", "build_space", "indefinite_product", "j_adjoint",
+    "classify_operator", "graph_of", "graph_from_subspace",
+    "subspace_signature", "invariance_residual", "operator_norm",
+    # ball
+    "BoundaryError", "MapUndefinedError", "MobiusNormBounds", "mobius_apply",
+    "mobius_matrix", "fractional_linear", "hyperbolic_distance", "mobius_norm",
+    "radius_from_norm",
+    # mnps
+    "NotDissipativeError", "SpectrumOnAxisError", "MnpsReport", "LadderReport",
+    "VerifyReport", "spectral_split", "mnps", "approximation_ladder",
+    "verify_mnps",
+    # groups
+    "GroupStructureError", "FiniteGroup", "cyclic", "dihedral", "symmetric",
+    "quaternion", "direct_product", "named_group",
+    # fixpoint
+    "DegeneratePencilError", "GroupRep", "FixedPointReport",
+    "UnitarizationReport", "rep_validate", "orbit_radius",
+    "group_average_metric", "word_average_metric", "common_fixed_point",
+    "invariant_dual_pair", "unitarize",
+    # qpd
+    "GroupFunction", "GnsResult", "DecompositionCertificate", "gram_matrix",
+    "negative_squares", "finite_type_rank", "gns_construct", "decompose",
+    "verify_decomposition",
+]
 
 __version__ = "0.1.0"

@@ -58,8 +58,12 @@ def _write_json(obj: dict, path: str | None, no_timestamp: bool) -> None:
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            # mkstemp creates mode 0600; give the report the mode open() would
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text + "\n")
         os.replace(tmp, path)
     except BaseException:

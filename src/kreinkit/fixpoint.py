@@ -15,13 +15,14 @@ re-checked numerically and reported as a certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
 
 from .ball import fractional_linear, mobius_matrix, radius_from_norm
 from .groups import FiniteGroup
+from .serialization import report_to_json
 from .spaces import (
     IndefiniteSpace,
     Subspace,
@@ -34,7 +35,6 @@ from .spaces import (
 __all__ = [
     "DegeneratePencilError",
     "GroupRep",
-    "RepDiagnostics",
     "FixedPointReport",
     "UnitarizationReport",
     "rep_validate",
@@ -42,12 +42,8 @@ __all__ = [
     "group_average_metric",
     "word_average_metric",
     "common_fixed_point",
-    "common_fixed_point_words",
     "invariant_dual_pair",
     "unitarize",
-    "fixture_conjugated_rep",
-    "fixture_double_rep",
-    "doubled_form_matrix",
 ]
 
 #: Residual threshold below which fixed points / unitarizations certify.
@@ -117,17 +113,7 @@ class FixedPointReport:
     certified: bool
 
     def as_dict(self) -> dict:
-        from .serialization import matrix_to_json
-
-        return {
-            "k": matrix_to_json(self.k),
-            "k_norm": self.k_norm,
-            "max_map_residual": self.max_map_residual,
-            "orbit_radius": self.orbit_radius,
-            "radius_bound": self.radius_bound,
-            "rep_norm": self.rep_norm,
-            "certified": self.certified,
-        }
+        return report_to_json(self)
 
 
 @dataclass(frozen=True)
@@ -136,7 +122,7 @@ class UnitarizationReport:
 
     v: np.ndarray
     v_inv: np.ndarray
-    unitaries: np.ndarray
+    unitaries: np.ndarray = field(metadata={"json": None})
     max_unitarity_defect: float
     cond: float
     sharp_bound: float
@@ -144,17 +130,7 @@ class UnitarizationReport:
     certified: bool
 
     def as_dict(self) -> dict:
-        from .serialization import matrix_to_json
-
-        return {
-            "v": matrix_to_json(self.v),
-            "v_inv": matrix_to_json(self.v_inv),
-            "max_unitarity_defect": self.max_unitarity_defect,
-            "cond": self.cond,
-            "sharp_bound": self.sharp_bound,
-            "bound": self.bound,
-            "certified": self.certified,
-        }
+        return report_to_json(self)
 
 
 def rep_validate(rep: GroupRep, tol: float = 1e-9) -> RepDiagnostics:
@@ -286,32 +262,22 @@ def _fixed_point_report(
     )
 
 
-def common_fixed_point(rep: GroupRep, cert_tol: float = CERT_TOL) -> FixedPointReport:
-    """Common fixed point of all phi_{pi(g)} via the averaged-metric pencil."""
-    space = rep.space
-    if space.n_minus == 0 or space.n_plus == 0:
-        k = np.zeros((space.n_plus, space.n_minus), dtype=complex)
-        return _fixed_point_report(rep, k, cert_tol)
-    b = group_average_metric(rep)
-    z = _pencil_negative_basis(space, b)
-    k = graph_from_subspace(space, z)
-    return _fixed_point_report(rep, k, cert_tol)
-
-
-def common_fixed_point_words(
-    rep: GroupRep,
-    generators,
-    length_cap: int = DEFAULT_WORD_CAP,
-    cert_tol: float = CERT_TOL,
+def common_fixed_point(
+    rep: GroupRep, cert_tol: float = CERT_TOL, metric: np.ndarray | None = None
 ) -> FixedPointReport:
-    """Word-averaged variant for generator sets; certified by residual only."""
+    """Common fixed point of all phi_{pi(g)} via an invariant-metric pencil.
+
+    ``metric`` is a positive matrix B invariant under the group, by default
+    :func:`group_average_metric`.  For a group given by generators, pass
+    ``word_average_metric(space, generators)[0]``; the map residuals certify
+    the result either way.
+    """
     space = rep.space
     if space.n_minus == 0 or space.n_plus == 0:
         k = np.zeros((space.n_plus, space.n_minus), dtype=complex)
-        return _fixed_point_report(rep, k, cert_tol)
-    b, _ = word_average_metric(space, generators, length_cap)
-    z = _pencil_negative_basis(space, b)
-    k = graph_from_subspace(space, z)
+    else:
+        b = group_average_metric(rep) if metric is None else metric
+        k = graph_from_subspace(space, _pencil_negative_basis(space, b))
     return _fixed_point_report(rep, k, cert_tol)
 
 
@@ -374,60 +340,3 @@ def unitarize(
         bound=bound,
         certified=certified,
     )
-
-
-def fixture_conjugated_rep(
-    group: FiniteGroup, u_minus, u_plus, center
-) -> GroupRep:
-    """Test rep pi(g) = M_A diag(u_minus(g), u_plus(g)) M_{-A}.
-
-    ``u_minus`` / ``u_plus`` are per-element unitary blocks on H- / H+ and
-    ``center`` is a strict ball point; the result is J-unitary with
-    ``||pi|| <= ||M_A||^2``.
-    """
-    um = np.asarray(u_minus, dtype=complex)
-    up = np.asarray(u_plus, dtype=complex)
-    if um.shape[0] != group.order or up.shape[0] != group.order:
-        raise ValueError("need one unitary block per group element")
-    space = IndefiniteSpace(um.shape[1], up.shape[1])
-    a = np.asarray(center, dtype=complex)
-    m_a = mobius_matrix(space, a)
-    m_a_inv = mobius_matrix(space, -a)
-    z12 = np.zeros((space.n_minus, space.n_plus))
-    z21 = np.zeros((space.n_plus, space.n_minus))
-    mats = np.array(
-        [m_a @ space.assemble(um[g], z12, z21, up[g]) @ m_a_inv
-         for g in range(group.order)]
-    )
-    return GroupRep(group, space, mats)
-
-
-def doubled_form_matrix(n: int) -> np.ndarray:
-    """The pairing [x1+y1, x2+y2] = (x1, y2) + (y1, x2) on C^n + C^n."""
-    eye = np.eye(n)
-    zero = np.zeros((n, n))
-    return np.block([[zero, eye], [eye, zero]]).astype(complex)
-
-
-def fixture_double_rep(rep: GroupRep) -> GroupRep:
-    """Doubling trick: tau(g) = diag(pi(g), pi(g^{-1})^H) on H + H.
-
-    ``tau`` preserves the skew pairing of :func:`doubled_form_matrix` for any
-    invertible pi; in the coordinates diagonalizing that pairing (difference
-    vectors first, sum vectors last) it becomes J-unitary for the equal-split
-    signature (n, n).
-    """
-    group = rep.group
-    n = rep.space.n
-    basis = np.block(
-        [[np.eye(n), np.eye(n)], [-np.eye(n), np.eye(n)]]
-    ).astype(complex) / np.sqrt(2.0)
-    mats = []
-    for g in range(group.order):
-        pig = rep.matrices[g]
-        pig_inv_star = rep.matrices[group.inv(g)].conj().T
-        tau = np.block(
-            [[pig, np.zeros((n, n))], [np.zeros((n, n)), pig_inv_star]]
-        )
-        mats.append(basis.conj().T @ tau @ basis)
-    return GroupRep(group, IndefiniteSpace(n, n), np.array(mats))

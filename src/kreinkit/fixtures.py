@@ -11,7 +11,7 @@ import numpy as np
 import numpy.linalg as nla
 
 from .ball import mobius_matrix
-from .fixpoint import GroupRep, fixture_conjugated_rep
+from .fixpoint import GroupRep
 from .groups import FiniteGroup
 from .qpd import GroupFunction
 from .spaces import IndefiniteSpace, classify_operator, dissipativity_form, operator_norm
@@ -28,8 +28,11 @@ __all__ = [
     "corner_decay_fixture",
     "random_unitary_rep",
     "cyclic_character_rep",
+    "fixture_conjugated_rep",
     "random_conjugated_rep",
     "random_qpd_function",
+    "doubled_form_matrix",
+    "fixture_double_rep",
 ]
 
 
@@ -222,6 +225,32 @@ def cyclic_character_rep(group: FiniteGroup, exponents) -> np.ndarray:
     return mats
 
 
+def fixture_conjugated_rep(
+    group: FiniteGroup, u_minus, u_plus, center
+) -> GroupRep:
+    """Test rep pi(g) = M_A diag(u_minus(g), u_plus(g)) M_{-A}.
+
+    ``u_minus`` / ``u_plus`` are per-element unitary blocks on H- / H+ and
+    ``center`` is a strict ball point; the result is J-unitary with
+    ``||pi|| <= ||M_A||^2``.
+    """
+    um = np.asarray(u_minus, dtype=complex)
+    up = np.asarray(u_plus, dtype=complex)
+    if um.shape[0] != group.order or up.shape[0] != group.order:
+        raise ValueError("need one unitary block per group element")
+    space = IndefiniteSpace(um.shape[1], up.shape[1])
+    a = np.asarray(center, dtype=complex)
+    m_a = mobius_matrix(space, a)
+    m_a_inv = mobius_matrix(space, -a)
+    z12 = np.zeros((space.n_minus, space.n_plus))
+    z21 = np.zeros((space.n_plus, space.n_minus))
+    mats = np.array(
+        [m_a @ space.assemble(um[g], z12, z21, up[g]) @ m_a_inv
+         for g in range(group.order)]
+    )
+    return GroupRep(group, space, mats)
+
+
 def random_conjugated_rep(
     group: FiniteGroup,
     space: IndefiniteSpace,
@@ -277,3 +306,34 @@ def random_qpd_function(
     phi_ft = GroupFunction(group, ft_vals)
     phi = GroupFunction(group, pd_vals - ft_vals)
     return phi, phi_pd, phi_ft
+
+
+def doubled_form_matrix(n: int) -> np.ndarray:
+    """The pairing [x1+y1, x2+y2] = (x1, y2) + (y1, x2) on C^n + C^n."""
+    eye = np.eye(n)
+    zero = np.zeros((n, n))
+    return np.block([[zero, eye], [eye, zero]]).astype(complex)
+
+
+def fixture_double_rep(rep: GroupRep) -> GroupRep:
+    """Doubling trick: tau(g) = diag(pi(g), pi(g^{-1})^H) on H + H.
+
+    ``tau`` preserves the skew pairing of :func:`doubled_form_matrix` for any
+    invertible pi; in the coordinates diagonalizing that pairing (difference
+    vectors first, sum vectors last) it becomes J-unitary for the equal-split
+    signature (n, n).
+    """
+    group = rep.group
+    n = rep.space.n
+    basis = np.block(
+        [[np.eye(n), np.eye(n)], [-np.eye(n), np.eye(n)]]
+    ).astype(complex) / np.sqrt(2.0)
+    mats = []
+    for g in range(group.order):
+        pig = rep.matrices[g]
+        pig_inv_star = rep.matrices[group.inv(g)].conj().T
+        tau = np.block(
+            [[pig, np.zeros((n, n))], [np.zeros((n, n)), pig_inv_star]]
+        )
+        mats.append(basis.conj().T @ tau @ basis)
+    return GroupRep(group, IndefiniteSpace(n, n), np.array(mats))

@@ -12,7 +12,7 @@ sequence of iterates -- is the contract.
 from __future__ import annotations
 
 import concurrent.futures
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -31,17 +31,15 @@ from .spaces import (
     operator_norm,
     subspace_signature,
 )
+from .serialization import report_to_json
 
 __all__ = [
     "NotDissipativeError",
     "SpectrumOnAxisError",
     "MnpsReport",
-    "LadderLevel",
     "LadderReport",
     "VerifyReport",
-    "strongify",
     "spectral_split",
-    "mnps_strong",
     "mnps",
     "approximation_ladder",
     "verify_mnps",
@@ -58,7 +56,7 @@ DEFAULT_MAX_ITER = 40
 
 
 class NotDissipativeError(ValueError):
-    """Raised when an operator fails the (strong) J-dissipativity precondition."""
+    """Raised when an operator fails the J-dissipativity precondition."""
 
 
 class SpectrumOnAxisError(RuntimeError):
@@ -82,61 +80,34 @@ class MnpsReport:
     message: str = ""
 
     def as_dict(self) -> dict:
-        from .serialization import matrix_to_json
-
-        return {
-            "w": matrix_to_json(self.w),
-            "residual": self.residual,
-            "w_norm": self.w_norm,
-            "subspace_inertia": {
-                "n_pos": self.subspace_inertia.n_pos,
-                "n_neg": self.subspace_inertia.n_neg,
-                "n_null": self.subspace_inertia.n_null,
-            },
-            "regularization_t": self.regularization_t,
-            "iterations": self.iterations,
-            "certified": self.certified,
-            "message": self.message,
-        }
+        return report_to_json(self)
 
 
 @dataclass(frozen=True)
 class LadderLevel:
     k_minus: int
     k_plus: int
-    w_embedded: np.ndarray
+    w_embedded: np.ndarray = field(metadata={"json": None})
     residual: float
     certified: bool
     delta_to_previous: float | None
 
     def as_dict(self) -> dict:
-        return {
-            "k_minus": self.k_minus,
-            "k_plus": self.k_plus,
-            "residual": self.residual,
-            "certified": self.certified,
-            "delta_to_previous": self.delta_to_previous,
-        }
+        return report_to_json(self)
 
 
 @dataclass(frozen=True)
 class LadderReport:
     levels: tuple[LadderLevel, ...]
     final_w: np.ndarray
-    final_report: MnpsReport
+    final_report: MnpsReport = field(metadata={"json": "final"})
 
     @property
     def all_certified(self) -> bool:
         return all(lv.certified for lv in self.levels)
 
     def as_dict(self) -> dict:
-        from .serialization import matrix_to_json
-
-        return {
-            "levels": [lv.as_dict() for lv in self.levels],
-            "final_w": matrix_to_json(self.final_w),
-            "final": self.final_report.as_dict(),
-        }
+        return report_to_json(self)
 
 
 @dataclass(frozen=True)
@@ -145,23 +116,6 @@ class VerifyReport:
     invariant: bool
     residual: float
     inertia: Inertia
-
-
-def _dissipativity_margin(space: IndefiniteSpace, m: np.ndarray) -> float:
-    return float(np.min(np.linalg.eigvalsh(dissipativity_form(space, m))))
-
-
-def strongify(space: IndefiniteSpace, a, t: float) -> np.ndarray:
-    """B = A + itJ; adds t to the smallest eigenvalue of the dissipativity form."""
-    m = _mat(a)
-    if t <= 0:
-        raise ValueError("regularization parameter t must be positive")
-    margin = _dissipativity_margin(space, m)
-    if margin < -PREDICATE_TOL * max(1.0, operator_norm(m)):
-        raise NotDissipativeError(
-            f"operator is not J-dissipative (form margin {margin:.3e})"
-        )
-    return m + 1j * t * space.j
 
 
 def _half_plane_basis(
@@ -208,31 +162,28 @@ def spectral_split(
     return Subspace(space, z_minus), Subspace(space, z_plus)
 
 
-def _report_for(
-    space: IndefiniteSpace, original, w, t, iterations, tol_res, scale=None
-) -> MnpsReport:
-    m = _mat(original)
-    if scale is None:
-        scale = max(1.0, operator_norm(m))
-    res = invariance_residual(space, m, w)
-    inertia = subspace_signature(space, graph_of(space, w))
-    certified = res <= tol_res * scale and operator_norm(w) <= 1.0 + 1e-8
-    return MnpsReport(
-        w=w,
-        residual=res,
-        w_norm=operator_norm(w),
-        subspace_inertia=inertia,
-        regularization_t=t,
-        iterations=iterations,
-        certified=certified,
+def _certificate(space: IndefiniteSpace, m: np.ndarray, w: np.ndarray):
+    """Invariance residual of the graph of W against m, the graph's inertia, and ||W||."""
+    return (
+        invariance_residual(space, m, w),
+        subspace_signature(space, graph_of(space, w)),
+        operator_norm(w),
     )
 
 
-def _trivial_mnps(space: IndefiniteSpace) -> np.ndarray | None:
-    """For definite spaces the MNPS is forced; return its graph operator."""
-    if space.n_minus == 0 or space.n_plus == 0:
-        return np.zeros((space.n_plus, space.n_minus), dtype=complex)
-    return None
+def _report_for(
+    space: IndefiniteSpace, m: np.ndarray, w, t, iterations, tol_res, scale
+) -> MnpsReport:
+    res, inertia, w_norm = _certificate(space, m, w)
+    return MnpsReport(
+        w=w,
+        residual=res,
+        w_norm=w_norm,
+        subspace_inertia=inertia,
+        regularization_t=t,
+        iterations=iterations,
+        certified=res <= tol_res * scale and w_norm <= 1.0 + 1e-8,
+    )
 
 
 def _lower_graph(space: IndefiniteSpace, m: np.ndarray, tol_axis: float) -> np.ndarray:
@@ -244,22 +195,6 @@ def _lower_graph(space: IndefiniteSpace, m: np.ndarray, tol_axis: float) -> np.n
             f"expected {space.n_minus}"
         )
     return graph_from_subspace(space, z_minus)
-
-
-def mnps_strong(space: IndefiniteSpace, a, tol_res: float = DEFAULT_TOL_RES) -> MnpsReport:
-    """Invariant MNPS of a strongly J-dissipative matrix via the spectral split."""
-    m = _mat(a)
-    w = _trivial_mnps(space)
-    if w is not None:
-        return _report_for(space, m, w, 0.0, 0, tol_res)
-    scale = max(1.0, operator_norm(m))
-    margin = _dissipativity_margin(space, m)
-    if margin <= PREDICATE_TOL * scale:
-        raise NotDissipativeError(
-            f"operator is not strongly J-dissipative (margin {margin:.3e})"
-        )
-    w = _lower_graph(space, m, AXIS_RTOL * scale)
-    return _report_for(space, m, w, 0.0, 1, tol_res)
 
 
 def mnps(
@@ -279,14 +214,14 @@ def mnps(
     """
     m = _mat(a)
     scale = max(1.0, operator_norm(m))
-    margin = _dissipativity_margin(space, m)
+    margin = float(np.min(np.linalg.eigvalsh(dissipativity_form(space, m))))
     if margin < -PREDICATE_TOL * scale:
         raise NotDissipativeError(
             f"operator is not J-dissipative (form margin {margin:.3e})"
         )
-    w = _trivial_mnps(space)
-    if w is not None:
-        return _report_for(space, m, w, 0.0, 0, tol_res)
+    if space.n_minus == 0 or space.n_plus == 0:  # definite space: the MNPS is forced
+        w = np.zeros((space.n_plus, space.n_minus), dtype=complex)
+        return _report_for(space, m, w, 0.0, 0, tol_res, scale)
 
     if t0 is None:
         t0 = DEFAULT_T0_SCALE * scale
@@ -302,37 +237,20 @@ def mnps(
             w = _lower_graph(space, b, AXIS_RTOL * scale)
         except (SpectrumOnAxisError, NotAGraphError):
             continue
-        report = _report_for(space, m, w, t, i + 1, tol_res, scale=scale)
+        report = _report_for(space, m, w, t, i + 1, tol_res, scale)
         if best is None or report.residual < best.residual:
             best = report
         if report.certified:
             return report
 
+    failed = "failed to certify; spectrum may be degenerate near real axis"
     if best is not None:
-        return MnpsReport(
-            w=best.w,
-            residual=best.residual,
-            w_norm=best.w_norm,
-            subspace_inertia=best.subspace_inertia,
-            regularization_t=best.regularization_t,
-            iterations=len(schedule),
-            certified=False,
-            message="failed to certify; spectrum may be degenerate near real axis",
-        )
+        return replace(best, iterations=len(schedule), message=failed)
     w = np.zeros((space.n_plus, space.n_minus), dtype=complex)
-    fallback = _report_for(space, m, w, schedule[-1], len(schedule), tol_res)
+    fallback = _report_for(space, m, w, schedule[-1], len(schedule), tol_res, scale)
     if fallback.certified:
         return fallback
-    return MnpsReport(
-        w=w,
-        residual=fallback.residual,
-        w_norm=0.0,
-        subspace_inertia=fallback.subspace_inertia,
-        regularization_t=schedule[-1],
-        iterations=len(schedule),
-        certified=False,
-        message="failed to certify; spectrum may be degenerate near real axis",
-    )
+    return replace(fallback, message=failed)
 
 
 def _level_indices(space: IndefiniteSpace, k_minus: int, k_plus: int) -> np.ndarray:
@@ -401,11 +319,9 @@ def approximation_ladder(
 def verify_mnps(space: IndefiniteSpace, a, w, tol: float = 1e-8) -> VerifyReport:
     """Check that W parametrizes an MNPS and that its graph is A-invariant."""
     m = _mat(a)
-    wm = _mat(w)
-    res = invariance_residual(space, m, wm)
-    inertia = subspace_signature(space, graph_of(space, wm))
+    res, inertia, w_norm = _certificate(space, m, _mat(w))
     return VerifyReport(
-        maximal_nonpositive=operator_norm(wm) <= 1.0 + tol,
+        maximal_nonpositive=w_norm <= 1.0 + tol,
         invariant=res <= tol * max(1.0, operator_norm(m)),
         residual=res,
         inertia=inertia,

@@ -25,6 +25,7 @@ import numpy as np
 
 from .fixpoint import GroupRep, common_fixed_point, invariant_dual_pair
 from .groups import FiniteGroup
+from .serialization import report_to_json
 from .spaces import IndefiniteSpace
 
 __all__ = [
@@ -188,13 +189,7 @@ class DecompositionCertificate:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "reconstruction_error": self.reconstruction_error,
-            "phi1_negative_squares": self.phi1_negative_squares,
-            "phi2_negative_squares": self.phi2_negative_squares,
-            "phi2_rank": self.phi2_rank,
-            "negative_squares": self.negative_squares,
-        }
+        return report_to_json(self)
 
 
 def _matrix_elements(signs: np.ndarray, mats: np.ndarray, vec: np.ndarray) -> np.ndarray:

@@ -6,14 +6,20 @@ with the data flattened in row-major order.
 
 from __future__ import annotations
 
+import dataclasses
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from .fixpoint import GroupRep
 from .groups import FiniteGroup
-from .qpd import GroupFunction
 from .spaces import IndefiniteSpace
 
+if TYPE_CHECKING:  # imported at call time: both modules import this one
+    from .fixpoint import GroupRep
+    from .qpd import GroupFunction
+
 __all__ = [
+    "report_to_json",
     "matrix_to_json",
     "matrix_from_json",
     "space_to_json",
@@ -27,17 +33,56 @@ __all__ = [
 ]
 
 
+def report_to_json(report) -> dict:
+    """The fields of a report dataclass as a JSON object.
+
+    Arrays become matrix objects, nested dataclasses nested objects and
+    tuples lists.  A field whose metadata maps ``"json"`` to None is left
+    out; a string there renames the field's key.
+    """
+    out = {}
+    for field in dataclasses.fields(report):
+        key = field.metadata.get("json", field.name)
+        if key is not None:
+            out[key] = _json_value(getattr(report, field.name))
+    return out
+
+
+def _json_value(value):
+    if isinstance(value, np.ndarray):
+        return matrix_to_json(value)
+    if dataclasses.is_dataclass(value):
+        return report_to_json(value)
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    return value
+
+
+def _pairs_to_json(values: np.ndarray) -> list:
+    return np.column_stack([values.real, values.imag]).tolist()
+
+
+def _pairs_from_json(data, what: str) -> np.ndarray:
+    """A JSON list of finite [re, im] number pairs as a complex vector."""
+    if not isinstance(data, list):
+        raise ValueError(f"{what} must be a list of [re, im] pairs")
+    try:
+        pairs = np.asarray(data) if data else np.zeros((0, 2))
+    except ValueError as exc:  # ragged nesting
+        raise ValueError(f"{what} entries must be [re, im] pairs") from exc
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iuf":
+        raise ValueError(f"{what} entries must be [re, im] pairs of numbers")
+    if not np.isfinite(pairs).all():
+        raise ValueError(f"{what} has non-finite entries")
+    return pairs.astype(float).view(complex).reshape(-1)
+
+
 def matrix_to_json(m) -> dict:
     arr = np.asarray(m, dtype=complex)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
     rows, cols = arr.shape
-    flat = arr.reshape(-1)
-    return {
-        "rows": int(rows),
-        "cols": int(cols),
-        "data": [[float(z.real), float(z.imag)] for z in flat],
-    }
+    return {"rows": int(rows), "cols": int(cols), "data": _pairs_to_json(arr.reshape(-1))}
 
 
 def matrix_from_json(obj) -> np.ndarray:
@@ -48,16 +93,12 @@ def matrix_from_json(obj) -> np.ndarray:
         data = obj["data"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
-    if rows < 0 or cols < 0 or len(data) != rows * cols:
+    values = _pairs_from_json(data, "matrix JSON data")
+    if rows < 0 or cols < 0 or len(values) != rows * cols:
         raise ValueError(
-            f"matrix JSON claims {rows}x{cols} but carries {len(data)} entries"
+            f"matrix JSON claims {rows}x{cols} but carries {len(values)} entries"
         )
-    out = np.empty(rows * cols, dtype=complex)
-    for i, entry in enumerate(data):
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise ValueError("matrix JSON entries must be [re, im] pairs")
-        out[i] = complex(float(entry[0]), float(entry[1]))
-    return out.reshape(rows, cols)
+    return values.reshape(rows, cols)
 
 
 def space_to_json(space: IndefiniteSpace) -> dict:
@@ -102,6 +143,8 @@ def rep_to_json(rep: GroupRep) -> dict:
 
 
 def rep_from_json(group: FiniteGroup, obj) -> GroupRep:
+    from .fixpoint import GroupRep
+
     try:
         space = space_from_json(obj["space"])
         mats = [matrix_from_json(m) for m in obj["matrices"]]
@@ -115,17 +158,14 @@ def rep_from_json(group: FiniteGroup, obj) -> GroupRep:
 
 
 def group_function_to_json(phi: GroupFunction) -> dict:
-    return {
-        "values": [[float(z.real), float(z.imag)] for z in phi.values],
-    }
+    return {"values": _pairs_to_json(phi.values)}
 
 
 def group_function_from_json(group: FiniteGroup, obj) -> GroupFunction:
+    from .qpd import GroupFunction
+
     try:
         values = obj["values"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed group-function JSON: {exc}") from exc
-    vals = np.array(
-        [complex(float(v[0]), float(v[1])) for v in values], dtype=complex
-    )
-    return GroupFunction(group, vals)
+    return GroupFunction(group, _pairs_from_json(values, "group-function values"))

@@ -26,8 +26,6 @@ import numpy as np
 
 __all__ = [
     "IndefiniteSpace",
-    "BlockOperator",
-    "BallPoint",
     "Subspace",
     "Inertia",
     "OperatorClasses",
@@ -52,9 +50,6 @@ PREDICATE_TOL = 1e-9
 #: Condition-number guard for solving against the H- block of a basis.
 GRAPH_COND_LIMIT = 1e12
 
-#: Slack allowed on ||W|| for closed-ball points.
-CLOSED_BALL_TOL = 1e-8
-
 
 class NotAGraphError(ValueError):
     """Raised when a subspace cannot be written as a graph over H-."""
@@ -69,9 +64,7 @@ def operator_norm(m) -> float:
 
 
 def _mat(a) -> np.ndarray:
-    """Accept a wrapper object with a ``matrix`` field or a bare array."""
-    m = a.matrix if hasattr(a, "matrix") else a
-    return np.asarray(m, dtype=complex)
+    return np.asarray(a, dtype=complex)
 
 
 @functools.lru_cache(maxsize=64)
@@ -131,74 +124,6 @@ class IndefiniteSpace:
 def build_space(n_minus: int, n_plus: int) -> IndefiniteSpace:
     """Create the space with the given signature; rejects (0, 0)."""
     return IndefiniteSpace(int(n_minus), int(n_plus))
-
-
-@dataclass(frozen=True)
-class BlockOperator:
-    """A square matrix over an indefinite space, with block accessors."""
-
-    space: IndefiniteSpace
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (self.space.n, self.space.n):
-            raise ValueError(
-                f"operator must be {self.space.n}x{self.space.n}, got {m.shape}"
-            )
-        object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def from_blocks(cls, space: IndefiniteSpace, a11, a12, a21, a22) -> "BlockOperator":
-        return cls(space, space.assemble(a11, a12, a21, a22))
-
-    @property
-    def a11(self) -> np.ndarray:
-        return self.space.blocks(self.matrix)[0]
-
-    @property
-    def a12(self) -> np.ndarray:
-        return self.space.blocks(self.matrix)[1]
-
-    @property
-    def a21(self) -> np.ndarray:
-        return self.space.blocks(self.matrix)[2]
-
-    @property
-    def a22(self) -> np.ndarray:
-        return self.space.blocks(self.matrix)[3]
-
-
-@dataclass(frozen=True)
-class BallPoint:
-    """An n_plus x n_minus matrix W with ||W|| <= 1 (+ tolerance).
-
-    ``BallPoint(space, w)`` accepts closed-ball points; use
-    :meth:`BallPoint.strict` when ``||W|| < 1`` is required.
-    """
-
-    space: IndefiniteSpace
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.matrix, dtype=complex)
-        expected = (self.space.n_plus, self.space.n_minus)
-        if w.shape != expected:
-            raise ValueError(f"ball point must be {expected}, got {w.shape}")
-        if operator_norm(w) > 1.0 + CLOSED_BALL_TOL:
-            raise ValueError(f"||W|| = {operator_norm(w):.6g} exceeds the closed ball")
-        object.__setattr__(self, "matrix", w)
-
-    @classmethod
-    def strict(cls, space: IndefiniteSpace, matrix) -> "BallPoint":
-        w = np.asarray(matrix, dtype=complex)
-        if operator_norm(w) >= 1.0:
-            raise ValueError(f"||W|| = {operator_norm(w):.6g} is not inside the open ball")
-        return cls(space, w)
-
-    @property
-    def norm(self) -> float:
-        return operator_norm(self.matrix)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -54,6 +55,25 @@ class TestSerialization:
             matrix_from_json({"rows": 1, "cols": 1, "data": [[1, 0, 0]]})
         with pytest.raises(ValueError):
             matrix_from_json([1, 2, 3])
+        for bad in (float("nan"), float("inf"), None):
+            with pytest.raises(ValueError):
+                matrix_from_json({"rows": 1, "cols": 1, "data": [[bad, 0.0]]})
+
+    def test_codecs_match_entry_loop(self):
+        # the per-entry loops the vectorized codecs replaced, kept as reference;
+        # signed zeros must survive both directions
+        rng = np.random.default_rng(3)
+        m = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        m[0, 0], m[1, 2] = complex(-0.0, 0.0), complex(0.0, -0.0)
+        data = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
+        assert matrix_to_json(m)["data"] == data
+        back = matrix_from_json(matrix_to_json(m))
+        loop = np.array([complex(re, im) for re, im in data]).reshape(3, 4)
+        assert np.array_equal(back.view(float), loop.view(float))
+        assert np.array_equal(np.signbit(back.view(float)), np.signbit(loop.view(float)))
+        phi, _, _ = random_qpd_function(named_group("S3"), rng, k=1)
+        values = [[float(z.real), float(z.imag)] for z in phi.values]
+        assert group_function_to_json(phi)["values"] == values
 
     def test_space_round_trip(self):
         sp = build_space(2, 5)
@@ -127,6 +147,13 @@ class TestMnpsCommand:
         bad.write_text("{not json")
         assert main(["mnps", "--input", str(bad), "--signature", "1,1"]) == 2
 
+    def test_non_finite_entry_exits_two(self, tmp_path, capsys):
+        obj = matrix_to_json(build_space(1, 1).j)
+        obj["data"][3][0] = float("inf")
+        inp = write(tmp_path / "a.json", obj)
+        assert main(["mnps", "--input", inp, "--signature", "1,1"]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
     def test_wrong_shape_exits_two(self, tmp_path):
         inp = write(tmp_path / "a.json", matrix_to_json(np.eye(3)))
         assert main(["mnps", "--input", inp, "--signature", "1,1"]) == 2
@@ -149,8 +176,10 @@ class TestLadderCommand:
         )
         assert code == 0
         report = load(out)
+        assert set(report) == {"levels", "final_w", "final", "timestamp"}
         assert len(report["levels"]) == 3
         assert report["levels"][0]["delta_to_previous"] is None
+        assert "w_embedded" not in report["levels"][0]
 
 
 class TestThreadCap:
@@ -233,6 +262,7 @@ class TestFixpointCommands:
         report = load(out)
         assert report["cond"] <= report["bound"] + 1e-6
         assert report["max_unitarity_defect"] <= 1e-8
+        assert "unitaries" not in report and "k" in report["fixed_point"]
 
     def test_corrupted_table_exits_two(self, tmp_path):
         gpath, rpath = self.make_rep_files(tmp_path)
@@ -340,6 +370,16 @@ class TestDeterminism:
         assert main(["--no-timestamp", "mnps", "--input", inp, "--out", str(r1)]) == 0
         assert main(["--no-timestamp", "mnps", "--input", inp, "--out", str(r2)]) == 0
         assert r1.read_text() == r2.read_text()
+
+    def test_report_mode_follows_umask(self, tmp_path):
+        inp = write(tmp_path / "a.json", matrix_to_json(build_space(1, 1).j))
+        out = tmp_path / "r.json"
+        old = os.umask(0o022)
+        try:
+            assert main(["mnps", "--input", inp, "--signature", "1,1", "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        assert out.stat().st_mode & 0o777 == 0o644
 
     def test_timestamp_present_by_default(self, tmp_path):
         inp = write(tmp_path / "a.json", matrix_to_json(build_space(1, 1).j))

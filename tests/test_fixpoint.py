@@ -1,16 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from kreinkit import (
     GroupRep,
     build_space,
     common_fixed_point,
-    common_fixed_point_words,
     cyclic,
-    doubled_form_matrix,
-    fixture_conjugated_rep,
-    fixture_double_rep,
     fractional_linear,
     group_average_metric,
     invariance_residual,
@@ -28,9 +25,13 @@ from kreinkit import (
 )
 from kreinkit.fixtures import (
     cyclic_character_rep,
+    doubled_form_matrix,
+    fixture_conjugated_rep,
+    fixture_double_rep,
     random_ball_point,
     random_conjugated_rep,
     random_j_unitary,
+    random_unitary,
     random_unitary_rep,
 )
 
@@ -199,6 +200,30 @@ class TestCommonFixedPoint:
         for mat in rep.matrices:
             assert invariance_residual(rep.space, mat, report.k) <= 1e-8
 
+    @given(
+        st.sampled_from(["Z4", "D4", "S3", "Q8"]),
+        st.integers(1, 2),
+        st.integers(1, 3),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_block_unitary_conjugation_moves_fixed_point(
+        self, name, n_minus, n_plus, word_metric, seed
+    ):
+        # D = diag(U-, U+) acts on the ball as W -> U+ W U-^H, so conjugating
+        # the rep by D must carry its fixed point K to U+ K U-^H, in both modes
+        rng = np.random.default_rng(seed)
+        sp = build_space(n_minus, n_plus)
+        rep, _ = random_conjugated_rep(named_group(name), sp, rng)
+        um, up = random_unitary(rng, n_minus), random_unitary(rng, n_plus)
+        d = sp.assemble(um, np.zeros((n_minus, n_plus)), np.zeros((n_plus, n_minus)), up)
+        moved = GroupRep(rep.group, sp, d @ rep.matrices @ d.conj().T)
+        metric = word_average_metric(sp, moved.matrices, length_cap=1)[0] if word_metric else None
+        report = common_fixed_point(moved, metric=metric)
+        assert report.certified
+        assert_allclose(report.k, up @ common_fixed_point(rep).k @ um.conj().T, atol=1e-9)
+
 
 class TestWordAverage:
     def test_finite_group_closure_matches_exact(self):
@@ -212,7 +237,8 @@ class TestWordAverage:
     def test_word_mode_certifies_by_residual(self):
         rng = np.random.default_rng(14)
         rep, _ = random_conjugated_rep(cyclic(6), build_space(1, 2), rng)
-        report = common_fixed_point_words(rep, [rep.matrices[1]], length_cap=8)
+        b, _ = word_average_metric(rep.space, [rep.matrices[1]], length_cap=8)
+        report = common_fixed_point(rep, metric=b)
         assert report.certified
         assert report.max_map_residual <= 1e-8
 

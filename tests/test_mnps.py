@@ -11,10 +11,8 @@ from kreinkit import (
     graph_of,
     invariance_residual,
     mnps,
-    mnps_strong,
     operator_norm,
     spectral_split,
-    strongify,
     subspace_signature,
     verify_mnps,
 )
@@ -22,7 +20,6 @@ from kreinkit.fixtures import (
     corner_decay_fixture,
     random_complex,
     random_j_dissipative,
-    random_j_selfadjoint,
     random_strongly_j_dissipative,
 )
 
@@ -32,34 +29,6 @@ def principal_angle(z1, z2):
     q1 = np.linalg.qr(z1)[0]
     q2 = np.linalg.qr(z2)[0]
     return operator_norm(q2 - q1 @ (q1.conj().T @ q2))
-
-
-class TestStrongify:
-    def test_zero_becomes_ij(self):
-        sp = build_space(1, 2)
-        b = strongify(sp, np.zeros((3, 3)), 1.0)
-        assert_allclose(b, 1j * sp.j)
-        assert classify_operator(sp, b).dissipativity_margin == pytest.approx(1.0)
-
-    def test_margins_add(self):
-        rng = np.random.default_rng(0)
-        sp = build_space(2, 3)
-        a = random_strongly_j_dissipative(sp, rng, margin=0.2)
-        m0 = classify_operator(sp, a).dissipativity_margin
-        m1 = classify_operator(sp, strongify(sp, a, 0.5)).dissipativity_margin
-        assert m1 == pytest.approx(m0 + 0.5, abs=1e-10)
-
-    def test_selfadjoint_becomes_strong(self):
-        rng = np.random.default_rng(1)
-        sp = build_space(2, 2)
-        a = random_j_selfadjoint(sp, rng)
-        for t in (1e-3, 1.0):
-            assert classify_operator(sp, strongify(sp, a, t)).strongly_j_dissipative
-
-    def test_rejects_non_dissipative(self):
-        sp = build_space(1, 1)
-        with pytest.raises(NotDissipativeError):
-            strongify(sp, -1j * sp.j, 0.1)
 
 
 class TestSpectralSplit:
@@ -113,18 +82,22 @@ class TestSpectralSplit:
 
 
 class TestMnpsStrong:
+    """Strongly J-dissipative input certifies at the first step, t = 0."""
+
     def test_ij_gives_zero(self):
         sp = build_space(2, 3)
-        rep = mnps_strong(sp, 1j * sp.j)
+        rep = mnps(sp, 1j * sp.j)
         assert_allclose(rep.w, 0, atol=1e-14)
         assert rep.certified
+        assert rep.regularization_t == 0.0 and rep.iterations == 1
 
     def test_hand_solved_two_by_two(self):
         # A = [[-i, 0], [1, i]]: the eigenvector for -i is (1, i/2),
         # cross-checked against a brute-force eigensolver below
         sp = build_space(1, 1)
         a = np.array([[-1j, 0.0], [1.0, 1j]])
-        rep = mnps_strong(sp, a)
+        rep = mnps(sp, a)
+        assert rep.regularization_t == 0.0 and rep.iterations == 1
         assert_allclose(rep.w, [[0.5j]], atol=1e-12)
         assert rep.w_norm == pytest.approx(0.5, abs=1e-12)
 
@@ -138,16 +111,12 @@ class TestMnpsStrong:
         for _ in range(20):
             sp = build_space(int(rng.integers(1, 4)), int(rng.integers(1, 6)))
             a = random_strongly_j_dissipative(sp, rng, margin=rng.uniform(0.05, 0.5))
-            rep = mnps_strong(sp, a)
+            rep = mnps(sp, a)
             assert rep.certified
+            assert rep.regularization_t == 0.0 and rep.iterations == 1
             assert rep.w_norm <= 1 + 1e-8
             assert rep.residual <= 1e-8 * max(1.0, operator_norm(a))
             assert rep.subspace_inertia.is_negative
-
-    def test_rejects_merely_dissipative(self):
-        sp = build_space(1, 1)
-        with pytest.raises(NotDissipativeError):
-            mnps_strong(sp, sp.j)
 
 
 class TestMnps:

@@ -4,8 +4,6 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from kreinkit import (
-    BallPoint,
-    BlockOperator,
     NotAGraphError,
     Subspace,
     build_space,
@@ -125,20 +123,10 @@ def test_block_operator_blocks_reassemble():
     rng = np.random.default_rng(1)
     sp = build_space(2, 3)
     a = random_complex(rng, (5, 5))
-    op = BlockOperator(sp, a)
-    assert op.a11.shape == (2, 2) and op.a12.shape == (2, 3)
-    assert op.a21.shape == (3, 2) and op.a22.shape == (3, 3)
-    assert_allclose(sp.assemble(op.a11, op.a12, op.a21, op.a22), a)
-
-
-def test_ball_point_validation():
-    sp = build_space(1, 1)
-    BallPoint(sp, [[0.999]])
-    BallPoint(sp, [[1.0]])  # closed ball
-    with pytest.raises(ValueError):
-        BallPoint(sp, [[1.1]])
-    with pytest.raises(ValueError):
-        BallPoint.strict(sp, [[1.0]])
+    a11, a12, a21, a22 = sp.blocks(a)
+    assert a11.shape == (2, 2) and a12.shape == (2, 3)
+    assert a21.shape == (3, 2) and a22.shape == (3, 3)
+    assert_allclose(sp.assemble(a11, a12, a21, a22), a)
 
 
 def test_graph_of_zero_spans_h_minus():
@@ -225,22 +213,6 @@ def test_invariance_residual_constructed_invariant_graph():
     blocks = np.diag(rng.standard_normal(5) + 1j * rng.standard_normal(5))
     a = s @ blocks @ np.linalg.inv(s)
     assert invariance_residual(sp, a, w) <= 1e-10 * operator_norm(a)
-
-
-def test_operations_accept_wrapper_types():
-    rng = np.random.default_rng(21)
-    sp = build_space(1, 2)
-    w = BallPoint(sp, random_ball_point(sp, rng, 0.4))
-    op = BlockOperator(sp, 1j * sp.j)
-    assert invariance_residual(sp, op, w) >= 0.0
-    assert classify_operator(sp, op).strongly_j_dissipative
-    assert subspace_signature(sp, graph_of(sp, w)).is_negative
-    assert_allclose(graph_from_subspace(sp, graph_of(sp, w)), w.matrix)
-
-    from kreinkit import mnps
-
-    rep = mnps(sp, op)
-    assert rep.certified
 
 
 def test_subspace_rejects_rank_deficient_basis():
