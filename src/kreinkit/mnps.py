@@ -1,12 +1,25 @@
 """Invariant maximal non-positive subspaces of J-dissipative matrices.
 
-The solver follows the finite-dimensional route: perturb the operator to
-``A + itJ`` so that it becomes strongly J-dissipative (the imaginary parts
-of all eigenvalues then stay at distance >= t from the real axis), take the
-spectral subspace for the open lower half-plane (which is negative, hence a
-graph over H-), and shrink t geometrically until the graph operator
-certifies against the *original* matrix.  The certificate -- not the
-sequence of iterates -- is the contract.
+The solver first looks for the MNPS as a fixed point of a fractional-linear
+map of the operator ball, the route of Lomonosov's proof.  For ``mu > ||A||``
+the Cayley transform ``C = (A + i mu)^{-1} (A - i mu)`` has the invariant
+subspaces of A and maps non-positive subspaces to non-positive subspaces,
+so ``W -> phi_C(W)`` maps the closed ball into itself.  Its eigenvalues
+outside the unit circle are the images of those of A in the open lower
+half-plane, so iterating it from ``W = 0`` is subspace iteration in graph
+coordinates towards that spectral subspace, the MNPS; for strictly
+J-dissipative A it converges (Earle--Hamilton).  It costs one inversion
+of ``A + i mu`` and ``O(n^2 n_minus)`` work per step.
+
+When the iteration stalls or its graph does not certify, the solver falls
+back to the finite-dimensional route: perturb the operator to ``A + itJ``
+so that it becomes strongly J-dissipative (the imaginary parts of all
+eigenvalues then stay at distance >= t from the real axis), take the
+spectral subspace for the open lower half-plane from a sorted Schur form
+(it is negative, hence a graph over H-), and shrink t geometrically until
+the graph operator certifies against the *original* matrix.  Either way
+the certificate -- not the sequence of iterates -- is the contract, and
+its tolerances are relative to ``||A||``.
 """
 
 from __future__ import annotations
@@ -18,6 +31,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .spaces import (
+    GRAPH_COND_LIMIT,
     IndefiniteSpace,
     Inertia,
     NotAGraphError,
@@ -53,6 +67,16 @@ DEFAULT_T0_SCALE = 1e-2
 DEFAULT_SHRINK = 0.5
 DEFAULT_TOL_RES = 1e-9
 DEFAULT_MAX_ITER = 40
+
+#: Cayley shift relative to ||A||.  Above 1, so that A + i mu is invertible
+#: (at 1 it is singular for A = iJ); at 2 its condition number is at most 3.
+CAYLEY_SHIFT = 2.0
+
+#: Step cap of the Cayley fixed-point iteration.
+CAYLEY_MAX_STEPS = 300
+
+#: A graph increment this small counts as roundoff; a ball point has norm <= 1.
+CAYLEY_ROUNDOFF = 1e-10
 
 
 class NotDissipativeError(ValueError):
@@ -152,7 +176,7 @@ def spectral_split(
     if m.shape != (space.n, space.n):
         raise ValueError(f"operator must be {space.n}x{space.n}, got {m.shape}")
     if tol_axis is None:
-        tol_axis = AXIS_RTOL * max(1.0, operator_norm(m))
+        tol_axis = AXIS_RTOL * operator_norm(m)
     z_minus = _half_plane_basis(m, True, tol_axis)
     z_plus = _half_plane_basis(m, False, tol_axis)
     if z_minus.shape[1] + z_plus.shape[1] != space.n:
@@ -197,6 +221,48 @@ def _lower_graph(space: IndefiniteSpace, m: np.ndarray, tol_axis: float) -> np.n
     return graph_from_subspace(space, z_minus)
 
 
+def _cayley_graph(space: IndefiniteSpace, m: np.ndarray, scale: float) -> np.ndarray | None:
+    """Fixed point of ``W -> phi_C(W)`` for the Cayley transform C of m, or None.
+
+    ``C = (m + i mu)^{-1} (m - i mu) = I - 2i mu (m + i mu)^{-1}`` with
+    ``mu = CAYLEY_SHIFT * scale``, so one step maps the basis ``Z = [I; W]``
+    of the graph to ``Y = C Z`` with one ``n x n`` by ``n x n_minus``
+    product, and the next W is ``Y+ Y-^{-1}``.  C is never formed.  Since
+    ``cond(m + i mu) <= (mu + scale) / (mu - scale) = 3``, its explicit
+    inverse is as accurate as a solve against its LU factors.  The iteration
+    runs until the increment stops shrinking; it is None when that happens
+    above roundoff, when the step cap is hit, or when ``Y-`` is worse
+    conditioned than ``GRAPH_COND_LIMIT``.
+    """
+    k = space.n_minus
+    mu = CAYLEY_SHIFT * scale
+    resolvent = np.linalg.inv(m + 1j * mu * np.eye(space.n))
+    z = np.eye(space.n, k, dtype=complex)  # [I; W] with W = 0
+    prev = np.inf
+    for _ in range(CAYLEY_MAX_STEPS):
+        y = z - 2j * mu * (resolvent @ z)
+        try:
+            w = y[k:] @ np.linalg.inv(y[:k])
+        except np.linalg.LinAlgError:  # Y- exactly singular
+            return None
+        step = float(np.linalg.norm(w - z[k:]))
+        z[k:] = w
+        if not step < prev:  # stopped contracting (a NaN step counts too)
+            if step > CAYLEY_ROUNDOFF or np.linalg.cond(y[:k]) > GRAPH_COND_LIMIT:
+                return None
+            return w
+        prev = step
+    return None
+
+
+def _positive_definite(h: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def mnps(
     space: IndefiniteSpace,
     a,
@@ -207,26 +273,38 @@ def mnps(
 ) -> MnpsReport:
     """Invariant MNPS of a J-dissipative matrix, certified against the input.
 
-    Solves the strongly-dissipative problem for ``A + i t J`` with
-    ``t = t0 * shrink**j`` until the graph operator's invariance residual
-    against the original A drops below ``tol_res * max(1, ||A||)``.  When the
-    budget runs out the best iterate is returned flagged uncertified.
+    Tries the Cayley fixed point first; a graph it finds that certifies is
+    reported with ``t = 0`` at the first step.  Otherwise solves the
+    strongly-dissipative problem for ``A + i t J`` with ``t = t0 * shrink**j``
+    until the graph operator's invariance residual against the original A
+    drops below ``tol_res * ||A||``.  When the budget runs out the best
+    iterate is returned flagged uncertified.
     """
     m = _mat(a)
-    scale = max(1.0, operator_norm(m))
-    margin = float(np.min(np.linalg.eigvalsh(dissipativity_form(space, m))))
-    if margin < -PREDICATE_TOL * scale:
-        raise NotDissipativeError(
-            f"operator is not J-dissipative (form margin {margin:.3e})"
-        )
-    if space.n_minus == 0 or space.n_plus == 0:  # definite space: the MNPS is forced
-        w = np.zeros((space.n_plus, space.n_minus), dtype=complex)
-        return _report_for(space, m, w, 0.0, 0, tol_res, scale)
+    scale = operator_norm(m)
+    form = dissipativity_form(space, m)
+    eye = np.eye(space.n)
+    if scale > 0.0 and not _positive_definite(form + PREDICATE_TOL * scale * eye):
+        margin = float(np.min(np.linalg.eigvalsh(form)))
+        if margin < -PREDICATE_TOL * scale:
+            raise NotDissipativeError(
+                f"operator is not J-dissipative (form margin {margin:.3e})"
+            )
+    zero = np.zeros((space.n_plus, space.n_minus), dtype=complex)
+    # definite space: the MNPS is forced; A = 0: every MNPS is invariant
+    if space.n_minus == 0 or space.n_plus == 0 or scale == 0.0:
+        return _report_for(space, m, zero, 0.0, 0, tol_res, scale)
+
+    cayley = _cayley_graph(space, m, scale)
+    if cayley is not None:
+        report = _report_for(space, m, cayley, 0.0, 1, tol_res, scale)
+        if report.certified:
+            return report
 
     if t0 is None:
         t0 = DEFAULT_T0_SCALE * scale
     schedule = []
-    if margin > PREDICATE_TOL * scale:
+    if _positive_definite(form - PREDICATE_TOL * scale * eye):
         schedule.append(0.0)
     schedule.extend(t0 * shrink**j for j in range(max_iter))
 
@@ -246,8 +324,7 @@ def mnps(
     failed = "failed to certify; spectrum may be degenerate near real axis"
     if best is not None:
         return replace(best, iterations=len(schedule), message=failed)
-    w = np.zeros((space.n_plus, space.n_minus), dtype=complex)
-    fallback = _report_for(space, m, w, schedule[-1], len(schedule), tol_res, scale)
+    fallback = _report_for(space, m, zero, schedule[-1], len(schedule), tol_res, scale)
     if fallback.certified:
         return fallback
     return replace(fallback, message=failed)
@@ -322,7 +399,7 @@ def verify_mnps(space: IndefiniteSpace, a, w, tol: float = 1e-8) -> VerifyReport
     res, inertia, w_norm = _certificate(space, m, _mat(w))
     return VerifyReport(
         maximal_nonpositive=w_norm <= 1.0 + tol,
-        invariant=res <= tol * max(1.0, operator_norm(m)),
+        invariant=res <= tol * operator_norm(m),
         residual=res,
         inertia=inertia,
     )

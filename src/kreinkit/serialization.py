@@ -7,6 +7,8 @@ with the data flattened in row-major order.
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import numbers
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -63,18 +65,28 @@ def _pairs_to_json(values: np.ndarray) -> list:
 
 
 def _pairs_from_json(data, what: str) -> np.ndarray:
-    """A JSON list of finite [re, im] number pairs as a complex vector."""
+    """A JSON list of finite [re, im] number pairs as a complex vector.
+
+    Booleans are rejected: numpy would read ``true`` next to numbers as 1.
+    """
     if not isinstance(data, list):
         raise ValueError(f"{what} must be a list of [re, im] pairs")
     try:
-        pairs = np.asarray(data) if data else np.zeros((0, 2))
-    except ValueError as exc:  # ragged nesting
-        raise ValueError(f"{what} entries must be [re, im] pairs") from exc
-    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iuf":
+        ragged = bool(data) and set(map(len, data)) != {2}
+    except TypeError:  # an entry without a length, such as a bare number
+        ragged = True
+    if ragged:
+        raise ValueError(f"{what} entries must be [re, im] pairs")
+    flat = list(itertools.chain.from_iterable(data))
+    if any(t is bool or not issubclass(t, numbers.Real) for t in set(map(type, flat))):
         raise ValueError(f"{what} entries must be [re, im] pairs of numbers")
-    if not np.isfinite(pairs).all():
+    try:
+        values = np.array(flat, dtype=float)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValueError(f"{what} has non-finite entries") from exc
+    if not np.isfinite(values).all():
         raise ValueError(f"{what} has non-finite entries")
-    return pairs.astype(float).view(complex).reshape(-1)
+    return values.view(complex)
 
 
 def matrix_to_json(m) -> dict:
@@ -107,9 +119,12 @@ def space_to_json(space: IndefiniteSpace) -> dict:
 
 def space_from_json(obj) -> IndefiniteSpace:
     try:
-        return IndefiniteSpace(int(obj["n_minus"]), int(obj["n_plus"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        counts = obj["n_minus"], obj["n_plus"]
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed space JSON: {exc}") from exc
+    if any(isinstance(c, bool) or not isinstance(c, numbers.Integral) for c in counts):
+        raise ValueError(f"malformed space JSON: signature {counts} is not two integers")
+    return IndefiniteSpace(int(counts[0]), int(counts[1]))
 
 
 def group_to_json(group: FiniteGroup) -> dict:

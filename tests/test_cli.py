@@ -79,6 +79,16 @@ class TestSerialization:
         sp = build_space(2, 5)
         assert space_from_json(space_to_json(sp)) == sp
 
+    def test_space_rejects_non_integer_signature(self):
+        for bad in (1.7, 1.0, True, "1", None):
+            with pytest.raises(ValueError):
+                space_from_json({"n_minus": bad, "n_plus": 2})
+
+    def test_matrix_rejects_booleans_among_numbers(self):
+        for pair in ([1.0, True], [False, 0.0], [True, 2]):
+            with pytest.raises(ValueError):
+                matrix_from_json({"rows": 1, "cols": 2, "data": [[1.0, 0.0], pair]})
+
     def test_group_round_trip(self):
         g = named_group("D4")
         g2 = group_from_json(group_to_json(g))
@@ -156,6 +166,18 @@ class TestMnpsCommand:
 
     def test_wrong_shape_exits_two(self, tmp_path):
         inp = write(tmp_path / "a.json", matrix_to_json(np.eye(3)))
+        assert main(["mnps", "--input", inp, "--signature", "1,1"]) == 2
+
+    def test_non_integer_signature_exits_two(self, tmp_path):
+        sp = build_space(1, 2)
+        obj = {"space": {"n_minus": 1.7, "n_plus": 2}, "matrix": matrix_to_json(sp.j)}
+        inp = write(tmp_path / "a.json", obj)
+        assert main(["mnps", "--input", inp, "--out", str(tmp_path / "r.json")]) == 2
+
+    def test_boolean_entry_exits_two(self, tmp_path):
+        obj = matrix_to_json(1j * build_space(1, 1).j)
+        obj["data"][1] = [0.0, True]
+        inp = write(tmp_path / "a.json", obj)
         assert main(["mnps", "--input", inp, "--signature", "1,1"]) == 2
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from kreinkit import (
@@ -8,6 +10,7 @@ from kreinkit import (
     approximation_ladder,
     build_space,
     classify_operator,
+    graph_from_subspace,
     graph_of,
     invariance_residual,
     mnps,
@@ -22,6 +25,20 @@ from kreinkit.fixtures import (
     random_j_dissipative,
     random_strongly_j_dissipative,
 )
+
+
+@pytest.fixture
+def schur_calls(monkeypatch):
+    """Counts the sorted Schur factorizations the solver runs."""
+    calls = []
+    schur = scipy.linalg.schur
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return schur(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", counting)
+    return calls
 
 
 def principal_angle(z1, z2):
@@ -84,9 +101,11 @@ class TestSpectralSplit:
 class TestMnpsStrong:
     """Strongly J-dissipative input certifies at the first step, t = 0."""
 
-    def test_ij_gives_zero(self):
+    def test_ij_gives_zero(self, schur_calls):
+        # A + i||A|| is singular for A = iJ; the Cayley shift 2||A|| is not
         sp = build_space(2, 3)
         rep = mnps(sp, 1j * sp.j)
+        assert not schur_calls
         assert_allclose(rep.w, 0, atol=1e-14)
         assert rep.certified
         assert rep.regularization_t == 0.0 and rep.iterations == 1
@@ -118,6 +137,17 @@ class TestMnpsStrong:
             assert rep.residual <= 1e-8 * max(1.0, operator_norm(a))
             assert rep.subspace_inertia.is_negative
 
+    def test_cayley_fixed_point_replaces_schur(self, schur_calls):
+        rng = np.random.default_rng(15)
+        sp = build_space(5, 100)
+        a = random_strongly_j_dissipative(sp, rng)
+        rep = mnps(sp, a)
+        assert not schur_calls
+        assert rep.certified
+        assert rep.regularization_t == 0.0 and rep.iterations == 1
+        lower, _ = spectral_split(sp, a)
+        assert_allclose(rep.w, graph_from_subspace(sp, lower), atol=1e-9)
+
 
 class TestMnps:
     def test_strongly_dissipative_certifies_at_t_zero(self):
@@ -134,7 +164,7 @@ class TestMnps:
         assert rep.certified
         assert_allclose(rep.w, 0, atol=1e-12)
 
-    def test_jordan_type_neutral_fixture(self):
+    def test_jordan_type_neutral_fixture(self, schur_calls):
         # nilpotent J-selfadjoint with a neutral eigenvector; the unique MNPS
         # graph sits on the boundary, reached only as the regularization shrinks
         sp = build_space(1, 1)
@@ -142,6 +172,7 @@ class TestMnps:
         a = sp.j @ h
         assert classify_operator(sp, a).j_selfadjoint
         rep = mnps(sp, a, tol_res=1e-8)
+        assert schur_calls  # the Cayley iteration stalls on the boundary
         assert rep.certified
         assert rep.iterations > 3
         assert_allclose(rep.w, [[-1.0]], atol=1e-3)
@@ -177,6 +208,23 @@ class TestMnps:
         sp = build_space(0, 3)
         rep = mnps(sp, 1j * np.eye(3))
         assert rep.certified and rep.w.shape == (3, 0)
+
+    def test_zero_operator_is_certified_with_zero_graph(self):
+        sp = build_space(2, 3)
+        rep = mnps(sp, np.zeros((5, 5)))
+        assert rep.certified and rep.residual == 0.0
+        assert_allclose(rep.w, 0, atol=0)
+
+    @given(st.floats(-12.0, 12.0))
+    @settings(max_examples=40, deadline=None)
+    def test_graph_is_scale_invariant(self, exponent):
+        # tolerances are relative to ||A||: c*A has the graph of A at every scale
+        rng = np.random.default_rng(8)
+        sp = build_space(2, 4)
+        a = random_strongly_j_dissipative(sp, rng, margin=0.2)
+        rep = mnps(sp, 10.0**exponent * a)
+        assert rep.certified
+        assert operator_norm(rep.w - mnps(sp, a).w) <= 1e-10
 
 
 class TestLadder:
@@ -254,6 +302,13 @@ class TestVerify:
         sp = build_space(1, 1)
         rep = verify_mnps(sp, 1j * sp.j, [[2.0]])
         assert not rep.maximal_nonpositive
+
+    def test_tolerance_is_relative_for_small_operators(self):
+        rng = np.random.default_rng(8)
+        sp = build_space(2, 4)
+        a = random_strongly_j_dissipative(sp, rng, margin=0.2)
+        assert not verify_mnps(sp, 1e-10 * a, np.zeros((4, 2))).invariant
+        assert verify_mnps(sp, 1e-10 * a, mnps(sp, a).w).invariant
 
 
 def test_certificate_batch_over_mixed_signatures():
