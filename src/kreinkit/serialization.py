@@ -117,12 +117,17 @@ def space_to_json(space: IndefiniteSpace) -> dict:
     return {"n_minus": space.n_minus, "n_plus": space.n_plus}
 
 
+def _is_integer(value) -> bool:
+    """True for JSON integers; booleans and floats such as 2.0 are not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def space_from_json(obj) -> IndefiniteSpace:
     try:
         counts = obj["n_minus"], obj["n_plus"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed space JSON: {exc}") from exc
-    if any(isinstance(c, bool) or not isinstance(c, numbers.Integral) for c in counts):
+    if not all(map(_is_integer, counts)):
         raise ValueError(f"malformed space JSON: signature {counts} is not two integers")
     return IndefiniteSpace(int(counts[0]), int(counts[1]))
 
@@ -142,10 +147,13 @@ def group_from_json(obj) -> FiniteGroup:
         table = obj["table"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed group JSON: {exc}") from exc
-    if "order" in obj and int(obj["order"]) != len(elements):
+    for key in ("order", "identity"):
+        if key in obj and not _is_integer(obj[key]):
+            raise ValueError(f"malformed group JSON: {key} {obj[key]!r} is not an integer")
+    if "order" in obj and obj["order"] != len(elements):
         raise ValueError("group JSON order disagrees with the element list")
     group = FiniteGroup.from_table(elements, table)
-    if "identity" in obj and int(obj["identity"]) != group.identity:
+    if "identity" in obj and obj["identity"] != group.identity:
         raise ValueError("group JSON identity index disagrees with the table")
     return group
 

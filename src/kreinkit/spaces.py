@@ -216,13 +216,15 @@ def dissipativity_form(space: IndefiniteSpace, a) -> np.ndarray:
 def classify_operator(space: IndefiniteSpace, a, tol: float | None = None) -> OperatorClasses:
     """Test J-selfadjointness, (strong) J-dissipativity, J-unitarity, J-expansion.
 
-    ``tol`` defaults to ``PREDICATE_TOL * max(1, ||A||)``.
+    ``tol`` defaults to ``PREDICATE_TOL * ||A||``, relative with no floor, so
+    the predicates are scale-invariant and agree with the dissipativity test
+    of :func:`kreinkit.mnps.mnps`.
     """
     m = _mat(a)
     if m.shape != (space.n, space.n):
         raise ValueError(f"operator must be {space.n}x{space.n}, got {m.shape}")
     if tol is None:
-        tol = PREDICATE_TOL * max(1.0, operator_norm(m))
+        tol = PREDICATE_TOL * operator_norm(m)
 
     sa_defect = operator_norm(m - j_adjoint(space, m))
     form = dissipativity_form(space, m)

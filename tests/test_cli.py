@@ -106,6 +106,14 @@ class TestSerialization:
         with pytest.raises(ValueError):
             group_from_json(obj)
 
+    def test_group_rejects_non_integer_order_and_identity(self):
+        for key, bad in (("order", 2.9), ("order", 2.0), ("order", True),
+                         ("identity", 0.7), ("identity", False), ("identity", "0")):
+            obj = group_to_json(cyclic(2))
+            obj[key] = bad
+            with pytest.raises(ValueError, match="not an integer"):
+                group_from_json(obj)
+
     def test_rep_round_trip(self):
         rng = np.random.default_rng(1)
         rep, _ = random_conjugated_rep(cyclic(4), build_space(1, 2), rng)
@@ -292,6 +300,14 @@ class TestFixpointCommands:
         obj["table"][0][1] = 0
         write(tmp_path / "group.json", obj)
         assert main(["fixpoint", "--group", gpath, "--rep", rpath]) == 2
+
+    def test_non_integer_group_order_exits_two(self, tmp_path, capsys):
+        gpath, rpath = self.make_rep_files(tmp_path, group_name="Z2", sig=(1, 1))
+        obj = load(tmp_path / "group.json")
+        obj["order"], obj["identity"] = 2.9, 0.7
+        write(tmp_path / "group.json", obj)
+        assert main(["unitarize", "--group", gpath, "--rep", rpath]) == 2
+        assert "not an integer" in capsys.readouterr().err
 
     def test_non_rep_matrices_exit_two(self, tmp_path):
         gpath, rpath = self.make_rep_files(tmp_path)

@@ -8,6 +8,7 @@ from kreinkit import (
     build_space,
     common_fixed_point,
     cyclic,
+    decompose,
     fractional_linear,
     group_average_metric,
     invariance_residual,
@@ -23,6 +24,7 @@ from kreinkit import (
     unitarize,
     word_average_metric,
 )
+import kreinkit.fixpoint as fixpoint_module
 from kreinkit.fixtures import (
     cyclic_character_rep,
     doubled_form_matrix,
@@ -31,9 +33,11 @@ from kreinkit.fixtures import (
     random_ball_point,
     random_conjugated_rep,
     random_j_unitary,
+    random_qpd_function,
     random_unitary,
     random_unitary_rep,
 )
+from kreinkit.serialization import report_to_json
 
 
 def block_unitary_rep(group, space, rng):
@@ -148,6 +152,110 @@ class TestGroupAverageMetric:
         c = np.linalg.solve(b, rep.space.j)
         for mat in rep.matrices:
             assert operator_norm(c @ mat - mat @ c) <= 1e-9 * rep.norm**2
+
+
+def loop_norm(rep):
+    """The boundedness constant as a per-element loop, kept as reference."""
+    return max(operator_norm(m) for m in rep.matrices)
+
+
+def loop_average_metric(rep, check=True):
+    """group_average_metric with the exact spectral guard on every element."""
+    mats = rep.matrices
+    b = sum(m.conj().T @ m for m in mats) / len(mats)
+    b = (b + b.conj().T) / 2.0
+    if check:
+        defect = max(operator_norm(m.conj().T @ b @ m - b) for m in mats)
+        if defect > 1e-10 * max(1.0, loop_norm(rep) ** 2) * max(1.0, operator_norm(b)):
+            raise ValueError("averaged metric is not group-invariant")
+    return b
+
+
+class TestBoundednessConstant:
+    def test_norm_matches_loop_and_is_computed_once(self, monkeypatch):
+        rng = np.random.default_rng(30)
+        for name, sig in (("S4", (2, 6)), ("Q8", (1, 3)), ("Z2", (1, 1))):
+            rep, _ = random_conjugated_rep(named_group(name), build_space(*sig), rng)
+            assert rep.norm == loop_norm(rep)
+
+        def no_linalg(*args, **kwargs):
+            raise AssertionError("cached norm recomputed")
+
+        monkeypatch.setattr(np.linalg, "svd", no_linalg)
+        monkeypatch.setattr(np.linalg, "norm", no_linalg)
+        assert rep.norm == rep.norm
+
+    def test_norm_stays_a_plain_property(self):
+        # wrappers that replace the getter (such as a tracer) need its fget
+        assert isinstance(GroupRep.__dict__["norm"], property)
+        assert GroupRep.__dict__["norm"].fget is not None
+
+    def test_guard_rejects_corrupted_matrix(self):
+        rng = np.random.default_rng(31)
+        rep, _ = random_conjugated_rep(named_group("S3"), build_space(2, 3), rng)
+        mats = rep.matrices.copy()
+        mats[1] = 2.0 * mats[1]
+        with pytest.raises(ValueError, match="not group-invariant"):
+            group_average_metric(GroupRep(rep.group, rep.space, mats))
+        # a corruption far below the Frobenius bound's scale but above the
+        # tolerance of a unitary rep (||pi|| = ||B|| = 1) is still caught
+        rep = block_unitary_rep(cyclic(4), build_space(1, 2), rng)
+        mats = rep.matrices.copy()
+        mats[1] *= 1.0 + 1e-8
+        with pytest.raises(ValueError, match="not group-invariant"):
+            group_average_metric(GroupRep(rep.group, rep.space, mats))
+
+    def test_guard_rejects_nan(self):
+        rng = np.random.default_rng(32)
+        rep, _ = random_conjugated_rep(named_group("Z4"), build_space(1, 2), rng)
+        for g in (0, 3):
+            mats = rep.matrices.copy()
+            mats[g, 0, 1] = np.nan
+            with pytest.raises(ValueError):
+                group_average_metric(GroupRep(rep.group, rep.space, mats))
+
+    def test_guard_falls_back_to_the_exact_defect(self, monkeypatch):
+        # near the boundary ||pi|| is large: the Frobenius defect is above the
+        # floor, the spectral defect is inside the scaled tolerance
+        rng = np.random.default_rng(33)
+        rep, _ = random_conjugated_rep(named_group("D4"), build_space(2, 3), rng,
+                                       center_norm=0.999)
+        b = group_average_metric(rep, check=False)
+        frobenius = [np.linalg.norm(m.conj().T @ b @ m - b) for m in rep.matrices]
+        assert max(frobenius) > fixpoint_module.INVARIANCE_RTOL
+        calls = []
+        monkeypatch.setattr(fixpoint_module, "operator_norm",
+                            lambda m: calls.append(1) or operator_norm(m))
+        assert np.array_equal(group_average_metric(rep), b)
+        assert len(calls) >= rep.group.order
+        assert np.array_equal(loop_average_metric(rep), b)
+
+    def test_guard_skips_the_exact_defect_when_the_bound_suffices(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        rep, _ = random_conjugated_rep(named_group("S4"), build_space(2, 6), rng)
+        monkeypatch.setattr(fixpoint_module, "operator_norm", None)
+        assert np.array_equal(group_average_metric(rep), loop_average_metric(rep))
+
+    def test_reports_match_loop_reference(self, monkeypatch):
+        # the same seeded S4 reps and S5 function, once with the per-element
+        # loops (patched in) and once as shipped; every value is bit-identical
+        def run():
+            rng = np.random.default_rng(35)
+            reps = [random_conjugated_rep(named_group("S4"), build_space(2, 6), rng,
+                                          center_norm=c)[0] for c in (0.3, 0.7)]
+            phi = random_qpd_function(named_group("S5"), rng, k=3)[0]
+            out = []
+            for rep in reps:
+                fp = common_fixed_point(rep)
+                uni = unitarize(rep, fp)
+                out += [report_to_json(fp), report_to_json(uni), uni.unitaries.tobytes()]
+            phi1, phi2, cert = decompose(phi)
+            return out + [phi1.values.tobytes(), phi2.values.tobytes(), report_to_json(cert)]
+
+        shipped = run()
+        monkeypatch.setattr(GroupRep, "norm", property(loop_norm))
+        monkeypatch.setattr(fixpoint_module, "group_average_metric", loop_average_metric)
+        assert run() == shipped
 
 
 class TestCommonFixedPoint:

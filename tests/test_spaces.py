@@ -102,6 +102,21 @@ def test_classify_i_times_j_strongly_dissipative():
     assert cls.dissipativity_margin == pytest.approx(1.0)
 
 
+def test_classify_tolerance_is_relative_like_mnps():
+    # the default tolerance has no max(1, ||A||) floor: a tiny operator is
+    # judged at its own scale, exactly as mnps judges it
+    from kreinkit import NotDissipativeError, mnps
+
+    sp = build_space(1, 1)
+    bad = -1e-10j * sp.j
+    assert not classify_operator(sp, bad).j_dissipative
+    with pytest.raises(NotDissipativeError):
+        mnps(sp, bad)
+    good = 1e-10j * sp.j
+    assert classify_operator(sp, good).strongly_j_dissipative
+    assert mnps(sp, good).certified
+
+
 def test_classify_expanding():
     sp = build_space(1, 1)
     assert classify_operator(sp, sp.j).j_expanding  # J-unitaries expand with equality
