@@ -146,8 +146,11 @@ def mobius_norm(space: IndefiniteSpace, center) -> MobiusNormBounds:
     With r = ||A||: sqrt((1 + r^2)/(1 - r^2)) <= ||M_A|| <= sqrt((1 + r)/(1 - r)).
     """
     a = _check_strict(space, center, "center")
-    r = operator_norm(a)
-    norm = operator_norm(mobius_matrix(space, a))
+    return _norm_bounds(operator_norm(a), operator_norm(mobius_matrix(space, a)))
+
+
+def _norm_bounds(r: float, norm: float) -> MobiusNormBounds:
+    """``||M_A|| = norm`` with the bounds that ``||A|| = r`` gives it."""
     lower = float(np.sqrt((1.0 + r * r) / (1.0 - r * r)))
     upper = float(np.sqrt((1.0 + r) / (1.0 - r)))
     return MobiusNormBounds(norm=norm, lower_bound=lower, upper_bound=upper)

@@ -19,8 +19,7 @@ import tempfile
 
 import numpy as np
 
-from . import fixtures
-from .ball import hyperbolic_distance, mobius_apply, mobius_matrix, mobius_norm
+from .ball import _norm_bounds, hyperbolic_distance, mobius_apply, mobius_matrix
 from .fixpoint import common_fixed_point, rep_validate, unitarize
 from .groups import named_group
 from .mnps import NotDissipativeError, approximation_ladder, mnps
@@ -30,13 +29,14 @@ from .serialization import (
     group_function_from_json,
     group_function_to_json,
     group_to_json,
+    json_text,
     matrix_from_json,
     matrix_to_json,
     rep_from_json,
     rep_to_json,
     space_from_json,
 )
-from .spaces import IndefiniteSpace, classify_operator, operator_norm
+from .spaces import IndefiniteSpace, _unitarity_gap, operator_norm
 
 EXIT_CERTIFIED = 0
 EXIT_UNCERTIFIED = 1
@@ -52,7 +52,7 @@ def _write_json(obj: dict, path: str | None, no_timestamp: bool) -> None:
     if not no_timestamp:
         obj = dict(obj)
         obj["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    text = json_text(obj)
     if path is None:
         sys.stdout.write(text + "\n")
         return
@@ -182,11 +182,11 @@ def cmd_ball(args) -> int:
     # action == "matrix"
     a = matrix_from_json(_load_json(args.center))
     space = _ball_space(a)
-    m = mobius_matrix(space, a)
-    bounds = mobius_norm(space, a)
+    m = mobius_matrix(space, a)  # built once for the matrix, its norm and its defect
+    bounds = _norm_bounds(operator_norm(a), operator_norm(m))
     payload = {
         "matrix": matrix_to_json(m),
-        "j_unitarity_defect": classify_operator(space, m).unitarity_defect,
+        "j_unitarity_defect": operator_norm(_unitarity_gap(space, m)),
         "norm": bounds.norm,
         "lower_bound": bounds.lower_bound,
         "upper_bound": bounds.upper_bound,
@@ -256,6 +256,8 @@ def _out_path(base: str, suffix: str) -> str:
 
 
 def cmd_gen(args) -> int:
+    from . import fixtures  # only gen uses the fixtures; keep them out of every other command
+
     rng = np.random.default_rng(args.seed)
     if args.kind in ("dissipative", "strongly-dissipative"):
         space = _parse_signature(args.signature)

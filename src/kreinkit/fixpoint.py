@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .ball import fractional_linear, mobius_matrix, radius_from_norm
 from .groups import FiniteGroup
@@ -245,6 +244,8 @@ def word_average_metric(
 
 def _pencil_negative_basis(space: IndefiniteSpace, b: np.ndarray) -> np.ndarray:
     """Negative eigenvectors of J v = lambda B v (B positive definite)."""
+    import scipy.linalg as sla  # loaded here, so that importing kreinkit stays cheap
+
     lam, vec = sla.eigh(space.j, b)
     b_inv_norm = 1.0 / float(np.min(np.linalg.eigvalsh(b)))
     if np.min(np.abs(lam)) <= PENCIL_ZERO_RTOL * b_inv_norm:
@@ -312,6 +313,8 @@ def invariant_dual_pair(
     if space.n_plus == 0:
         pos_basis = np.zeros((space.n, 0), dtype=complex)
     else:
+        import scipy.linalg as sla
+
         pos_basis = sla.null_space(negative.basis.conj().T @ space.j)
     positive = Subspace(space, pos_basis)
     return positive, negative

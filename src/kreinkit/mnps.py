@@ -28,7 +28,6 @@ import concurrent.futures
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg as sla
 
 from .spaces import (
     GRAPH_COND_LIMIT,
@@ -77,6 +76,17 @@ CAYLEY_MAX_STEPS = 300
 
 #: A graph increment this small counts as roundoff; a ball point has norm <= 1.
 CAYLEY_ROUNDOFF = 1e-10
+
+
+def __getattr__(name: str):
+    # ``kreinkit.mnps.sla`` is scipy.linalg, imported on first use: only the
+    # Schur fallback needs it, and its import costs more than a Cayley solve.
+    # perfbench's tracer wraps ``sla.schur`` through this name.
+    if name == "sla":
+        import scipy.linalg
+
+        return scipy.linalg
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class NotDissipativeError(ValueError):
@@ -146,6 +156,8 @@ def _half_plane_basis(
     m: np.ndarray, lower: bool, tol_axis: float
 ) -> np.ndarray:
     """Orthonormal basis of the invariant subspace for Im(lambda) < 0 (or > 0)."""
+    import scipy.linalg as sla  # schur is looked up on the module at each call
+
     try:
         if lower:
             t, z, sdim = sla.schur(m, output="complex", sort=lambda lam: lam.imag < 0.0)

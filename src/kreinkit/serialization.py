@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import numbers
+import re
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -21,6 +23,7 @@ if TYPE_CHECKING:  # imported at call time: both modules import this one
     from .qpd import GroupFunction
 
 __all__ = [
+    "json_text",
     "report_to_json",
     "matrix_to_json",
     "matrix_from_json",
@@ -58,6 +61,68 @@ def _json_value(value):
     if isinstance(value, tuple):
         return [_json_value(v) for v in value]
     return value
+
+
+#: Stands in for a pair list while the rest of an object is indented.
+_PAIRS_MARK = "\x00kreinkit-pairs-"
+_PAIRS_MARK_JSON = json.dumps(_PAIRS_MARK)[1:-1]
+_PAIRS_LINE = re.compile(r'^( *)(.*)"' + re.escape(_PAIRS_MARK_JSON) + r'(\d+)"', re.M)
+
+
+def json_text(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, with pair lists encoded in C.
+
+    Python runs its C encoder only without ``indent``; the pure-Python one
+    takes about twice as long over a matrix.  So every non-empty list of two-item lists of scalars (matrix ``data``) is
+    swapped for a marker string, the stdlib indents what is left, and each
+    pair list is encoded by one C-encoder call whose item separator is the
+    indented line break, then spliced in at its marker's indentation.  The
+    text is the same character for character.
+    """
+    pairs: list[list] = []
+    text = json.dumps(_mark_pairs(obj, pairs), indent=2, sort_keys=True)
+    if not pairs:
+        return text
+    if text.count(_PAIRS_MARK_JSON) != len(pairs):  # a string of obj holds the marker
+        return json.dumps(obj, indent=2, sort_keys=True)
+    return _PAIRS_LINE.sub(
+        lambda m: m[1] + m[2] + _pairs_text(pairs[int(m[3])], m[1]), text
+    )
+
+
+def _mark_pairs(value, pairs: list):
+    """A copy of the containers of value with each pair list replaced by a marker."""
+    if isinstance(value, dict):
+        return {k: _mark_pairs(v, pairs) for k, v in value.items()}
+    if type(value) is list and _is_pair_list(value):
+        pairs.append(value)
+        return f"{_PAIRS_MARK}{len(pairs) - 1}"
+    if isinstance(value, (list, tuple)):
+        return [_mark_pairs(v, pairs) for v in value]
+    return value
+
+
+def _is_pair_list(value: list) -> bool:
+    if not value or set(map(type, value)) != {list} or set(map(len, value)) != {2}:
+        return False
+    kinds = set(map(type, itertools.chain.from_iterable(value)))
+    return not any(issubclass(t, (dict, list, tuple)) for t in kinds)
+
+
+def _pairs_text(pairs: list, indent: str) -> str:
+    """The indented text of a pair list whose opening line is indented by ``indent``.
+
+    A scalar's token holds no line break and never starts with ``[`` or ends
+    with ``]``, so ``],<separator>[`` occurs only between two pairs.
+    """
+    inner = indent + "    "
+    flat = json.dumps(pairs, separators=(",\n" + inner, ": "))
+    between = "\n" + indent + "  ],\n" + indent + "  [\n" + inner
+    return (
+        "[\n" + indent + "  [\n" + inner
+        + flat[2:-2].replace("],\n" + inner + "[", between)
+        + "\n" + indent + "  ]\n" + indent + "]"
+    )
 
 
 def _pairs_to_json(values: np.ndarray) -> list:
@@ -147,6 +212,11 @@ def group_from_json(obj) -> FiniteGroup:
         table = obj["table"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed group JSON: {exc}") from exc
+    for key, value in (("elements", elements), ("table", table)):
+        if not isinstance(value, list):
+            raise ValueError(
+                f"malformed group JSON: {key} must be a list, not {type(value).__name__}"
+            )
     for key in ("order", "identity"):
         if key in obj and not _is_integer(obj[key]):
             raise ValueError(f"malformed group JSON: {key} {obj[key]!r} is not an integer")

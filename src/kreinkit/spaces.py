@@ -213,6 +213,11 @@ def dissipativity_form(space: IndefiniteSpace, a) -> np.ndarray:
     return (h + h.conj().T) / 2.0
 
 
+def _unitarity_gap(space: IndefiniteSpace, m: np.ndarray) -> np.ndarray:
+    """A^H J A - J, which vanishes exactly when A is J-unitary."""
+    return m.conj().T @ (space.j_signs[:, None] * m) - space.j
+
+
 def classify_operator(space: IndefiniteSpace, a, tol: float | None = None) -> OperatorClasses:
     """Test J-selfadjointness, (strong) J-dissipativity, J-unitarity, J-expansion.
 
@@ -229,7 +234,7 @@ def classify_operator(space: IndefiniteSpace, a, tol: float | None = None) -> Op
     sa_defect = operator_norm(m - j_adjoint(space, m))
     form = dissipativity_form(space, m)
     margin = float(np.min(np.linalg.eigvalsh(form)))
-    gram = m.conj().T @ (space.j_signs[:, None] * m) - space.j
+    gram = _unitarity_gap(space, m)
     unit_defect = operator_norm(gram)
     exp_margin = float(np.min(np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)))
 

@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from kreinkit import build_space, cyclic, named_group
@@ -19,12 +20,32 @@ from kreinkit.serialization import (
     group_function_from_json,
     group_function_to_json,
     group_to_json,
+    json_text,
     matrix_from_json,
     matrix_to_json,
     rep_from_json,
     rep_to_json,
     space_from_json,
     space_to_json,
+)
+
+
+# JSON scalars that a pair list may hold: every float class (signed zeros,
+# subnormals, NaN, infinities), integers, booleans, null and awkward strings
+SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -2.5e-310, 1e308, float("nan"), float("inf"), -float("inf"))
+TEXT = st.one_of(
+    st.text(alphabet="[],\" \\:\n\x00aé€😀", max_size=6),
+    st.text(max_size=4),
+    st.just("\x00kreinkit-pairs-0"),
+)
+SCALAR = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS), st.integers(), st.booleans(),
+                   st.none(), TEXT)
+PAIRS = st.lists(st.lists(SCALAR, min_size=2, max_size=2), max_size=5)
+RAGGED = st.lists(st.lists(SCALAR, max_size=3), max_size=4)
+JSON_TREE = st.recursive(
+    st.one_of(PAIRS, RAGGED, SCALAR),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(TEXT, inner, max_size=4)),
+    max_leaves=12,
 )
 
 
@@ -113,6 +134,28 @@ class TestSerialization:
             obj[key] = bad
             with pytest.raises(ValueError, match="not an integer"):
                 group_from_json(obj)
+
+    def test_group_rejects_non_list_elements_and_table(self):
+        for key, bad in (("elements", 5), ("elements", "ab"), ("table", 0), ("table", {"0": [0]})):
+            obj = group_to_json(cyclic(2))
+            obj[key] = bad
+            with pytest.raises(ValueError, match=f"{key} must be a list"):
+                group_from_json(obj)
+        with pytest.raises(ValueError, match="elements must be a list"):
+            group_from_json({"elements": 5, "table": [[0]], "order": 1})
+
+    @given(JSON_TREE)
+    @settings(max_examples=300, deadline=None)
+    def test_json_text_matches_indented_stdlib(self, obj):
+        assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    def test_json_text_matches_indented_stdlib_on_reports(self):
+        rng = np.random.default_rng(4)
+        m = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+        m[0, 0], m[1, 1] = complex(-0.0, 5e-324), complex(1e308, -0.0)
+        for obj in (matrix_to_json(m), {"levels": [{"w": matrix_to_json(m)}, []], "norm": 2.0},
+                    [matrix_to_json(m[:1, :1])], matrix_to_json(m)["data"]):
+            assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
     def test_rep_round_trip(self):
         rng = np.random.default_rng(1)
@@ -308,6 +351,12 @@ class TestFixpointCommands:
         write(tmp_path / "group.json", obj)
         assert main(["unitarize", "--group", gpath, "--rep", rpath]) == 2
         assert "not an integer" in capsys.readouterr().err
+
+    def test_non_list_group_elements_exits_two(self, tmp_path, capsys):
+        _, rpath = self.make_rep_files(tmp_path, group_name="Z2", sig=(1, 1))
+        gpath = write(tmp_path / "bad_group.json", {"elements": 5, "table": [[0]], "order": 1})
+        assert main(["unitarize", "--group", gpath, "--rep", rpath]) == 2
+        assert "elements must be a list" in capsys.readouterr().err
 
     def test_non_rep_matrices_exit_two(self, tmp_path):
         gpath, rpath = self.make_rep_files(tmp_path)
