@@ -25,7 +25,7 @@ from .serialization import report_to_json
 from .spaces import (
     IndefiniteSpace,
     Subspace,
-    classify_operator,
+    _unitarity_gap,
     graph_from_subspace,
     graph_of,
     operator_norm,
@@ -159,9 +159,7 @@ def rep_validate(rep: GroupRep, tol: float = 1e-9) -> RepDiagnostics:
     for i, j in pairs:
         hom = max(hom, operator_norm(mats[group.mult(i, j)] - mats[i] @ mats[j]))
     ident = operator_norm(mats[group.identity] - np.eye(rep.space.n))
-    junit = max(
-        classify_operator(rep.space, mats[g]).unitarity_defect for g in range(m)
-    )
+    junit = max(operator_norm(_unitarity_gap(rep.space, mats[g])) for g in range(m))
     return RepDiagnostics(
         homomorphism_defect=hom, identity_defect=ident, j_unitarity_defect=junit
     )

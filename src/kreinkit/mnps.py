@@ -11,6 +11,14 @@ coordinates towards that spectral subspace, the MNPS; for strictly
 J-dissipative A it converges (Earle--Hamilton).  It costs one inversion
 of ``A + i mu`` and ``O(n^2 n_minus)`` work per step.
 
+No step takes an SVD of A.  Its scale is ``nu <= ||A||``, a lower bound
+from a few seeded block-power steps (``spaces._norm_lower_bound``, within
+a few percent of ||A|| and always above ``||A|| / 2`` in practice).  Every
+tolerance is relative to nu, so it is at least as strict as the same
+tolerance relative to ||A||.  The shift is ``mu = 2 nu``: the fixed point
+does not depend on mu as long as ``A + i mu`` is invertible, and the stall
+check, the ``cond(Y-)`` check and the certificate catch a shift too small.
+
 When the iteration stalls or its graph does not certify, the solver falls
 back to the finite-dimensional route: perturb the operator to ``A + itJ``
 so that it becomes strongly J-dissipative (the imaginary parts of all
@@ -18,8 +26,8 @@ eigenvalues then stay at distance >= t from the real axis), take the
 spectral subspace for the open lower half-plane from a sorted Schur form
 (it is negative, hence a graph over H-), and shrink t geometrically until
 the graph operator certifies against the *original* matrix.  Either way
-the certificate -- not the sequence of iterates -- is the contract, and
-its tolerances are relative to ``||A||``.
+the certificate -- not the sequence of iterates -- is the contract: the
+residual is at most ``tol_res * nu`` and ``||W|| <= 1 + W_NORM_SLACK``.
 """
 
 from __future__ import annotations
@@ -37,6 +45,8 @@ from .spaces import (
     PREDICATE_TOL,
     Subspace,
     _mat,
+    _norm_lower_bound,
+    _plus_diagonal,
     dissipativity_form,
     graph_from_subspace,
     graph_of,
@@ -67,8 +77,12 @@ DEFAULT_SHRINK = 0.5
 DEFAULT_TOL_RES = 1e-9
 DEFAULT_MAX_ITER = 40
 
-#: Cayley shift relative to ||A||.  Above 1, so that A + i mu is invertible
-#: (at 1 it is singular for A = iJ); at 2 its condition number is at most 3.
+#: Slack of the certificate's maximality test ``||W|| <= 1 + W_NORM_SLACK``.
+W_NORM_SLACK = 1e-8
+
+#: Cayley shift relative to the scale nu.  With ``nu > ||A|| / 2`` it keeps
+#: ``mu > ||A||``, so that A + i mu is invertible (at ``mu = ||A||`` it is
+#: singular for A = iJ).
 CAYLEY_SHIFT = 2.0
 
 #: Step cap of the Cayley fixed-point iteration.
@@ -218,7 +232,7 @@ def _report_for(
         subspace_inertia=inertia,
         regularization_t=t,
         iterations=iterations,
-        certified=res <= tol_res * scale and w_norm <= 1.0 + 1e-8,
+        certified=res <= tol_res * scale and w_norm <= 1.0 + W_NORM_SLACK,
     )
 
 
@@ -239,16 +253,18 @@ def _cayley_graph(space: IndefiniteSpace, m: np.ndarray, scale: float) -> np.nda
     ``C = (m + i mu)^{-1} (m - i mu) = I - 2i mu (m + i mu)^{-1}`` with
     ``mu = CAYLEY_SHIFT * scale``, so one step maps the basis ``Z = [I; W]``
     of the graph to ``Y = C Z`` with one ``n x n`` by ``n x n_minus``
-    product, and the next W is ``Y+ Y-^{-1}``.  C is never formed.  Since
-    ``cond(m + i mu) <= (mu + scale) / (mu - scale) = 3``, its explicit
-    inverse is as accurate as a solve against its LU factors.  The iteration
+    product, and the next W is ``Y+ Y-^{-1}``.  C is never formed.  With the
+    lower bound ``scale = nu`` on ``||m||``,
+    ``cond(m + i mu) <= (2 nu + ||m||) / (2 nu - ||m||)``, about 3 for nu
+    near ``||m||``, so its explicit inverse is as accurate as a solve against
+    its LU factors.  The iteration
     runs until the increment stops shrinking; it is None when that happens
     above roundoff, when the step cap is hit, or when ``Y-`` is worse
     conditioned than ``GRAPH_COND_LIMIT``.
     """
     k = space.n_minus
     mu = CAYLEY_SHIFT * scale
-    resolvent = np.linalg.inv(m + 1j * mu * np.eye(space.n))
+    resolvent = np.linalg.inv(_plus_diagonal(m, 1j * mu))
     z = np.eye(space.n, k, dtype=complex)  # [I; W] with W = 0
     prev = np.inf
     for _ in range(CAYLEY_MAX_STEPS):
@@ -289,22 +305,26 @@ def mnps(
     reported with ``t = 0`` at the first step.  Otherwise solves the
     strongly-dissipative problem for ``A + i t J`` with ``t = t0 * shrink**j``
     until the graph operator's invariance residual against the original A
-    drops below ``tol_res * ||A||``.  When the budget runs out the best
+    drops below ``tol_res * nu``.  When the budget runs out the best
     iterate is returned flagged uncertified.
+
+    ``nu <= ||A||`` is the seeded lower bound of the module docstring; it
+    also scales the dissipativity slack, the Cayley shift, the default
+    ``t0`` and the Schur fallback's axis strip.
     """
     m = _mat(a)
-    scale = operator_norm(m)
+    zero = np.zeros((space.n_plus, space.n_minus), dtype=complex)
+    if not np.any(m):  # A = 0: every MNPS is invariant
+        return _report_for(space, m, zero, 0.0, 0, tol_res, 0.0)
+    scale = _norm_lower_bound(m)
     form = dissipativity_form(space, m)
-    eye = np.eye(space.n)
-    if scale > 0.0 and not _positive_definite(form + PREDICATE_TOL * scale * eye):
+    if not _positive_definite(_plus_diagonal(form, PREDICATE_TOL * scale)):
         margin = float(np.min(np.linalg.eigvalsh(form)))
         if margin < -PREDICATE_TOL * scale:
             raise NotDissipativeError(
                 f"operator is not J-dissipative (form margin {margin:.3e})"
             )
-    zero = np.zeros((space.n_plus, space.n_minus), dtype=complex)
-    # definite space: the MNPS is forced; A = 0: every MNPS is invariant
-    if space.n_minus == 0 or space.n_plus == 0 or scale == 0.0:
+    if space.n_minus == 0 or space.n_plus == 0:  # definite space: the MNPS is forced
         return _report_for(space, m, zero, 0.0, 0, tol_res, scale)
 
     cayley = _cayley_graph(space, m, scale)
@@ -316,7 +336,7 @@ def mnps(
     if t0 is None:
         t0 = DEFAULT_T0_SCALE * scale
     schedule = []
-    if _positive_definite(form - PREDICATE_TOL * scale * eye):
+    if _positive_definite(_plus_diagonal(form, -PREDICATE_TOL * scale)):
         schedule.append(0.0)
     schedule.extend(t0 * shrink**j for j in range(max_iter))
 
@@ -406,12 +426,18 @@ def approximation_ladder(
 
 
 def verify_mnps(space: IndefiniteSpace, a, w, tol: float = 1e-8) -> VerifyReport:
-    """Check that W parametrizes an MNPS and that its graph is A-invariant."""
+    """Check that W parametrizes an MNPS and that its graph is A-invariant.
+
+    The graph is invariant when its residual is at most ``tol * nu``, with
+    ``nu <= ||A||`` the scale :func:`mnps` uses; it is maximal non-positive
+    when ``||W|| <= 1 + W_NORM_SLACK``, the slack of the solver's
+    certificate, which ``tol`` does not change.
+    """
     m = _mat(a)
     res, inertia, w_norm = _certificate(space, m, _mat(w))
     return VerifyReport(
-        maximal_nonpositive=w_norm <= 1.0 + tol,
-        invariant=res <= tol * operator_norm(m),
+        maximal_nonpositive=w_norm <= 1.0 + W_NORM_SLACK,
+        invariant=res <= tol * _norm_lower_bound(m),
         residual=res,
         inertia=inertia,
     )

@@ -50,6 +50,10 @@ PREDICATE_TOL = 1e-9
 #: Condition-number guard for solving against the H- block of a basis.
 GRAPH_COND_LIMIT = 1e12
 
+#: Block-power steps and start columns of :func:`_norm_lower_bound`.
+NORM_BOUND_STEPS = 6
+NORM_BOUND_COLS = 4
+
 
 class NotAGraphError(ValueError):
     """Raised when a subspace cannot be written as a graph over H-."""
@@ -61,6 +65,32 @@ def operator_norm(m) -> float:
     if m.size == 0:
         return 0.0
     return float(np.linalg.norm(m, 2))
+
+
+def _norm_lower_bound(m: np.ndarray) -> float:
+    """A certified lower bound ``nu = ||A Q|| <= ||A||`` without an SVD of A.
+
+    Q is the orthonormal factor after ``NORM_BOUND_STEPS`` block-power steps
+    on ``A^H A`` from a fixed-seed Gaussian start of ``NORM_BOUND_COLS``
+    columns, so nu is deterministic for a given A.  It costs ``O(n^2 k)``
+    and allocates ``O(n k)``: ``A^H (A Q)`` is formed as ``((A Q)^H A)^H``,
+    never through ``A^H``.  A tolerance relative to nu is stricter than the
+    same tolerance relative to ||A||; never substitute an upper bound.
+    """
+    n = m.shape[1]
+    k = min(NORM_BOUND_COLS, n)
+    rng = np.random.default_rng(0)
+    q = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    for _ in range(NORM_BOUND_STEPS):
+        q = np.linalg.qr(((m @ q).conj().T @ m).conj().T)[0]
+    return float(np.linalg.norm(m @ q, 2))
+
+
+def _plus_diagonal(h: np.ndarray, c) -> np.ndarray:
+    """``h + c I`` as a copy of h with c added to its diagonal; I is never built."""
+    out = h.copy()
+    out.flat[:: out.shape[1] + 1] += c
+    return out
 
 
 def _mat(a) -> np.ndarray:
@@ -207,10 +237,14 @@ def dissipativity_form(space: IndefiniteSpace, a) -> np.ndarray:
 
     Equals ``(JA - A^H J) / 2i``; A is J-dissipative iff this is PSD.
     """
-    m = _mat(a)
-    jm = space.j_signs[:, None] * m
-    h = (jm - jm.conj().T) / 2j
-    return (h + h.conj().T) / 2.0
+    # in place, so at most two n x n arrays are live; same values as
+    # h = (jm - jm^H) / 2i, (h + h^H) / 2
+    h = space.j_signs[:, None] * _mat(a)
+    h -= h.conj().T
+    h /= 2j
+    h += h.conj().T
+    h /= 2.0
+    return h
 
 
 def _unitarity_gap(space: IndefiniteSpace, m: np.ndarray) -> np.ndarray:
@@ -221,15 +255,16 @@ def _unitarity_gap(space: IndefiniteSpace, m: np.ndarray) -> np.ndarray:
 def classify_operator(space: IndefiniteSpace, a, tol: float | None = None) -> OperatorClasses:
     """Test J-selfadjointness, (strong) J-dissipativity, J-unitarity, J-expansion.
 
-    ``tol`` defaults to ``PREDICATE_TOL * ||A||``, relative with no floor, so
-    the predicates are scale-invariant and agree with the dissipativity test
-    of :func:`kreinkit.mnps.mnps`.
+    ``tol`` defaults to ``PREDICATE_TOL * nu``, where ``nu <= ||A||`` is the
+    lower bound of :func:`_norm_lower_bound`: relative with no floor, so the
+    predicates are scale-invariant, and the same scale as the dissipativity
+    test of :func:`kreinkit.mnps.mnps`, so the two agree.
     """
     m = _mat(a)
     if m.shape != (space.n, space.n):
         raise ValueError(f"operator must be {space.n}x{space.n}, got {m.shape}")
     if tol is None:
-        tol = PREDICATE_TOL * operator_norm(m)
+        tol = PREDICATE_TOL * _norm_lower_bound(m)
 
     sa_defect = operator_norm(m - j_adjoint(space, m))
     form = dissipativity_form(space, m)

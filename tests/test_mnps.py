@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -25,6 +27,7 @@ from kreinkit.fixtures import (
     random_j_dissipative,
     random_strongly_j_dissipative,
 )
+from kreinkit.spaces import PREDICATE_TOL, _norm_lower_bound, dissipativity_form
 
 
 @pytest.fixture
@@ -148,6 +151,39 @@ class TestMnpsStrong:
         lower, _ = spectral_split(sp, a)
         assert_allclose(rep.w, graph_from_subspace(sp, lower), atol=1e-9)
 
+    def test_cayley_solve_takes_no_svd_of_a(self, monkeypatch, schur_calls):
+        # the scale is a seeded lower bound on ||A||: no n x n SVD or spectral
+        # norm runs anywhere in a certified Cayley solve
+        rng = np.random.default_rng(16)
+        sp = build_space(5, 200)
+        a = random_strongly_j_dissipative(sp, rng)
+        mnps_module = sys.modules["kreinkit.mnps"]
+        svd, norm, bound = np.linalg.svd, np.linalg.norm, mnps_module.operator_norm
+        shapes = []
+
+        def recording_svd(x, *args, **kwargs):
+            shapes.append(np.shape(x))
+            return svd(x, *args, **kwargs)
+
+        def recording_norm(x, ord=None, *args, **kwargs):
+            if ord == 2:
+                shapes.append(np.shape(x))
+            return norm(x, ord, *args, **kwargs)
+
+        def recording_bound(x):
+            shapes.append(np.shape(x))
+            return bound(x)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        monkeypatch.setattr(np.linalg, "norm", recording_norm)
+        monkeypatch.setattr(mnps_module, "operator_norm", recording_bound)
+        rep = mnps(sp, a)
+        assert not schur_calls
+        assert rep.certified
+        assert rep.regularization_t == 0.0 and rep.iterations == 1
+        assert shapes  # the certificate's norms went through the recorders
+        assert (sp.n, sp.n) not in shapes
+
 
 class TestMnps:
     def test_strongly_dissipative_certifies_at_t_zero(self):
@@ -203,6 +239,28 @@ class TestMnps:
         sp = build_space(1, 1)
         with pytest.raises(NotDissipativeError):
             mnps(sp, -1j * sp.j)
+
+    def test_classify_agrees_with_dissipativity_test(self):
+        # A + icJ raises the form margin by exactly c: place it within a few
+        # percent of the threshold -PREDICATE_TOL * nu on either side; both
+        # judge it against the same nu <= ||A||
+        rng = np.random.default_rng(18)
+        outcomes = set()
+        for _ in range(24):
+            sp = build_space(int(rng.integers(1, 6)), int(rng.integers(40, 100)))
+            a = random_j_dissipative(sp, rng)
+            margin = float(np.min(np.linalg.eigvalsh(dissipativity_form(sp, a))))
+            ratio = 1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4.0, -1.5)
+            a = a + 1j * (-ratio * PREDICATE_TOL * _norm_lower_bound(a) - margin) * sp.j
+            try:
+                mnps(sp, a, max_iter=1)
+            except NotDissipativeError:
+                accepted = False
+            else:
+                accepted = True
+            assert classify_operator(sp, a).j_dissipative == accepted == (ratio < 1.0)
+            outcomes.add(accepted)
+        assert outcomes == {True, False}
 
     def test_definite_space_is_trivial(self):
         sp = build_space(0, 3)

@@ -17,6 +17,7 @@ from kreinkit import (
     subspace_signature,
 )
 from kreinkit.fixtures import random_ball_point, random_complex
+from kreinkit.spaces import _norm_lower_bound
 
 
 def test_build_space_small_signatures():
@@ -115,6 +116,42 @@ def test_classify_tolerance_is_relative_like_mnps():
     good = 1e-10j * sp.j
     assert classify_operator(sp, good).strongly_j_dissipative
     assert mnps(sp, good).certified
+
+
+def _bound_input(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    if kind == "random":
+        return random_complex(rng, (n, n))
+    if kind == "rank-1":
+        return np.outer(random_complex(rng, n), random_complex(rng, n).conj())
+    if kind == "rank-deficient":
+        r = int(rng.integers(1, max(2, n)))  # r < n once n > 1
+        return random_complex(rng, (n, r)) @ random_complex(rng, (r, n))
+    if kind == "zero-padded":
+        r, off = int(rng.integers(1, n + 1)), int(rng.integers(0, n))
+        a = np.zeros((n, n), dtype=complex)
+        idx = (off + np.arange(r)) % n
+        a[np.ix_(idx, idx)] = random_complex(rng, (r, r))
+        return a
+    k = int(rng.integers(0, n + 1))
+    return 1j * build_space(k, n - k).j
+
+
+@given(
+    st.sampled_from(["random", "rank-1", "rank-deficient", "zero-padded", "ij"]),
+    st.integers(1, 40),
+    st.floats(-12.0, 12.0),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_norm_lower_bound_is_certified_and_tight(kind, n, exponent, seed):
+    # nu <= ||A|| makes every tolerance relative to it stricter than relative
+    # to ||A||; nu > ||A|| / 2 keeps the Cayley shift mu = 2 nu above ||A||
+    a = 10.0**exponent * _bound_input(kind, n, np.random.default_rng(seed))
+    nu = _norm_lower_bound(a)
+    norm = operator_norm(a)
+    assert nu <= norm * (1 + 1e-12)
+    assert nu > norm / 2
+    assert _norm_lower_bound(a.copy()) == nu  # seeded: deterministic for a given A
 
 
 def test_classify_expanding():
