@@ -7,10 +7,11 @@ representation unitary with condition number at most ``2 ||pi||^2 + 1``.
 
 The fixed point is found constructively: average the Euclidean Gram metric
 over the group to get an invariant positive matrix B, then take the negative
-eigenspace of the Hermitian definite pencil ``J v = lambda B v``.  Since
-``B^{-1} J`` commutes with every representation matrix, that eigenspace is
-invariant; since B is positive it is maximal negative.  Every claim is
-re-checked numerically and reported as a certificate.
+eigenspace of the Hermitian definite pencil ``J v = lambda B v`` (reduced by
+Cholesky, ``B = L L^H``, to ``L^{-1} J L^{-H}``).  Since ``B^{-1} J``
+commutes with every representation matrix, that eigenspace is invariant;
+since B is positive it is maximal negative.  Every claim is re-checked
+numerically and reported as a certificate.
 """
 
 from __future__ import annotations
@@ -241,10 +242,13 @@ def word_average_metric(
 
 
 def _pencil_negative_basis(space: IndefiniteSpace, b: np.ndarray) -> np.ndarray:
-    """Negative eigenvectors of J v = lambda B v (B positive definite)."""
-    import scipy.linalg as sla  # loaded here, so that importing kreinkit stays cheap
+    """Negative eigenvectors of J v = lambda B v (B positive definite).
 
-    lam, vec = sla.eigh(space.j, b)
+    LAPACK's ``hegv`` reduction: ``B = L L^H`` (``LinAlgError`` unless B > 0),
+    and the eigenvectors y of ``L^{-1} J L^{-H}`` give ``v = L^{-H} y``.
+    """
+    l_inv = np.linalg.inv(np.linalg.cholesky(b))
+    lam, vec = np.linalg.eigh((l_inv * space.j_signs) @ l_inv.conj().T)
     b_inv_norm = 1.0 / float(np.min(np.linalg.eigvalsh(b)))
     if np.min(np.abs(lam)) <= PENCIL_ZERO_RTOL * b_inv_norm:
         raise DegeneratePencilError(
@@ -255,18 +259,36 @@ def _pencil_negative_basis(space: IndefiniteSpace, b: np.ndarray) -> np.ndarray:
         raise DegeneratePencilError(
             f"pencil inertia {int(np.sum(neg))} does not match n_minus = {space.n_minus}"
         )
-    return vec[:, neg]
+    return l_inv.conj().T @ vec[:, neg]
 
 
-def _fixed_point_report(
-    rep: GroupRep, k: np.ndarray, cert_tol: float
-) -> FixedPointReport:
+def _fixed_point(rep: GroupRep, metric: np.ndarray | None = None) -> np.ndarray:
+    """The common fixed point K alone: the metric and the pencil, no certificate."""
     space = rep.space
-    residual = 0.0
-    for mat in rep.matrices:
-        residual = max(
-            residual, operator_norm(fractional_linear(space, mat, k) - k)
-        )
+    if space.n_minus == 0 or space.n_plus == 0:
+        return np.zeros((space.n_plus, space.n_minus), dtype=complex)
+    b = group_average_metric(rep) if metric is None else metric
+    return graph_from_subspace(space, _pencil_negative_basis(space, b))
+
+
+def _dual_pair(space: IndefiniteSpace, k: np.ndarray) -> tuple[Subspace, Subspace]:
+    """(positive, negative): ``{[K^H v; v]}``, J-orthogonal to ``graph(K) = {[u; K u]}``."""
+    positive = Subspace(space, np.vstack([k.conj().T, np.eye(space.n_plus)]))
+    return positive, graph_of(space, k)
+
+
+def common_fixed_point(
+    rep: GroupRep, cert_tol: float = CERT_TOL, metric: np.ndarray | None = None
+) -> FixedPointReport:
+    """Common fixed point of all phi_{pi(g)} via an invariant-metric pencil.
+
+    ``metric`` is a positive matrix B invariant under the group, by default
+    :func:`group_average_metric`.  For a group given by generators, pass
+    ``word_average_metric(space, generators)[0]``; the map residuals certify
+    the result either way.
+    """
+    k = _fixed_point(rep, metric)
+    residual = max(operator_norm(fractional_linear(rep.space, m, k) - k) for m in rep.matrices)
     rep_norm = max(rep.norm, 1.0)
     bound = radius_from_norm(rep_norm)
     k_norm = operator_norm(k)
@@ -281,41 +303,13 @@ def _fixed_point_report(
     )
 
 
-def common_fixed_point(
-    rep: GroupRep, cert_tol: float = CERT_TOL, metric: np.ndarray | None = None
-) -> FixedPointReport:
-    """Common fixed point of all phi_{pi(g)} via an invariant-metric pencil.
-
-    ``metric`` is a positive matrix B invariant under the group, by default
-    :func:`group_average_metric`.  For a group given by generators, pass
-    ``word_average_metric(space, generators)[0]``; the map residuals certify
-    the result either way.
-    """
-    space = rep.space
-    if space.n_minus == 0 or space.n_plus == 0:
-        k = np.zeros((space.n_plus, space.n_minus), dtype=complex)
-    else:
-        b = group_average_metric(rep) if metric is None else metric
-        k = graph_from_subspace(space, _pencil_negative_basis(space, b))
-    return _fixed_point_report(rep, k, cert_tol)
-
-
 def invariant_dual_pair(
     rep: GroupRep, report: FixedPointReport | None = None
 ) -> tuple[Subspace, Subspace]:
     """Invariant (positive, negative) dual pair: graph of K and its J-complement."""
     if report is None:
         report = common_fixed_point(rep)
-    space = rep.space
-    negative = graph_of(space, report.k)
-    if space.n_plus == 0:
-        pos_basis = np.zeros((space.n, 0), dtype=complex)
-    else:
-        import scipy.linalg as sla
-
-        pos_basis = sla.null_space(negative.basis.conj().T @ space.j)
-    positive = Subspace(space, pos_basis)
-    return positive, negative
+    return _dual_pair(rep.space, report.k)
 
 
 def unitarize(
@@ -334,7 +328,8 @@ def unitarize(
         report = common_fixed_point(rep, cert_tol=cert_tol)
     space = rep.space
     k = report.k
-    if operator_norm(k) >= 1.0 - 1e-8:
+    r = operator_norm(k)
+    if r >= 1.0 - 1e-8:
         raise ValueError("fixed point sits on the boundary; cannot form its Mobius matrix")
     v = mobius_matrix(space, -k)
     v_inv = mobius_matrix(space, k)
@@ -342,7 +337,6 @@ def unitarize(
     unitaries = np.array([v @ mat @ v_inv for mat in rep.matrices])
     defect = max(operator_norm(u.conj().T @ u - eye) for u in unitaries)
     cond = operator_norm(v) * operator_norm(v_inv)
-    r = operator_norm(k)
     sharp = (1.0 + r) / (1.0 - r)
     bound = 2.0 * rep.norm**2 + 1.0
     certified = (

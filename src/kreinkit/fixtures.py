@@ -70,26 +70,30 @@ def random_j_dissipative(
     exactly P.  ``margin`` adds margin * I to P; ``rank_deficient`` makes P
     singular so the operator is dissipative but not strongly so.
     """
+    return _dissipative_draw(space, rng, margin, rank_deficient, strict=False)
+
+
+def random_strongly_j_dissipative(
+    space: IndefiniteSpace, rng: np.random.Generator, margin: float = 0.1
+) -> np.ndarray:
+    return _dissipative_draw(space, rng, margin, False, strict=True)
+
+
+def _dissipative_draw(space: IndefiniteSpace, rng: np.random.Generator, margin: float | None,
+                      rank_deficient: bool, strict: bool) -> np.ndarray:
     n = space.n
     s = random_hermitian(rng, n)
     c = random_complex(rng, (n, max(1, n - 2) if rank_deficient else n))
     p = c @ c.conj().T / n
     if margin is not None:
         p = p + margin * np.eye(n)
-    a = space.j @ (s + 1j * p)
-    # accept only draws certified dissipative (same margin classify_operator uses)
+    a = space.j_signs[:, None] * (s + 1j * p)
+    # accept only draws certified dissipative, and strongly so when strict
     form_min = float(np.min(nla.eigvalsh(dissipativity_form(space, a))))
-    if form_min < -1e-12 * max(1.0, operator_norm(a)):
+    scale = max(1.0, operator_norm(a))
+    if form_min < -1e-12 * scale:
         raise AssertionError("generator produced a non-dissipative matrix")
-    return a
-
-
-def random_strongly_j_dissipative(
-    space: IndefiniteSpace, rng: np.random.Generator, margin: float = 0.1
-) -> np.ndarray:
-    a = random_j_dissipative(space, rng, margin=margin)
-    form_min = float(np.min(nla.eigvalsh(dissipativity_form(space, a))))
-    if form_min <= 1e-9 * max(1.0, operator_norm(a)):
+    if strict and form_min <= 1e-9 * scale:
         raise AssertionError("generator produced a non-strongly-dissipative matrix")
     return a
 

@@ -312,6 +312,8 @@ def mnps(
     also scales the dissipativity slack, the Cayley shift, the default
     ``t0`` and the Schur fallback's axis strip.
     """
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     m = _mat(a)
     zero = np.zeros((space.n_plus, space.n_minus), dtype=complex)
     if not np.any(m):  # A = 0: every MNPS is invariant
@@ -356,7 +358,8 @@ def mnps(
     failed = "failed to certify; spectrum may be degenerate near real axis"
     if best is not None:
         return replace(best, iterations=len(schedule), message=failed)
-    fallback = _report_for(space, m, zero, schedule[-1], len(schedule), tol_res, scale)
+    last_t = schedule[-1] if schedule else 0.0  # max_iter = 0 may leave nothing to try
+    fallback = _report_for(space, m, zero, last_t, len(schedule), tol_res, scale)
     if fallback.certified:
         return fallback
     return replace(fallback, message=failed)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fixpoint import GroupRep, common_fixed_point, invariant_dual_pair
+from .fixpoint import GroupRep, _dual_pair, _fixed_point
 from .groups import FiniteGroup
 from .serialization import report_to_json
 from .spaces import IndefiniteSpace
@@ -226,9 +226,8 @@ def decompose(
         phi2 = GroupFunction(group, -phi.values)
         return phi1, phi2, verify_decomposition(phi, phi1, phi2)
 
-    rep = gns.rep(group)
-    report = common_fixed_point(rep)
-    positive, negative = invariant_dual_pair(rep, report)
+    # verify_decomposition certifies the parts, so K needs no report of its own
+    positive, negative = _dual_pair(gns.space, _fixed_point(gns.rep(group)))
     basis = np.hstack([positive.basis, negative.basis])
     coeff = np.linalg.solve(basis, gns.cyclic)
     f_plus = positive.basis @ coeff[: positive.dim]

@@ -165,12 +165,10 @@ def matrix_to_json(m) -> dict:
 def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ValueError("matrix JSON must be an object")
-    try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        data = obj["data"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed matrix JSON: {exc}") from exc
-    values = _pairs_from_json(data, "matrix JSON data")
+    rows, cols = obj.get("rows"), obj.get("cols")
+    if not (_is_integer(rows) and _is_integer(cols)):
+        raise ValueError(f"malformed matrix JSON: rows {rows!r} and cols {cols!r} must be integers")
+    values = _pairs_from_json(obj.get("data"), "matrix JSON data")
     if rows < 0 or cols < 0 or len(values) != rows * cols:
         raise ValueError(
             f"matrix JSON claims {rows}x{cols} but carries {len(values)} entries"

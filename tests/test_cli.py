@@ -110,6 +110,16 @@ class TestSerialization:
             with pytest.raises(ValueError):
                 matrix_from_json({"rows": 1, "cols": 2, "data": [[1.0, 0.0], pair]})
 
+    def test_matrix_rejects_non_integer_shape(self):
+        data = [[1.0, 0.0], [2.0, 0.0]]
+        for rows, cols in ((2.7, True), (2.0, 1), (2, 1.0), (2, "1"), (None, 1), (2, False)):
+            with pytest.raises(ValueError, match="must be integers"):
+                matrix_from_json({"rows": rows, "cols": cols, "data": data})
+        with pytest.raises(ValueError, match="must be integers"):
+            matrix_from_json({"cols": 1, "data": data})
+        with pytest.raises(ValueError, match="list of"):
+            matrix_from_json({"rows": 2, "cols": 1})
+
     def test_group_round_trip(self):
         g = named_group("D4")
         g2 = group_from_json(group_to_json(g))
@@ -230,6 +240,26 @@ class TestMnpsCommand:
         obj["data"][1] = [0.0, True]
         inp = write(tmp_path / "a.json", obj)
         assert main(["mnps", "--input", inp, "--signature", "1,1"]) == 2
+
+
+    def test_non_integer_matrix_shape_exits_two(self, tmp_path, capsys):
+        obj = matrix_to_json(build_space(1, 1).j)
+        obj["rows"] = 2.0
+        inp = write(tmp_path / "a.json", obj)
+        assert main(["mnps", "--input", inp, "--signature", "1,1"]) == 2
+        assert "must be integers" in capsys.readouterr().err
+
+    def test_max_iter_zero_exits_one_and_negative_exits_two(self, tmp_path, capsys):
+        sp = build_space(1, 1)
+        inp = write(tmp_path / "a.json", matrix_to_json(sp.j @ np.ones((2, 2))))
+        out = tmp_path / "r.json"
+        argv = ["mnps", "--input", inp, "--signature", "1,1", "--out", str(out)]
+        assert main(argv + ["--max-iter", "0"]) == 1
+        report = load(out)
+        assert report["certified"] is False and report["message"]
+        capsys.readouterr()
+        assert main(argv + ["--max-iter", "-1"]) == 2
+        assert "max_iter" in capsys.readouterr().err
 
 
 class TestLadderCommand:

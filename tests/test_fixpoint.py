@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
@@ -10,6 +11,7 @@ from kreinkit import (
     cyclic,
     decompose,
     fractional_linear,
+    graph_from_subspace,
     group_average_metric,
     invariance_residual,
     invariant_dual_pair,
@@ -31,9 +33,13 @@ from kreinkit.fixtures import (
     fixture_conjugated_rep,
     fixture_double_rep,
     random_ball_point,
+    random_complex,
     random_conjugated_rep,
+    random_hermitian,
+    random_j_dissipative,
     random_j_unitary,
     random_qpd_function,
+    random_strongly_j_dissipative,
     random_unitary,
     random_unitary_rep,
 )
@@ -396,6 +402,66 @@ class TestInvariantDualPair:
             assert operator_norm(qw - qg @ (qg.conj().T @ qw)) <= 1e-8
 
 
+def scipy_pencil_fixed_point(rep):
+    """K from scipy's generalized eigensolver for J v = lambda B v, as a reference."""
+    lam, vec = scipy.linalg.eigh(rep.space.j, group_average_metric(rep))
+    return graph_from_subspace(rep.space, vec[:, lam < 0.0])
+
+
+class TestPencilAndDualPair:
+    def test_fixed_point_matches_scipy_pencil(self):
+        rng = np.random.default_rng(36)
+        for name in ("S4", "D4", "Q8"):
+            for sig in ((1, 3), (2, 5), (3, 7)):
+                for center_norm in (0.5, 0.9, 0.99, 0.999):
+                    rep, _ = random_conjugated_rep(named_group(name), build_space(*sig), rng,
+                                                   center_norm=center_norm)
+                    report = common_fixed_point(rep)
+                    assert report.certified
+                    assert_allclose(report.k, scipy_pencil_fixed_point(rep), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("sig", [(2, 5), (3, 2), (1, 1), (3, 0), (0, 3)])
+    def test_pair_is_j_orthogonal_with_full_shapes(self, sig):
+        rng = np.random.default_rng(37)
+        sp = build_space(*sig)
+        for center_norm in (0.5, 0.999):
+            rep, _ = random_conjugated_rep(named_group("S4"), sp, rng, center_norm=center_norm)
+            positive, negative = invariant_dual_pair(rep)
+            assert positive.basis.shape == (sp.n, sp.n_plus)
+            assert negative.basis.shape == (sp.n, sp.n_minus)
+            cross = positive.basis.conj().T @ sp.j @ negative.basis
+            assert (abs(cross).max() if cross.size else 0.0) <= 1e-14
+            assert subspace_signature(sp, positive).is_positive
+            assert subspace_signature(sp, negative).is_negative
+
+    def test_metric_not_positive_definite_raises(self):
+        rng = np.random.default_rng(38)
+        rep, _ = random_conjugated_rep(named_group("S3"), build_space(1, 2), rng)
+        with pytest.raises(np.linalg.LinAlgError):
+            common_fixed_point(rep, metric=-group_average_metric(rep))
+
+    def test_decompose_reads_no_boundedness_constant(self, monkeypatch):
+        # decompose takes K from the metric and the pencil alone: neither the
+        # SVDs behind GroupRep.norm nor the orbit radius run for it
+        reads = []
+        norm = GroupRep.norm
+
+        def counting(rep):
+            reads.append(rep.group.order)
+            return norm.fget(rep)
+
+        monkeypatch.setattr(GroupRep, "norm", property(counting))
+        rng = np.random.default_rng(39)
+        for k in (1, 2, 3):
+            phi = random_qpd_function(named_group("S4"), rng, k=k)[0]
+            phi1, phi2, cert = decompose(phi)
+            assert cert.ok(scale=phi.max_abs)
+        assert reads == []
+        rep, _ = random_conjugated_rep(named_group("S4"), build_space(1, 3), rng)
+        common_fixed_point(rep)
+        assert reads  # the counter sees the reads the full report makes
+
+
 class TestUnitarize:
     def test_already_unitary(self):
         rng = np.random.default_rng(18)
@@ -459,6 +525,26 @@ class TestFixtures:
         rep, center = random_conjugated_rep(group, sp, rng, center_norm=0.5)
         assert rep_validate(rep).ok(1e-10)
         assert rep.norm <= mobius_norm(sp, center).norm ** 2 + 1e-10
+
+    @pytest.mark.parametrize("sig", [(1, 3), (2, 5), (5, 60)])
+    def test_dissipative_draws_match_dense_formula(self, sig):
+        # A = J (S + iP) with J as a dense matrix, drawn from the same stream
+        sp = build_space(*sig)
+        n = sp.n
+        for seed in range(3):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for strong, margin, deficient in ((True, 0.1, False), (False, None, False),
+                                              (False, None, True), (False, 0.3, False)):
+                if strong:
+                    a = random_strongly_j_dissipative(sp, rng, margin=margin)
+                else:
+                    a = random_j_dissipative(sp, rng, margin=margin, rank_deficient=deficient)
+                s = random_hermitian(ref, n)
+                c = random_complex(ref, (n, max(1, n - 2) if deficient else n))
+                p = c @ c.conj().T / n
+                if margin is not None:
+                    p = p + margin * np.eye(n)
+                assert np.array_equal(a, sp.j @ (s + 1j * p))
 
     def test_double_rep_form_matrix(self):
         form = doubled_form_matrix(2)

@@ -214,6 +214,18 @@ class TestMnps:
         assert_allclose(rep.w, [[-1.0]], atol=1e-3)
         assert rep.residual <= 1e-8 * max(1.0, operator_norm(a))
 
+    def test_zero_max_iter_returns_uncertified_report(self, schur_calls):
+        # the Cayley graph stalls on the boundary and the form is not positive
+        # definite, so max_iter = 0 leaves no regularization level to try
+        sp = build_space(1, 1)
+        a = sp.j @ np.array([[1.0, 1.0], [1.0, 1.0]])
+        rep = mnps(sp, a, max_iter=0)
+        assert not rep.certified
+        assert rep.iterations == 0 and not schur_calls
+        assert rep.message.startswith("failed to certify")
+        with pytest.raises(ValueError, match="max_iter"):
+            mnps(sp, a, max_iter=-1)
+
     def test_random_dissipative_batch(self):
         rng = np.random.default_rng(7)
         for _ in range(40):
