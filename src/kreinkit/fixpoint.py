@@ -181,7 +181,7 @@ def orbit_radius(rep: GroupRep) -> float:
     return radius
 
 
-def group_average_metric(rep: GroupRep, check: bool = True) -> np.ndarray:
+def group_average_metric(rep: GroupRep) -> np.ndarray:
     """B = (1/m) sum_g pi(g)^H pi(g); positive, and invariant under the group."""
     mats = rep.matrices
     b = sum(m.conj().T @ m for m in mats) / len(mats)
@@ -189,7 +189,7 @@ def group_average_metric(rep: GroupRep, check: bool = True) -> np.ndarray:
     # The Frobenius norm bounds the spectral norm, and the tolerance below is
     # never under INVARIANCE_RTOL, so the exact defect is needed only when
     # some Frobenius defect exceeds it (or is NaN, which fails the test).
-    if check and not all(
+    if not all(
         np.linalg.norm(m.conj().T @ b @ m - b) <= INVARIANCE_RTOL for m in mats
     ):
         defect = max(operator_norm(m.conj().T @ b @ m - b) for m in mats)
@@ -262,21 +262,6 @@ def _pencil_negative_basis(space: IndefiniteSpace, b: np.ndarray) -> np.ndarray:
     return l_inv.conj().T @ vec[:, neg]
 
 
-def _fixed_point(rep: GroupRep, metric: np.ndarray | None = None) -> np.ndarray:
-    """The common fixed point K alone: the metric and the pencil, no certificate."""
-    space = rep.space
-    if space.n_minus == 0 or space.n_plus == 0:
-        return np.zeros((space.n_plus, space.n_minus), dtype=complex)
-    b = group_average_metric(rep) if metric is None else metric
-    return graph_from_subspace(space, _pencil_negative_basis(space, b))
-
-
-def _dual_pair(space: IndefiniteSpace, k: np.ndarray) -> tuple[Subspace, Subspace]:
-    """(positive, negative): ``{[K^H v; v]}``, J-orthogonal to ``graph(K) = {[u; K u]}``."""
-    positive = Subspace(space, np.vstack([k.conj().T, np.eye(space.n_plus)]))
-    return positive, graph_of(space, k)
-
-
 def common_fixed_point(
     rep: GroupRep, cert_tol: float = CERT_TOL, metric: np.ndarray | None = None
 ) -> FixedPointReport:
@@ -287,8 +272,13 @@ def common_fixed_point(
     ``word_average_metric(space, generators)[0]``; the map residuals certify
     the result either way.
     """
-    k = _fixed_point(rep, metric)
-    residual = max(operator_norm(fractional_linear(rep.space, m, k) - k) for m in rep.matrices)
+    space = rep.space
+    if space.n_minus == 0 or space.n_plus == 0:
+        k = np.zeros((space.n_plus, space.n_minus), dtype=complex)
+    else:
+        b = group_average_metric(rep) if metric is None else metric
+        k = graph_from_subspace(space, _pencil_negative_basis(space, b))
+    residual = max(operator_norm(fractional_linear(space, m, k) - k) for m in rep.matrices)
     rep_norm = max(rep.norm, 1.0)
     bound = radius_from_norm(rep_norm)
     k_norm = operator_norm(k)
@@ -306,10 +296,12 @@ def common_fixed_point(
 def invariant_dual_pair(
     rep: GroupRep, report: FixedPointReport | None = None
 ) -> tuple[Subspace, Subspace]:
-    """Invariant (positive, negative) dual pair: graph of K and its J-complement."""
+    """Invariant (positive, negative) pair: ``{[K^H v; v]}``, J-orthogonal to ``graph(K)``."""
     if report is None:
         report = common_fixed_point(rep)
-    return _dual_pair(rep.space, report.k)
+    k = report.k
+    positive = Subspace(rep.space, np.vstack([k.conj().T, np.eye(rep.space.n_plus)]))
+    return positive, graph_of(rep.space, k)
 
 
 def unitarize(

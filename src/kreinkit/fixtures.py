@@ -14,7 +14,8 @@ from .ball import mobius_matrix
 from .fixpoint import GroupRep
 from .groups import FiniteGroup
 from .qpd import GroupFunction
-from .spaces import IndefiniteSpace, classify_operator, dissipativity_form, operator_norm
+from .spaces import (PREDICATE_TOL, IndefiniteSpace, _norm_lower_bound, classify_operator,
+                     dissipativity_form, operator_norm)
 
 __all__ = [
     "random_complex",
@@ -153,8 +154,10 @@ def corner_decay_fixture(
     p = np.zeros((n, n), dtype=complex)
     p[:k, :k] = c1 @ c1.conj().T / max(1, k) + margin * np.eye(k)
     p[k:, k:] = np.diag(margin * rng.uniform(1.0, 2.0, space.n_plus))
-    a = space.j @ (s + 1j * p)
-    if not classify_operator(space, a).strongly_j_dissipative:
+    a = space.j_signs[:, None] * (s + 1j * p)
+    # classify_operator's strong-dissipativity test, without its other predicates
+    form_min = float(np.min(nla.eigvalsh(dissipativity_form(space, a))))
+    if not form_min > PREDICATE_TOL * _norm_lower_bound(a):
         raise AssertionError("decay fixture lost strong dissipativity")
     return a
 

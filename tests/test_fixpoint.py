@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from kreinkit import (
     GroupRep,
     build_space,
+    classify_operator,
     common_fixed_point,
     cyclic,
     decompose,
@@ -28,6 +29,7 @@ from kreinkit import (
 )
 import kreinkit.fixpoint as fixpoint_module
 from kreinkit.fixtures import (
+    corner_decay_fixture,
     cyclic_character_rep,
     doubled_form_matrix,
     fixture_conjugated_rep,
@@ -226,7 +228,7 @@ class TestBoundednessConstant:
         rng = np.random.default_rng(33)
         rep, _ = random_conjugated_rep(named_group("D4"), build_space(2, 3), rng,
                                        center_norm=0.999)
-        b = group_average_metric(rep, check=False)
+        b = loop_average_metric(rep, check=False)
         frobenius = [np.linalg.norm(m.conj().T @ b @ m - b) for m in rep.matrices]
         assert max(frobenius) > fixpoint_module.INVARIANCE_RTOL
         calls = []
@@ -545,6 +547,20 @@ class TestFixtures:
                 if margin is not None:
                     p = p + margin * np.eye(n)
                 assert np.array_equal(a, sp.j @ (s + 1j * p))
+            for decay, margin in ((0.95, 1.0), (0.8, 0.3)):
+                a = corner_decay_fixture(sp, rng, decay=decay, margin=margin)
+                k, n_plus = sp.n_minus, sp.n_plus
+                s = np.zeros((n, n), dtype=complex)
+                s[:k, :k] = random_hermitian(ref, k)
+                corner = random_complex(ref, (k, n_plus)) * (decay ** np.arange(n_plus))[None, :]
+                s[:k, k:], s[k:, :k] = corner, corner.conj().T
+                s[k:, k:] = np.diag(ref.uniform(1.0, 3.0, n_plus))
+                c1 = random_complex(ref, (k, k))
+                p = np.zeros((n, n), dtype=complex)
+                p[:k, :k] = c1 @ c1.conj().T / max(1, k) + margin * np.eye(k)
+                p[k:, k:] = np.diag(margin * ref.uniform(1.0, 2.0, n_plus))
+                assert np.array_equal(a, sp.j @ (s + 1j * p))
+                assert classify_operator(sp, a).strongly_j_dissipative
 
     def test_double_rep_form_matrix(self):
         form = doubled_form_matrix(2)

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import kreinkit.fixpoint as fixpoint_module
 from kreinkit import (
     GroupFunction,
+    common_fixed_point,
     cyclic,
     decompose,
     finite_type_rank,
     gns_construct,
     gram_matrix,
+    invariant_dual_pair,
     named_group,
     negative_squares,
     symmetric,
@@ -212,6 +215,60 @@ class TestDecompose:
         g = named_group("Z12")
         phi, _, _ = random_qpd_function(g, rng, k=3)
         assert negative_squares(phi) == int(np.sum(gns_construct(phi).signs < 0))
+
+
+def dual_pair_parts(phi, gns, report):
+    """phi1, phi2 from the fixed point's dual pair and a solve, kept as reference."""
+    positive, negative = invariant_dual_pair(gns.rep(phi.group), report)
+    coeff = np.linalg.solve(np.hstack([positive.basis, negative.basis]), gns.cyclic)
+    jn = gns.signs.astype(float)
+    parts = []
+    for f in (positive.basis @ coeff[: positive.dim], negative.basis @ coeff[positive.dim :]):
+        parts.append(np.array([np.vdot(jn * f, mat @ f) for mat in gns.matrices]))
+    return parts[0], -parts[1]
+
+
+class TestSignSplit:
+    """The GNS coordinate blocks are an invariant dual pair, with K = 0."""
+
+    @pytest.mark.parametrize("name", ["S3", "D4", "Q8", "S4", "S5"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_coordinate_blocks_are_the_invariant_dual_pair(self, name, k):
+        group = named_group(name)
+        phi, _, _ = random_qpd_function(group, np.random.default_rng(100 + 10 * k), k=k)
+        gns = gns_construct(phi)
+        # every U(g) commutes with J'
+        neg = gns.signs < 0
+        assert 0 < int(np.sum(neg)) < gns.rank
+        scale = float(np.max(np.abs(gns.matrices)))
+        assert np.max(np.abs(gns.matrices[:, neg][:, :, ~neg])) <= 1e-12 * scale
+        assert np.max(np.abs(gns.matrices[:, ~neg][:, :, neg])) <= 1e-12 * scale
+        # so the common fixed point is K = 0
+        report = common_fixed_point(gns.rep(group))
+        assert report.certified
+        assert report.k_norm <= 1e-12
+        # and the sign split equals the split along the fixed point's dual pair
+        phi1, phi2, cert = decompose(phi)
+        ref1, ref2 = dual_pair_parts(phi, gns, report)
+        tol = 1e-12 * phi.max_abs
+        assert np.max(np.abs(phi1.values - ref1)) <= tol
+        assert np.max(np.abs(phi2.values - ref2)) <= tol
+        assert cert.ok(scale=phi.max_abs)
+        assert cert.phi2_rank == cert.negative_squares == negative_squares(phi)
+
+    def test_decompose_runs_no_fixed_point_solve(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("decompose ran the fixed-point pencil")
+
+        for attr in ("group_average_metric", "_pencil_negative_basis", "graph_from_subspace"):
+            monkeypatch.setattr(fixpoint_module, attr, forbidden)
+        monkeypatch.setattr(np.linalg, "solve", forbidden)
+        rng = np.random.default_rng(11)
+        for name, k in (("S3", 1), ("D4", 2), ("S4", 3)):
+            phi, _, _ = random_qpd_function(named_group(name), rng, k=k)
+            _, _, cert = decompose(phi)
+            assert cert.ok(scale=phi.max_abs)
+            assert cert.negative_squares == k
 
 
 class TestVerifyDecomposition:
