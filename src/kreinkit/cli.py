@@ -23,7 +23,7 @@ from .ball import _norm_bounds, hyperbolic_distance, mobius_apply, mobius_matrix
 from .fixpoint import common_fixed_point, rep_validate, unitarize
 from .groups import named_group
 from .mnps import NotDissipativeError, approximation_ladder, mnps
-from .qpd import decompose, finite_type_rank, gram_matrix, negative_squares
+from .qpd import _gram_eigs, decompose
 from .serialization import (
     group_from_json,
     group_function_from_json,
@@ -229,13 +229,11 @@ def cmd_qpd(args) -> int:
     group = group_from_json(_load_json(args.group))
     phi = group_function_from_json(group, _load_json(args.values))
     if args.action == "classify":
-        k = negative_squares(phi)
-        payload = {
-            "negative_squares": k,
-            "gram_norm": operator_norm(gram_matrix(phi)),
-        }
+        eigs, _, thr = _gram_eigs(phi)
+        k = int(np.sum(eigs < -thr))
+        payload = {"negative_squares": k, "gram_norm": float(np.max(np.abs(eigs)))}
         if k == 0:
-            payload["finite_type_rank"] = finite_type_rank(phi)
+            payload["finite_type_rank"] = int(np.sum(np.abs(eigs) > thr))
         _write_json(payload, args.out, args.no_timestamp)
         return EXIT_CERTIFIED
     phi1, phi2, cert = decompose(phi)

@@ -91,7 +91,7 @@ def _dissipative_draw(space: IndefiniteSpace, rng: np.random.Generator, margin: 
     a = space.j_signs[:, None] * (s + 1j * p)
     # accept only draws certified dissipative, and strongly so when strict
     form_min = float(np.min(nla.eigvalsh(dissipativity_form(space, a))))
-    scale = max(1.0, operator_norm(a))
+    scale = _norm_lower_bound(a)
     if form_min < -1e-12 * scale:
         raise AssertionError("generator produced a non-dissipative matrix")
     if strict and form_min <= 1e-9 * scale:

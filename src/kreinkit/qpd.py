@@ -12,14 +12,17 @@ phi(e)`` and ``phi(g) = [U(g) f, f]`` for the cyclic vector f below.)
 Left translations preserve the form, so after quotienting out the form's
 kernel and rescaling the remaining eigendirections, the translations become
 a J'-unitary representation U on a space whose signature has exactly
-``negative_squares(phi)`` minus signs.  Splitting the cyclic vector along an
-invariant dual pair of that representation writes phi as the difference of a
-positive-definite function and a positive-definite function of finite type.
+``negative_squares(phi)`` minus signs (:func:`gns_construct`).  Splitting the
+cyclic vector along an invariant dual pair of that representation writes phi
+as the difference of a positive-definite function and a positive-definite
+function of finite type.
 
-Here the coordinate blocks are that dual pair.  The coordinates come from
-eigenvectors of ``Phi``, which commutes with every left translation, so each
-``U(g)`` commutes with J' and the induced ball maps share the fixed point
-``K = 0``.  :func:`kreinkit.fixpoint.common_fixed_point` is the route for
+``Phi`` commutes with every left translation, and so do its positive and
+negative spectral parts; they are the Gram matrices of the two pieces, and
+in the GNS coordinates the sign blocks are the invariant dual pair, with
+common fixed point ``K = 0``.  :func:`decompose` therefore reads both pieces
+off the one eigendecomposition of ``Phi`` without building any ``U(g)``.
+:func:`kreinkit.fixpoint.common_fixed_point` is the route for
 representations given in any other coordinates.
 """
 
@@ -66,7 +69,7 @@ class GroupFunction:
             raise ValueError(
                 f"need {self.group.order} values, got {v.shape[0]}"
             )
-        scale = max(1.0, float(np.max(np.abs(v)))) if v.size else 1.0
+        scale = float(np.max(np.abs(v)))
         defect = float(np.max(np.abs(v[self.group.inverses] - v.conj())))
         if defect > SYMMETRY_TOL * scale:
             raise ValueError(
@@ -188,7 +191,7 @@ class DecompositionCertificate:
 
     def ok(self, scale: float = 1.0, tol: float = 1e-8) -> bool:
         return (
-            self.reconstruction_error <= tol * max(1.0, scale)
+            self.reconstruction_error <= tol * scale
             and self.parts_positive_definite
             and self.rank_bounded_by_k
             and self.k_bounded_by_rank
@@ -198,45 +201,32 @@ class DecompositionCertificate:
         return report_to_json(self)
 
 
-def _matrix_elements(signs: np.ndarray, mats: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """[U(g) v, v] = v^H J' U(g) v for every group element at once."""
-    weighted = signs * vec.conj()
-    return np.einsum("q,gqr,r->g", weighted, mats, vec)
-
-
 def decompose(
     phi: GroupFunction,
 ) -> tuple[GroupFunction, GroupFunction, DecompositionCertificate]:
     """Write phi = phi1 - phi2 with phi1 PD and phi2 PD of finite type.
 
-    Runs the quotient construction and splits the cyclic vector by the signs
-    of its coordinates, which form an invariant dual pair of the translation
-    representation (see the module docstring).  The returned certificate
-    carries the reconstruction error, positivity of both parts, and
+    Splits the Gram matrix ``Phi = Phi_+ - Phi_-`` into its positive and
+    negative spectral parts from one eigendecomposition.  ``phi`` is the
+    identity row of ``Phi``, both parts commute with every left translation,
+    so each is the Gram matrix of its own identity row: phi1 and phi2 are
+    positive definite, and rank(phi2) = rank(Phi_-) = negative_squares(phi).
+    Each identity row is read off as ``h -> sum_j conj(f(h j)) f(j)`` with
+    ``f = Phi_+^{1/2} delta_e`` or ``Phi_-^{1/2} delta_e``, the cyclic vector
+    split by sign, so each part's Gram matrix is a Gram matrix of vectors,
+    positive semidefinite to roundoff at every scale; no translation
+    ``U(g)`` is built.  The returned certificate carries the
+    reconstruction error, positivity of both parts, and
     rank(phi2) = negative_squares(phi), all checked against phi.
     """
     group = phi.group
-    gns = gns_construct(phi)
-    k = int(np.sum(gns.signs < 0))
-    signs = gns.signs.astype(float)
-
-    if gns.rank == 0:
-        zero = GroupFunction(group, np.zeros(group.order))
-        return zero, zero, verify_decomposition(phi, zero, zero)
-
-    if k == 0:
-        phi1 = GroupFunction(group, phi.values.copy())
-        phi2 = GroupFunction(group, np.zeros(group.order))
-        return phi1, phi2, verify_decomposition(phi, phi1, phi2)
-    if k == gns.rank:
-        phi1 = GroupFunction(group, np.zeros(group.order))
-        phi2 = GroupFunction(group, -phi.values)
-        return phi1, phi2, verify_decomposition(phi, phi1, phi2)
-
-    f_minus = np.where(gns.signs < 0, gns.cyclic, 0.0)
-    f_plus = np.where(gns.signs > 0, gns.cyclic, 0.0)
-    phi1 = GroupFunction(group, _matrix_elements(signs, gns.matrices, f_plus))
-    phi2 = GroupFunction(group, -_matrix_elements(signs, gns.matrices, f_minus))
+    eigs, vecs, thr = _gram_eigs(phi)
+    row = vecs[group.identity]
+    parts = []
+    for mask in (eigs > thr, eigs < -thr):
+        f = vecs[:, mask] @ (np.sqrt(np.abs(eigs[mask])) * row[mask].conj())
+        parts.append(GroupFunction(group, f[group.table].conj() @ f))
+    phi1, phi2 = parts
     return phi1, phi2, verify_decomposition(phi, phi1, phi2)
 
 

@@ -340,6 +340,36 @@ class TestCommonFixedPoint:
         assert report.certified
         assert_allclose(report.k, up @ common_fixed_point(rep).k @ um.conj().T, atol=1e-9)
 
+    @given(
+        st.sampled_from(["Z4", "D4", "S3", "Q8"]),
+        st.integers(1, 2),
+        st.integers(1, 3),
+        st.sampled_from([0.6, 0.9]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_j_unitary_conjugation_moves_fixed_point(
+        self, name, n_minus, n_plus, center_norm, seed
+    ):
+        # phi_V carries common fixed points of pi to those of V pi V^-1, and
+        # phi_V^-1 carries them back.  The averaged metric is not covariant
+        # under a non-unitary V, so when pi has several fixed points the
+        # solver may pick another one: check residuals, not K_moved = phi_V(K)
+        rng = np.random.default_rng(seed)
+        sp = build_space(n_minus, n_plus)
+        rep, _ = random_conjugated_rep(named_group(name), sp, rng)
+        v = random_j_unitary(sp, rng, center_norm=center_norm)
+        v_inv = np.linalg.inv(v)
+        moved = GroupRep(rep.group, sp, v @ rep.matrices @ v_inv)
+        report = common_fixed_point(moved)
+        assert report.certified
+        carried = (
+            (moved.matrices, fractional_linear(sp, v, common_fixed_point(rep).k)),
+            (rep.matrices, fractional_linear(sp, v_inv, report.k)),
+        )
+        for mats, k in carried:
+            assert max(operator_norm(fractional_linear(sp, m, k) - k) for m in mats) <= 1e-9
+
 
 class TestWordAverage:
     def test_finite_group_closure_matches_exact(self):

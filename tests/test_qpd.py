@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import kreinkit.fixpoint as fixpoint_module
+import kreinkit.qpd as qpd_module
 from kreinkit import (
     GroupFunction,
     common_fixed_point,
@@ -37,6 +38,12 @@ class TestGroupFunction:
         g = cyclic(2)
         with pytest.raises(ValueError):
             GroupFunction(g, [1j, 0.0])
+
+    def test_symmetry_tolerance_is_relative_to_the_values(self):
+        # phi(2) = 0 while phi(1) = 1e-13j: a complete violation at this scale
+        with pytest.raises(ValueError):
+            GroupFunction(cyclic(3), [1e-13, 1e-13j, 0.0])
+        GroupFunction(cyclic(3), [1e-13, 2e-13j, -2e-13j])
 
 
 class TestGramMatrix:
@@ -210,6 +217,23 @@ class TestDecompose:
             assert finite_type_rank(phi2) <= negative_squares(phi)
             assert cert.ok(scale=scale)
 
+    def test_zero_function_splits_into_zeros(self):
+        phi = GroupFunction(named_group("S3"), np.zeros(6))
+        phi1, phi2, cert = decompose(phi)
+        assert abs(phi1.values).max() == 0.0 == abs(phi2.values).max()
+        assert cert.ok(scale=phi.max_abs)
+
+    @pytest.mark.parametrize("name", ["S4", "S5"])
+    def test_positive_part_far_below_negative_part(self, name):
+        # phi1 is 1e-7 of phi: both parts must stay Hermitian and PD at their own scale
+        group = named_group(name)
+        _, pd, ft = random_qpd_function(group, np.random.default_rng(2), k=2)
+        phi = GroupFunction(group, 1e-7 * pd.values - ft.values)
+        phi1, phi2, cert = decompose(phi)
+        assert phi1.max_abs <= 1e-6 * phi.max_abs
+        assert cert.ok(scale=phi.max_abs)
+        assert cert.phi2_rank == cert.negative_squares == 2
+
     def test_sign_count_matches_negative_squares(self):
         rng = np.random.default_rng(7)
         g = named_group("Z12")
@@ -263,6 +287,7 @@ class TestSignSplit:
         for attr in ("group_average_metric", "_pencil_negative_basis", "graph_from_subspace"):
             monkeypatch.setattr(fixpoint_module, attr, forbidden)
         monkeypatch.setattr(np.linalg, "solve", forbidden)
+        monkeypatch.setattr(qpd_module, "gns_construct", forbidden)
         rng = np.random.default_rng(11)
         for name, k in (("S3", 1), ("D4", 2), ("S4", 3)):
             phi, _, _ = random_qpd_function(named_group(name), rng, k=k)
@@ -295,6 +320,19 @@ class TestVerifyDecomposition:
         cert = verify_decomposition(phi, zero, neg)
         assert cert.phi2_negative_squares > 0
         assert not cert.ok(scale=phi.max_abs)
+
+    def test_reconstruction_tolerance_is_relative_to_scale(self):
+        # at max|phi| = 1e-6 a shift of 1e-9 in phi1(e) is 0.1% of phi
+        g = named_group("S3")
+        phi, _, _ = random_qpd_function(g, np.random.default_rng(8), k=2)
+        phi = GroupFunction(g, phi.values * (1e-6 / phi.max_abs))
+        phi1, phi2, cert = decompose(phi)
+        assert cert.ok(scale=1e-6)
+        shifted = phi1.values.copy()
+        shifted[g.identity] += 1e-9
+        cert = verify_decomposition(phi, GroupFunction(g, shifted), phi2)
+        assert cert.parts_positive_definite
+        assert not cert.ok(scale=1e-6)
 
     def test_k_bounded_by_rank_of_finite_part(self):
         rng = np.random.default_rng(9)
