@@ -13,11 +13,20 @@ of ``A + i mu`` and ``O(n^2 n_minus)`` work per step.
 
 No step takes an SVD of A.  Its scale is ``nu <= ||A||``, a lower bound
 from a few seeded block-power steps (``spaces._norm_lower_bound``, within
-a few percent of ||A|| and always above ``||A|| / 2`` in practice).  Every
-tolerance is relative to nu, so it is at least as strict as the same
-tolerance relative to ||A||.  The shift is ``mu = 2 nu``: the fixed point
-does not depend on mu as long as ``A + i mu`` is invertible, and the stall
-check, the ``cond(Y-)`` check and the certificate catch a shift too small.
+a few percent of ||A||; above ``0.95 ||A||`` on every draw measured).
+Every tolerance is relative to nu, so it is at least as strict as the same
+tolerance relative to ||A||.
+
+The shift is ``mu = 1.25 nu``.  For every ``mu > 0``,
+``|c(lambda)| = |lambda - i mu| / |lambda + i mu|`` exceeds 1 exactly when
+``Im lambda < 0``, so the fixed point does not depend on mu.  ``mu > ||A||``
+(``nu > 0.8 ||A||``) only bounds ``cond(A + i mu) <= (mu + ||A||) /
+(mu - ||A||)``, about 11.5 at ``nu = 0.95 ||A||``.  A smaller mu contracts
+faster: for the lower eigenvalue ``a - i beta`` closest to the axis,
+``|c|^2 = (a^2 + (mu + beta)^2) / (a^2 + (mu - beta)^2)`` grows as mu falls
+towards ``|lambda|``.  A shift too small is caught: a singular ``A + i mu``,
+the stall check, the ``cond(Y-)`` check and the certificate all send the
+solve to the fallback.
 
 When the iteration stalls or its graph does not certify, the solver falls
 back to the finite-dimensional route: perturb the operator to ``A + itJ``
@@ -80,16 +89,19 @@ DEFAULT_MAX_ITER = 40
 #: Slack of the certificate's maximality test ``||W|| <= 1 + W_NORM_SLACK``.
 W_NORM_SLACK = 1e-8
 
-#: Cayley shift relative to the scale nu.  With ``nu > ||A|| / 2`` it keeps
+#: Cayley shift relative to the scale nu.  With ``nu > 0.8 ||A||`` it keeps
 #: ``mu > ||A||``, so that A + i mu is invertible (at ``mu = ||A||`` it is
 #: singular for A = iJ).
-CAYLEY_SHIFT = 2.0
+CAYLEY_SHIFT = 1.25
 
 #: Step cap of the Cayley fixed-point iteration.
 CAYLEY_MAX_STEPS = 300
 
 #: A graph increment this small counts as roundoff; a ball point has norm <= 1.
 CAYLEY_ROUNDOFF = 1e-10
+
+#: The iteration stops once its geometric tail bound on ``||W - W*||`` is this small.
+CAYLEY_TAIL = 1e-14
 
 
 def __getattr__(name: str):
@@ -255,18 +267,25 @@ def _cayley_graph(space: IndefiniteSpace, m: np.ndarray, scale: float) -> np.nda
     of the graph to ``Y = C Z`` with one ``n x n`` by ``n x n_minus``
     product, and the next W is ``Y+ Y-^{-1}``.  C is never formed.  With the
     lower bound ``scale = nu`` on ``||m||``,
-    ``cond(m + i mu) <= (2 nu + ||m||) / (2 nu - ||m||)``, about 3 for nu
-    near ``||m||``, so its explicit inverse is as accurate as a solve against
-    its LU factors.  The iteration
-    runs until the increment stops shrinking; it is None when that happens
-    above roundoff, when the step cap is hit, or when ``Y-`` is worse
+    ``cond(m + i mu) <= (1.25 nu + ||m||) / (1.25 nu - ||m||)``, about 11.5
+    for ``nu >= 0.95 ||m||``, so its explicit inverse is as accurate as a
+    solve against its LU factors.
+
+    With ``q`` the larger of the last two increment ratios, the iteration
+    returns W once the geometric tail bound ``step * q / (1 - q)`` on its
+    distance to the fixed point is at most ``CAYLEY_TAIL``.  It is None when
+    ``m + i mu`` is singular, when the increment stops shrinking above
+    ``CAYLEY_ROUNDOFF``, when the step cap is hit, or when ``Y-`` is worse
     conditioned than ``GRAPH_COND_LIMIT``.
     """
     k = space.n_minus
     mu = CAYLEY_SHIFT * scale
-    resolvent = np.linalg.inv(_plus_diagonal(m, 1j * mu))
+    try:
+        resolvent = np.linalg.inv(_plus_diagonal(m, 1j * mu))
+    except np.linalg.LinAlgError:  # A + i mu exactly singular: mu below ||A||
+        return None
     z = np.eye(space.n, k, dtype=complex)  # [I; W] with W = 0
-    prev = np.inf
+    prev = prev_ratio = np.inf
     for _ in range(CAYLEY_MAX_STEPS):
         y = z - 2j * mu * (resolvent @ z)
         try:
@@ -275,15 +294,28 @@ def _cayley_graph(space: IndefiniteSpace, m: np.ndarray, scale: float) -> np.nda
             return None
         step = float(np.linalg.norm(w - z[k:]))
         z[k:] = w
-        if not step < prev:  # stopped contracting (a NaN step counts too)
-            if step > CAYLEY_ROUNDOFF or np.linalg.cond(y[:k]) > GRAPH_COND_LIMIT:
-                return None
-            return w
-        prev = step
+        if step < prev:  # still contracting
+            ratio = step / prev if prev < np.inf else np.inf  # wait for two true ratios
+            q = max(ratio, prev_ratio)  # one lucky drop does not end the loop
+            prev, prev_ratio = step, ratio
+            if not step * q <= CAYLEY_TAIL * (1.0 - q):
+                continue
+        elif step > CAYLEY_ROUNDOFF:  # stopped contracting above roundoff
+            return None
+        if np.linalg.cond(y[:k]) > GRAPH_COND_LIMIT:
+            return None
+        return w
     return None
 
 
-def _positive_definite(h: np.ndarray) -> bool:
+def _form_positive_definite(space: IndefiniteSpace, m: np.ndarray, shift: float) -> bool:
+    """Whether the dissipativity form of m plus ``shift * I`` is positive definite.
+
+    The form is built, shifted in place and dropped here, so no ``n x n``
+    array outlives the Cholesky test.
+    """
+    h = dissipativity_form(space, m)
+    h.flat[:: space.n + 1] += shift
     try:
         np.linalg.cholesky(h)
     except np.linalg.LinAlgError:
@@ -319,9 +351,8 @@ def mnps(
     if not np.any(m):  # A = 0: every MNPS is invariant
         return _report_for(space, m, zero, 0.0, 0, tol_res, 0.0)
     scale = _norm_lower_bound(m)
-    form = dissipativity_form(space, m)
-    if not _positive_definite(_plus_diagonal(form, PREDICATE_TOL * scale)):
-        margin = float(np.min(np.linalg.eigvalsh(form)))
+    if not _form_positive_definite(space, m, PREDICATE_TOL * scale):
+        margin = float(np.min(np.linalg.eigvalsh(dissipativity_form(space, m))))
         if margin < -PREDICATE_TOL * scale:
             raise NotDissipativeError(
                 f"operator is not J-dissipative (form margin {margin:.3e})"
@@ -338,7 +369,7 @@ def mnps(
     if t0 is None:
         t0 = DEFAULT_T0_SCALE * scale
     schedule = []
-    if _positive_definite(_plus_diagonal(form, -PREDICATE_TOL * scale)):
+    if _form_positive_definite(space, m, -PREDICATE_TOL * scale):
         schedule.append(0.0)
     schedule.extend(t0 * shrink**j for j in range(max_iter))
 

@@ -237,13 +237,12 @@ def dissipativity_form(space: IndefiniteSpace, a) -> np.ndarray:
 
     Equals ``(JA - A^H J) / 2i``; A is J-dissipative iff this is PSD.
     """
-    # in place, so at most two n x n arrays are live; same values as
-    # h = (jm - jm^H) / 2i, (h + h^H) / 2
+    # in place, so at most two n x n arrays are live.  h_ij and conj(h_ji)
+    # come from the same two entries by mirrored exact steps, so they are
+    # equal (the sign of a zero aside) and h needs no (h + h^H) / 2.
     h = space.j_signs[:, None] * _mat(a)
     h -= h.conj().T
     h /= 2j
-    h += h.conj().T
-    h /= 2.0
     return h
 
 
@@ -325,7 +324,7 @@ def subspace_signature(space: IndefiniteSpace, z, tol: float | None = None) -> I
     zb = z.basis if isinstance(z, Subspace) else np.asarray(z, dtype=complex)
     if zb.shape[0] != space.n:
         raise ValueError(f"basis must be {space.n} x d, got {zb.shape}")
-    gram = zb.conj().T @ space.j @ zb
+    gram = (zb.conj().T * space.j_signs) @ zb  # Z^H J Z with no n x n read
     gram = (gram + gram.conj().T) / 2.0
     if gram.shape[0] == 0:
         return Inertia(0, 0, 0)

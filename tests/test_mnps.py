@@ -1,9 +1,10 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from kreinkit import (
@@ -105,7 +106,7 @@ class TestMnpsStrong:
     """Strongly J-dissipative input certifies at the first step, t = 0."""
 
     def test_ij_gives_zero(self, schur_calls):
-        # A + i||A|| is singular for A = iJ; the Cayley shift 2||A|| is not
+        # A + i||A|| is singular for A = iJ; the Cayley shift 1.25||A|| is not
         sp = build_space(2, 3)
         rep = mnps(sp, 1j * sp.j)
         assert not schur_calls
@@ -183,6 +184,75 @@ class TestMnpsStrong:
         assert rep.regularization_t == 0.0 and rep.iterations == 1
         assert shapes  # the certificate's norms went through the recorders
         assert (sp.n, sp.n) not in shapes
+
+    def test_cayley_step_count(self, monkeypatch, schur_calls):
+        # mu = 1.25 nu with the stop on the tail bound takes about 50 steps
+        # here; mu = 2 nu with a stop one step past roundoff takes 88
+        rng = np.random.default_rng(19)
+        sp = build_space(5, 195)
+        a = random_strongly_j_dissipative(sp, rng)
+        inv = np.linalg.inv
+        steps = []
+
+        def counting(x):
+            if np.shape(x) == (sp.n_minus, sp.n_minus):  # one Y-^{-1} per step
+                steps.append(1)
+            return inv(x)
+
+        monkeypatch.setattr(np.linalg, "inv", counting)
+        rep = mnps(sp, a)
+        assert not schur_calls
+        assert rep.certified
+        assert 0 < len(steps) <= 65
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 60))
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_cayley_graph_does_not_depend_on_shift(self, schur_calls, seed, n_minus, n_plus):
+        # |c(lambda)| = |lambda - i mu| / |lambda + i mu| > 1 exactly when
+        # Im lambda < 0, for every mu > 0: the shift moves only the speed
+        rng = np.random.default_rng(seed)
+        sp = build_space(n_minus, n_plus)
+        a = random_strongly_j_dissipative(sp, rng, margin=rng.uniform(0.05, 0.5))
+        mnps_module = sys.modules["kreinkit.mnps"]
+        graphs = []
+        for shift in (1.25, 2.0, 4.0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(mnps_module, "CAYLEY_SHIFT", shift)
+                rep = mnps(sp, a)
+            assert rep.certified and rep.regularization_t == 0.0
+            graphs.append(rep.w)
+        assert not schur_calls
+        for w in graphs[1:]:
+            assert operator_norm(w - graphs[0]) <= 1e-12
+
+    def test_singular_shift_falls_back(self, monkeypatch, schur_calls):
+        # mu = nu = ||A|| makes A + i mu exactly singular for A = iJ: the
+        # Cayley solve gives up and the Schur fallback certifies
+        sp = build_space(1, 1)
+        monkeypatch.setattr(sys.modules["kreinkit.mnps"], "CAYLEY_SHIFT", 1.0)
+        rep = mnps(sp, 1j * sp.j)
+        assert schur_calls
+        assert rep.certified
+        assert_allclose(rep.w, 0, atol=1e-14)
+
+    def test_solve_holds_two_n_by_n_arrays(self):
+        # the dissipativity form lives only inside its Cholesky test, so a
+        # Cayley solve peaks at A + i mu beside its inverse
+        rng = np.random.default_rng(20)
+        sp = build_space(5, 295)
+        a = random_strongly_j_dissipative(sp, rng)
+        tracemalloc.start()
+        try:
+            rep = mnps(sp, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.certified
+        assert peak < 2.5 * a.nbytes
 
 
 class TestMnps:

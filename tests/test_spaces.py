@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from kreinkit import (
+    IndefiniteSpace,
     NotAGraphError,
     Subspace,
     build_space,
@@ -16,8 +17,9 @@ from kreinkit import (
     operator_norm,
     subspace_signature,
 )
-from kreinkit.fixtures import random_ball_point, random_complex
-from kreinkit.spaces import _norm_lower_bound
+from kreinkit.fixtures import random_ball_point, random_complex, random_j_dissipative
+from kreinkit.mnps import CAYLEY_SHIFT
+from kreinkit.spaces import _norm_lower_bound, dissipativity_form
 
 
 def test_build_space_small_signatures():
@@ -145,12 +147,12 @@ def _bound_input(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
 @settings(max_examples=80, deadline=None)
 def test_norm_lower_bound_is_certified_and_tight(kind, n, exponent, seed):
     # nu <= ||A|| makes every tolerance relative to it stricter than relative
-    # to ||A||; nu > ||A|| / 2 keeps the Cayley shift mu = 2 nu above ||A||
+    # to ||A||; nu > 0.8 ||A|| keeps the Cayley shift mu = 1.25 nu above ||A||
     a = 10.0**exponent * _bound_input(kind, n, np.random.default_rng(seed))
     nu = _norm_lower_bound(a)
     norm = operator_norm(a)
     assert nu <= norm * (1 + 1e-12)
-    assert nu > norm / 2
+    assert nu * CAYLEY_SHIFT > norm
     assert _norm_lower_bound(a.copy()) == nu  # seeded: deterministic for a given A
 
 
@@ -244,6 +246,41 @@ def test_subspace_signature_basis_independent(seed):
     z = random_complex(rng, (5, 3))
     t = random_complex(rng, (3, 3)) + 2 * np.eye(3)
     assert subspace_signature(sp, z) == subspace_signature(sp, z @ t)
+
+
+def test_subspace_signature_reads_no_dense_j(monkeypatch):
+    # the Gram matrix is (Z^H * signs) @ Z: O(n d^2), and the n x n J is never read
+    rng = np.random.default_rng(21)
+    sp = build_space(3, 40)
+    z = random_complex(rng, (sp.n, 7))
+    gram = z.conj().T @ np.diag(sp.j_signs) @ z
+    eigs = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
+    monkeypatch.setattr(IndefiniteSpace, "j", property(lambda self: pytest.fail("dense J read")))
+    sig = subspace_signature(sp, z)
+    assert (sig.n_pos, sig.n_neg, sig.n_null) == (np.sum(eigs > 0), np.sum(eigs < 0), 0)
+
+
+def _two_pass_form(space, a):
+    # (JA - (JA)^H) / 2i followed by the symmetrization (h + h^H) / 2
+    h = space.j_signs[:, None] * np.asarray(a, dtype=complex)
+    h = (h - h.conj().T) / 2j
+    return (h + h.conj().T) / 2.0
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 30))
+@settings(max_examples=40, deadline=None)
+def test_dissipativity_form_needs_no_symmetrization(seed, n_minus, n_plus):
+    rng = np.random.default_rng(seed)
+    sp = build_space(n_minus, n_plus)
+    a = random_j_dissipative(sp, rng, rank_deficient=bool(rng.integers(0, 2)))
+    h = dissipativity_form(sp, a)
+    # on J-dissipative input, bit for bit (signed zeros included)
+    assert np.array_equal(h.view(np.uint64), _two_pass_form(sp, a).view(np.uint64))
+    # on any input, equal in value: only the sign of a zero entry may differ
+    b = random_complex(rng, (sp.n, sp.n))
+    hb = dissipativity_form(sp, b)
+    assert np.array_equal(hb, hb.conj().T)
+    assert np.array_equal(hb, _two_pass_form(sp, b))
 
 
 def test_invariance_residual_trivial_cases():
