@@ -6,6 +6,9 @@ ball, finds common fixed points of bounded groups of fractional-linear
 maps, unitarizes bounded J-unitary representations with an explicit
 condition-number bound, and decomposes quasi-positive-definite functions
 on finite groups.
+
+``kreinkit.mnps`` (also as bound by ``import kreinkit.mnps as m``) is the solver
+function re-exported here; reach the module with ``importlib.import_module``.
 """
 
 from .spaces import *  # noqa: F403

@@ -23,7 +23,7 @@ from .ball import _norm_bounds, hyperbolic_distance, mobius_apply, mobius_matrix
 from .fixpoint import common_fixed_point, rep_validate, unitarize
 from .groups import named_group
 from .mnps import NotDissipativeError, approximation_ladder, mnps
-from .qpd import _gram_eigs, decompose
+from .qpd import _gram_spectrum, decompose
 from .serialization import (
     group_from_json,
     group_function_from_json,
@@ -116,22 +116,14 @@ def _threads() -> int:
 def cmd_mnps(args) -> int:
     space, matrix = _load_operator(args.input, args.signature)
     tol_res = args.tol_res if args.tol_res is not None else 1e-9 * args.tol
-    try:
-        report = mnps(
-            space,
-            matrix,
-            t0=args.t0,
-            shrink=args.shrink,
-            tol_res=tol_res,
-            max_iter=args.max_iter,
-        )
-    except NotDissipativeError as exc:
-        _write_json(
-            {"certified": False, "reason": "not J-dissipative", "detail": str(exc)},
-            args.out,
-            args.no_timestamp,
-        )
-        return EXIT_UNCERTIFIED
+    report = mnps(
+        space,
+        matrix,
+        t0=args.t0,
+        shrink=args.shrink,
+        tol_res=tol_res,
+        max_iter=args.max_iter,
+    )
     payload = report.as_dict()
     payload["norm_a"] = operator_norm(matrix)
     _write_json(payload, args.out, args.no_timestamp)
@@ -142,17 +134,9 @@ def cmd_ladder(args) -> int:
     space, matrix = _load_operator(args.input, args.signature)
     levels = [tuple(int(x) for x in lv.split(",")) for lv in args.levels]
     tol_res = args.tol_res if args.tol_res is not None else 1e-9 * args.tol
-    try:
-        report = approximation_ladder(
-            space, matrix, levels, max_workers=_threads(), tol_res=tol_res
-        )
-    except NotDissipativeError as exc:
-        _write_json(
-            {"certified": False, "reason": "not J-dissipative", "detail": str(exc)},
-            args.out,
-            args.no_timestamp,
-        )
-        return EXIT_UNCERTIFIED
+    report = approximation_ladder(
+        space, matrix, levels, max_workers=_threads(), tol_res=tol_res
+    )
     _write_json(report.as_dict(), args.out, args.no_timestamp)
     return EXIT_CERTIFIED if report.all_certified else EXIT_UNCERTIFIED
 
@@ -229,11 +213,10 @@ def cmd_qpd(args) -> int:
     group = group_from_json(_load_json(args.group))
     phi = group_function_from_json(group, _load_json(args.values))
     if args.action == "classify":
-        eigs, _, thr = _gram_eigs(phi)
-        k = int(np.sum(eigs < -thr))
-        payload = {"negative_squares": k, "gram_norm": float(np.max(np.abs(eigs)))}
-        if k == 0:
-            payload["finite_type_rank"] = int(np.sum(np.abs(eigs) > thr))
+        eigs, inertia = _gram_spectrum(phi)
+        payload = {"negative_squares": inertia.n_neg, "gram_norm": float(np.max(np.abs(eigs)))}
+        if inertia.n_neg == 0:
+            payload["finite_type_rank"] = inertia.n_pos
         _write_json(payload, args.out, args.no_timestamp)
         return EXIT_CERTIFIED
     phi1, phi2, cert = decompose(phi)
@@ -359,10 +342,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except NotDissipativeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNCERTIFIED
+        try:
+            return args.func(args)
+        except NotDissipativeError as exc:  # raised by mnps and ladder, which report it
+            _write_json(
+                {"certified": False, "reason": "not J-dissipative", "detail": str(exc)},
+                args.out,
+                args.no_timestamp,
+            )
+            return EXIT_UNCERTIFIED
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

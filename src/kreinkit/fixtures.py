@@ -21,7 +21,6 @@ __all__ = [
     "random_complex",
     "random_unitary",
     "random_hermitian",
-    "random_j_selfadjoint",
     "random_j_dissipative",
     "random_strongly_j_dissipative",
     "random_ball_point",
@@ -52,11 +51,6 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     h = random_complex(rng, (n, n))
     return (h + h.conj().T) / 2.0
-
-
-def random_j_selfadjoint(space: IndefiniteSpace, rng: np.random.Generator) -> np.ndarray:
-    """J times a Hermitian matrix: the dissipativity form vanishes."""
-    return space.j @ random_hermitian(rng, space.n)
 
 
 def random_j_dissipative(

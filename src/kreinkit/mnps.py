@@ -53,15 +53,14 @@ from .spaces import (
     NotAGraphError,
     PREDICATE_TOL,
     Subspace,
+    _inertia,
     _mat,
     _norm_lower_bound,
     _plus_diagonal,
     dissipativity_form,
     graph_from_subspace,
-    graph_of,
     invariance_residual,
     operator_norm,
-    subspace_signature,
 )
 from .serialization import report_to_json
 
@@ -152,9 +151,6 @@ class LadderLevel:
     certified: bool
     delta_to_previous: float | None
 
-    def as_dict(self) -> dict:
-        return report_to_json(self)
-
 
 @dataclass(frozen=True)
 class LadderReport:
@@ -224,19 +220,27 @@ def spectral_split(
     return Subspace(space, z_minus), Subspace(space, z_plus)
 
 
-def _certificate(space: IndefiniteSpace, m: np.ndarray, w: np.ndarray):
-    """Invariance residual of the graph of W against m, the graph's inertia, and ||W||."""
-    return (
-        invariance_residual(space, m, w),
-        subspace_signature(space, graph_of(space, w)),
-        operator_norm(w),
-    )
+def _certificate(space: IndefiniteSpace, m: np.ndarray, w: np.ndarray, tol: float, scale: float):
+    """Residual, graph inertia and ``||W||`` of W, and whether it is invariant and maximal.
+
+    The one test behind :func:`mnps` and :func:`verify_mnps`: invariant when the
+    residual is at most ``tol * scale``, maximal non-positive when ``||W|| <= 1 +
+    W_NORM_SLACK``.  One singular-value call on W gives ``||W||`` and the inertia:
+    the Gram matrix of ``[I; W]`` is ``W^H W - I``, with eigenvalues ``s_i^2 - 1``
+    and ``-1`` on the rest of H-.  The solver's ``tol_res`` defaults to 1e-9 and
+    the verifier's ``tol`` to 1e-8, so every W the solver certifies verifies.
+    """
+    res = invariance_residual(space, m, w)
+    s = np.linalg.svd(w, compute_uv=False)
+    w_norm = float(s[0]) if s.size else 0.0
+    gram_eigs = np.concatenate([s**2 - 1.0, -np.ones(space.n_minus - s.size)])
+    return res, _inertia(gram_eigs), w_norm, res <= tol * scale, w_norm <= 1.0 + W_NORM_SLACK
 
 
 def _report_for(
     space: IndefiniteSpace, m: np.ndarray, w, t, iterations, tol_res, scale
 ) -> MnpsReport:
-    res, inertia, w_norm = _certificate(space, m, w)
+    res, inertia, w_norm, invariant, maximal = _certificate(space, m, w, tol_res, scale)
     return MnpsReport(
         w=w,
         residual=res,
@@ -244,7 +248,7 @@ def _report_for(
         subspace_inertia=inertia,
         regularization_t=t,
         iterations=iterations,
-        certified=res <= tol_res * scale and w_norm <= 1.0 + W_NORM_SLACK,
+        certified=invariant and maximal,
     )
 
 
@@ -396,10 +400,6 @@ def mnps(
     return replace(fallback, message=failed)
 
 
-def _level_indices(space: IndefiniteSpace, k_minus: int, k_plus: int) -> np.ndarray:
-    return np.r_[np.arange(k_minus), space.n_minus + np.arange(k_plus)]
-
-
 def approximation_ladder(
     space: IndefiniteSpace,
     a,
@@ -429,7 +429,7 @@ def approximation_ladder(
 
     def solve(level: tuple[int, int]) -> MnpsReport:
         km, kp = level
-        idx = _level_indices(space, km, kp)
+        idx = np.r_[np.arange(km), space.n_minus + np.arange(kp)]
         sub = m[np.ix_(idx, idx)]
         return mnps(IndefiniteSpace(km, kp), sub, **solver_opts)
 
@@ -462,16 +462,16 @@ def approximation_ladder(
 def verify_mnps(space: IndefiniteSpace, a, w, tol: float = 1e-8) -> VerifyReport:
     """Check that W parametrizes an MNPS and that its graph is A-invariant.
 
-    The graph is invariant when its residual is at most ``tol * nu``, with
-    ``nu <= ||A||`` the scale :func:`mnps` uses; it is maximal non-positive
-    when ``||W|| <= 1 + W_NORM_SLACK``, the slack of the solver's
-    certificate, which ``tol`` does not change.
+    W is judged by the same certificate as :func:`mnps`: the graph is
+    invariant when its residual is at most ``tol * nu``, with ``nu <= ||A||``
+    the scale :func:`mnps` uses, and maximal non-positive when
+    ``||W|| <= 1 + W_NORM_SLACK``, which ``tol`` does not change.
     """
     m = _mat(a)
-    res, inertia, w_norm = _certificate(space, m, _mat(w))
+    res, inertia, _, invariant, maximal = _certificate(space, m, _mat(w), tol, _norm_lower_bound(m))
     return VerifyReport(
-        maximal_nonpositive=w_norm <= 1.0 + W_NORM_SLACK,
-        invariant=res <= tol * _norm_lower_bound(m),
+        maximal_nonpositive=maximal,
+        invariant=invariant,
         residual=res,
         inertia=inertia,
     )

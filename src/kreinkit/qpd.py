@@ -35,7 +35,7 @@ import numpy as np
 from .fixpoint import GroupRep
 from .groups import FiniteGroup
 from .serialization import report_to_json
-from .spaces import IndefiniteSpace
+from .spaces import IndefiniteSpace, Inertia, _inertia
 
 __all__ = [
     "GroupFunction",
@@ -93,26 +93,34 @@ def gram_matrix(phi: GroupFunction, elements=None) -> np.ndarray:
     return phi.values[pairs]
 
 
-def _gram_eigs(phi: GroupFunction) -> tuple[np.ndarray, np.ndarray, float]:
+def _hermitian_gram(phi: GroupFunction) -> np.ndarray:
     gram = gram_matrix(phi)
-    gram = (gram + gram.conj().T) / 2.0
-    eigs, vecs = np.linalg.eigh(gram)
-    thr = GRAM_KERNEL_RTOL * float(np.max(np.abs(eigs))) if eigs.size else 0.0
-    return eigs, vecs, thr
+    return (gram + gram.conj().T) / 2.0
+
+
+def _gram_spectrum(phi: GroupFunction) -> tuple[np.ndarray, Inertia]:
+    """Eigenvalues of the Gram matrix, with no eigenvectors, and their sign count."""
+    eigs = np.linalg.eigvalsh(_hermitian_gram(phi))
+    return eigs, _inertia(eigs, GRAM_KERNEL_RTOL)
+
+
+def _gram_eigs(phi: GroupFunction) -> tuple[np.ndarray, np.ndarray, Inertia]:
+    """Ascending eigenpairs of the Gram matrix (negatives first) and their sign count."""
+    eigs, vecs = np.linalg.eigh(_hermitian_gram(phi))
+    return eigs, vecs, _inertia(eigs, GRAM_KERNEL_RTOL)
 
 
 def negative_squares(phi: GroupFunction) -> int:
     """Number of negative eigenvalues of the full-group Gram matrix."""
-    eigs, _, thr = _gram_eigs(phi)
-    return int(np.sum(eigs < -thr))
+    return _gram_spectrum(phi)[1].n_neg
 
 
 def finite_type_rank(phi: GroupFunction) -> int:
     """Rank of the Gram matrix of a positive-definite function."""
-    eigs, _, thr = _gram_eigs(phi)
-    if np.any(eigs < -thr):
+    inertia = _gram_spectrum(phi)[1]
+    if inertia.n_neg:
         raise ValueError("function is not positive definite")
-    return int(np.sum(np.abs(eigs) > thr))
+    return inertia.n_pos
 
 
 @dataclass(frozen=True)
@@ -148,11 +156,11 @@ def gns_construct(phi: GroupFunction) -> GnsResult:
     """
     group = phi.group
     m = group.order
-    eigs, vecs, thr = _gram_eigs(phi)
-    keep = np.abs(eigs) > thr
-    kept_eigs = eigs[keep]          # ascending, so negatives come first
+    eigs, vecs, inertia = _gram_eigs(phi)
+    keep = np.r_[: inertia.n_neg, eigs.size - inertia.n_pos : eigs.size]
+    kept_eigs = eigs[keep]          # negatives first
     kept_vecs = vecs[:, keep]
-    p = int(np.sum(keep))
+    p = keep.size
     signs = np.where(kept_eigs < 0, -1, 1).astype(int)
     scale = np.sqrt(np.abs(kept_eigs))
 
@@ -220,11 +228,12 @@ def decompose(
     rank(phi2) = negative_squares(phi), all checked against phi.
     """
     group = phi.group
-    eigs, vecs, thr = _gram_eigs(phi)
+    eigs, vecs, inertia = _gram_eigs(phi)
     row = vecs[group.identity]
     parts = []
-    for mask in (eigs > thr, eigs < -thr):
-        f = vecs[:, mask] @ (np.sqrt(np.abs(eigs[mask])) * row[mask].conj())
+    # index arrays, not slices: a contiguous copy of the columns keeps the products' bits
+    for idx in (np.arange(eigs.size - inertia.n_pos, eigs.size), np.arange(inertia.n_neg)):
+        f = vecs[:, idx] @ (np.sqrt(np.abs(eigs[idx])) * row[idx].conj())
         parts.append(GroupFunction(group, f[group.table].conj() @ f))
     phi1, phi2 = parts
     return phi1, phi2, verify_decomposition(phi, phi1, phi2)
@@ -246,14 +255,11 @@ def verify_decomposition(
         ):
             raise ValueError("decomposition parts must live on the same group")
     err = float(np.max(np.abs(phi.values - phi1.values + phi2.values)))
-    n1 = negative_squares(phi1)
-    eigs2, _, thr2 = _gram_eigs(phi2)
-    n2 = int(np.sum(eigs2 < -thr2))
-    rank2 = int(np.sum(np.abs(eigs2) > thr2)) if n2 == 0 else None
+    inertia2 = _gram_spectrum(phi2)[1]
     return DecompositionCertificate(
         reconstruction_error=err,
-        phi1_negative_squares=n1,
-        phi2_negative_squares=n2,
-        phi2_rank=rank2,
+        phi1_negative_squares=negative_squares(phi1),
+        phi2_negative_squares=inertia2.n_neg,
+        phi2_rank=None if inertia2.n_neg else inertia2.n_pos,
         negative_squares=negative_squares(phi),
     )

@@ -199,6 +199,19 @@ class Inertia:
         return self.n_neg == 0 and self.n_null == 0
 
 
+def _inertia(eigs: np.ndarray, rtol: float = RANK_RTOL) -> Inertia:
+    """Sign count of a Hermitian form's eigenvalues, null when ``|eig| <= rtol * max|eig|``.
+
+    Every inertia, negative-square count and Gram rank of the package is counted here.
+    """
+    if eigs.size == 0:
+        return Inertia(0, 0, 0)
+    thr = rtol * float(np.max(np.abs(eigs)))
+    n_pos = int(np.count_nonzero(eigs > thr))
+    n_neg = int(np.count_nonzero(eigs < -thr))
+    return Inertia(n_pos, n_neg, eigs.size - n_pos - n_neg)
+
+
 @dataclass(frozen=True)
 class OperatorClasses:
     """Membership flags for the standard operator classes of a J-space."""
@@ -328,13 +341,7 @@ def subspace_signature(space: IndefiniteSpace, z, tol: float | None = None) -> I
     gram = (gram + gram.conj().T) / 2.0
     if gram.shape[0] == 0:
         return Inertia(0, 0, 0)
-    eigs = np.linalg.eigvalsh(gram)
-    if tol is None:
-        tol = RANK_RTOL
-    thr = tol * max(np.max(np.abs(eigs)), 0.0) if eigs.size else 0.0
-    n_pos = int(np.sum(eigs > thr))
-    n_neg = int(np.sum(eigs < -thr))
-    return Inertia(n_pos, n_neg, len(eigs) - n_pos - n_neg)
+    return _inertia(np.linalg.eigvalsh(gram), RANK_RTOL if tol is None else tol)
 
 
 def invariance_residual(space: IndefiniteSpace, a, w) -> float:

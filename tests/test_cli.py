@@ -202,6 +202,17 @@ class TestMnpsCommand:
         assert code == 1
         assert load(out)["reason"] == "not J-dissipative"
 
+    def test_ladder_non_dissipative_writes_the_same_report(self, tmp_path):
+        sp = build_space(1, 1)
+        inp = write(tmp_path / "bad.json", matrix_to_json(-1j * sp.j))
+        outs = [tmp_path / "m.json", tmp_path / "l.json"]
+        args = (["mnps"], ["ladder", "--levels", "1,1"])
+        for cmd, out in zip(args, outs):
+            argv = ["--no-timestamp", *cmd, "--input", inp, "--signature", "1,1", "--out", str(out)]
+            assert main(argv) == 1
+        assert load(outs[1])["reason"] == "not J-dissipative"
+        assert outs[1].read_bytes() == outs[0].read_bytes()
+
     def test_seeded_fixture_certifies(self, tmp_path):
         rng = np.random.default_rng(3)
         sp = build_space(2, 6)
@@ -411,6 +422,19 @@ class TestQpdCommand:
         report = load(out)
         assert report["negative_squares"] == 0
         assert report["finite_type_rank"] == 1
+
+    def test_classify_indefinite(self, tmp_path):
+        from kreinkit import negative_squares
+
+        g = named_group("S4")
+        phi, _, _ = random_qpd_function(g, np.random.default_rng(6), k=3)
+        gpath = write(tmp_path / "g.json", group_to_json(g))
+        vpath = write(tmp_path / "v.json", group_function_to_json(phi))
+        out = tmp_path / "c.json"
+        assert main(["qpd", "classify", "--group", gpath, "--values", vpath, "--out", str(out)]) == 0
+        report = load(out)
+        assert report["negative_squares"] == negative_squares(phi) > 0
+        assert "finite_type_rank" not in report
 
     def test_decompose_z2(self, tmp_path):
         from kreinkit import GroupFunction

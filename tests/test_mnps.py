@@ -1,4 +1,4 @@
-import sys
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -29,6 +29,9 @@ from kreinkit.fixtures import (
     random_strongly_j_dissipative,
 )
 from kreinkit.spaces import PREDICATE_TOL, _norm_lower_bound, dissipativity_form
+
+# ``kreinkit.mnps`` is the solver function; the module is reached by its import path
+MNPS_MODULE = importlib.import_module("kreinkit.mnps")
 
 
 @pytest.fixture
@@ -158,8 +161,7 @@ class TestMnpsStrong:
         rng = np.random.default_rng(16)
         sp = build_space(5, 200)
         a = random_strongly_j_dissipative(sp, rng)
-        mnps_module = sys.modules["kreinkit.mnps"]
-        svd, norm, bound = np.linalg.svd, np.linalg.norm, mnps_module.operator_norm
+        svd, norm, bound = np.linalg.svd, np.linalg.norm, MNPS_MODULE.operator_norm
         shapes = []
 
         def recording_svd(x, *args, **kwargs):
@@ -177,13 +179,37 @@ class TestMnpsStrong:
 
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
         monkeypatch.setattr(np.linalg, "norm", recording_norm)
-        monkeypatch.setattr(mnps_module, "operator_norm", recording_bound)
+        monkeypatch.setattr(MNPS_MODULE, "operator_norm", recording_bound)
         rep = mnps(sp, a)
         assert not schur_calls
         assert rep.certified
         assert rep.regularization_t == 0.0 and rep.iterations == 1
         assert shapes  # the certificate's norms went through the recorders
         assert (sp.n, sp.n) not in shapes
+
+    def test_cayley_certificate_reads_one_svd_of_w(self, monkeypatch, schur_calls):
+        # ||W|| and the graph inertia come from one singular-value call on W
+        rng = np.random.default_rng(17)
+        sp = build_space(4, 60)
+        a = random_strongly_j_dissipative(sp, rng)
+        svd, eigvalsh = np.linalg.svd, np.linalg.eigvalsh
+        svd_shapes, eigvalsh_shapes = [], []
+
+        def recording_svd(x, *args, **kwargs):
+            svd_shapes.append(np.shape(x))
+            return svd(x, *args, **kwargs)
+
+        def recording_eigvalsh(x, *args, **kwargs):
+            eigvalsh_shapes.append(np.shape(x))
+            return eigvalsh(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+        rep = mnps(sp, a)
+        assert not schur_calls
+        assert rep.certified and rep.regularization_t == 0.0
+        assert svd_shapes == [(sp.n_plus, sp.n_minus)]
+        assert eigvalsh_shapes == []
 
     def test_cayley_step_count(self, monkeypatch, schur_calls):
         # mu = 1.25 nu with the stop on the tail bound takes about 50 steps
@@ -217,11 +243,10 @@ class TestMnpsStrong:
         rng = np.random.default_rng(seed)
         sp = build_space(n_minus, n_plus)
         a = random_strongly_j_dissipative(sp, rng, margin=rng.uniform(0.05, 0.5))
-        mnps_module = sys.modules["kreinkit.mnps"]
         graphs = []
         for shift in (1.25, 2.0, 4.0):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(mnps_module, "CAYLEY_SHIFT", shift)
+                mp.setattr(MNPS_MODULE, "CAYLEY_SHIFT", shift)
                 rep = mnps(sp, a)
             assert rep.certified and rep.regularization_t == 0.0
             graphs.append(rep.w)
@@ -233,7 +258,7 @@ class TestMnpsStrong:
         # mu = nu = ||A|| makes A + i mu exactly singular for A = iJ: the
         # Cayley solve gives up and the Schur fallback certifies
         sp = build_space(1, 1)
-        monkeypatch.setattr(sys.modules["kreinkit.mnps"], "CAYLEY_SHIFT", 1.0)
+        monkeypatch.setattr(MNPS_MODULE, "CAYLEY_SHIFT", 1.0)
         rep = mnps(sp, 1j * sp.j)
         assert schur_calls
         assert rep.certified
@@ -443,6 +468,19 @@ class TestVerify:
         rep = verify_mnps(sp, 1j * sp.j, [[2.0]])
         assert not rep.maximal_nonpositive
 
+    def test_verifier_and_solver_share_one_judgement(self):
+        rng = np.random.default_rng(21)
+        sp = build_space(3, 12)
+        a = random_strongly_j_dissipative(sp, rng)
+        sol = mnps(sp, a)
+        rep = verify_mnps(sp, a, sol.w, tol=MNPS_MODULE.DEFAULT_TOL_RES)
+        assert sol.certified and rep.invariant and rep.maximal_nonpositive
+        assert (rep.residual, rep.inertia) == (sol.residual, sol.subspace_inertia)
+        # just outside the slack on ||W||: both reject
+        far = sol.w * ((1.0 + 2 * MNPS_MODULE.W_NORM_SLACK) / sol.w_norm)
+        assert not verify_mnps(sp, a, far).maximal_nonpositive
+        assert not MNPS_MODULE._report_for(sp, a, far, 0.0, 1, 1.0, 1.0).certified
+
     def test_tolerance_is_relative_for_small_operators(self):
         rng = np.random.default_rng(8)
         sp = build_space(2, 4)
@@ -465,3 +503,35 @@ def test_certificate_batch_over_mixed_signatures():
             assert rep.residual <= 1e-8 * max(1.0, operator_norm(a))
             assert rep.subspace_inertia.n_pos == 0
     assert count == 200
+
+
+def _ball_operator(data, n_plus, n_minus, seed):
+    """An n_plus x n_minus W with singular values drawn at least 1e-6 away from 1."""
+    r = min(n_plus, n_minus)
+    s = data.draw(
+        st.lists(
+            st.one_of(st.floats(0.0, 1.0 - 1e-6), st.floats(1.0 + 1e-6, 3.0)),
+            min_size=r,
+            max_size=r,
+        )
+    )
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(random_complex(rng, (n_plus, n_plus)))[0][:, :r]
+    v = np.linalg.qr(random_complex(rng, (n_minus, n_minus)))[0][:, :r]
+    return (u * np.asarray(s, dtype=float)) @ v.conj().T
+
+
+@given(st.data(), st.integers(0, 6), st.integers(0, 6), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_certificate_matches_graph_signature_and_norm(data, n_minus, n_plus, seed):
+    # covers n_minus > n_plus, n_minus = 0, n_plus = 0 and ||W|| > 1; on the
+    # sphere both rules count roundoff signs, so it is kept out of the draw
+    if n_minus + n_plus == 0:
+        n_plus = 1
+    sp = build_space(n_minus, n_plus)
+    w = _ball_operator(data, n_plus, n_minus, seed)
+    a = 1j * np.asarray(sp.j)
+    _, inertia, w_norm, _, maximal = MNPS_MODULE._certificate(sp, a, w, 1e-9, 1.0)
+    assert inertia == subspace_signature(sp, graph_of(sp, w))
+    assert w_norm == pytest.approx(operator_norm(w), rel=1e-14, abs=0.0)
+    assert maximal == (operator_norm(w) <= 1.0 + MNPS_MODULE.W_NORM_SLACK)

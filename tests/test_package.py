@@ -20,6 +20,13 @@ def test_all_is_the_union_of_module_exports():
     assert all(hasattr(kreinkit, name) for name in kreinkit.__all__)
 
 
+def test_mnps_attribute_is_the_function_and_the_module_is_reached_by_path():
+    # the star import binds kreinkit.mnps to the solver; the module keeps its name
+    module = importlib.import_module("kreinkit.mnps")
+    assert module.mnps is kreinkit.mnps
+    assert module is sys.modules["kreinkit.mnps"] and module.__name__ == "kreinkit.mnps"
+
+
 def test_cli_import_loads_neither_scipy_nor_fixtures():
     # scipy.linalg is imported only in the functions that call it; the name
     # kreinkit.mnps.sla still resolves to it, and the Schur fallback looks

@@ -334,6 +334,19 @@ class TestVerifyDecomposition:
         assert cert.parts_positive_definite
         assert not cert.ok(scale=1e-6)
 
+    def test_runs_on_eigenvalues_alone(self, monkeypatch):
+        # the certificate counts signs from eigvalsh; only decompose needs vectors
+        rng = np.random.default_rng(12)
+        for name, k in (("S3", 1), ("Q8", 2), ("S5", 3)):
+            phi, _, _ = random_qpd_function(named_group(name), rng, k=k)
+            phi1, phi2, cert = decompose(phi)
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "eigh", _forbidden_eigh)
+                assert verify_decomposition(phi, phi1, phi2) == cert
+                assert negative_squares(phi) == cert.negative_squares > 0
+                assert finite_type_rank(phi2) == cert.phi2_rank
+            assert cert.ok(scale=phi.max_abs)
+
     def test_k_bounded_by_rank_of_finite_part(self):
         rng = np.random.default_rng(9)
         g = named_group("D4")
@@ -341,3 +354,37 @@ class TestVerifyDecomposition:
         cert = verify_decomposition(phi, phi_pd, phi_ft)
         assert cert.reconstruction_error <= 1e-10
         assert cert.k_bounded_by_rank
+
+
+def _forbidden_eigh(*args, **kwargs):
+    raise AssertionError("a sign count asked for eigenvectors")
+
+
+def eigh_counts(phi):
+    """(negative, nonzero) eigenvalue counts of the Gram matrix, from eigh."""
+    gram = gram_matrix(phi)
+    eigs = np.linalg.eigh((gram + gram.conj().T) / 2.0)[0]
+    thr = qpd_module.GRAM_KERNEL_RTOL * np.max(np.abs(eigs))
+    return int(np.sum(eigs < -thr)), int(np.sum(np.abs(eigs) > thr))
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8", "S4", "Z12", "S5"])
+def test_sign_counts_match_eigh_reference(name):
+    # eps * phi_pd - c * phi_ft with one part far below the other, as well as both at scale 1
+    group = named_group(name)
+    rng = np.random.default_rng(31)
+    for k in (1, 2, 3):
+        _, pd, ft = random_qpd_function(group, rng, k=k)
+        for eps, c in ((1.0, 1.0), (1e-7, 1.0), (1.0, 1e-7), (1e-9, 1.0), (1.0, 1e-9)):
+            phi = GroupFunction(group, eps * pd.values - c * ft.values)
+            neg, _ = eigh_counts(phi)
+            assert negative_squares(phi) == neg
+            phi1, phi2, cert = decompose(phi)
+            (neg1, rank1), (neg2, rank2) = eigh_counts(phi1), eigh_counts(phi2)
+            assert (cert.negative_squares, cert.phi1_negative_squares) == (neg, neg1)
+            assert cert.phi2_negative_squares == neg2
+            assert cert.phi2_rank == (rank2 if neg2 == 0 else None)
+            for part, (part_neg, part_rank) in ((phi1, (neg1, rank1)), (phi2, (neg2, rank2))):
+                if part_neg == 0:
+                    assert finite_type_rank(part) == part_rank
+            assert neg2 == 0 and rank2 == neg
