@@ -4,8 +4,7 @@ Every subcommand reads JSON inputs, writes a JSON report with full
 certificate fields, and exits 0 when all certificates pass, 1 when the run
 is uncertified, and 2 on malformed input.  Reports are byte-identical
 across reruns apart from the timestamp, which ``--no-timestamp`` removes;
-output files are written atomically.  ``KREINKIT_THREADS`` caps the number
-of worker threads used for independent ladder levels (0 or unset = auto).
+output files are written atomically.
 """
 
 from __future__ import annotations
@@ -72,12 +71,16 @@ def _write_json(obj: dict, path: str | None, no_timestamp: bool) -> None:
         raise
 
 
-def _parse_signature(text: str) -> IndefiniteSpace:
+def _parse_pair(text: str, what: str) -> tuple[int, int]:
     try:
         k, m = (int(part) for part in text.split(","))
     except ValueError as exc:
-        raise ValueError(f"signature must look like 'k,m': {exc}") from exc
-    return IndefiniteSpace(k, m)
+        raise ValueError(f"{what} {text!r} must look like 'k,m'") from exc
+    return k, m
+
+
+def _parse_signature(text: str) -> IndefiniteSpace:
+    return IndefiniteSpace(*_parse_pair(text, "signature"))
 
 
 def _load_operator(path: str, signature: str | None):
@@ -103,14 +106,9 @@ def _ball_space(matrix: np.ndarray) -> IndefiniteSpace:
 
 
 def _threads() -> int:
-    raw = os.environ.get("KREINKIT_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        return min(4, os.cpu_count() or 1)
-    return value
+    # The ladder's worker count, always 1: perfbench/run.py prints it until
+    # the benchmark refresh deletes both.
+    return 1
 
 
 def cmd_mnps(args) -> int:
@@ -131,12 +129,10 @@ def cmd_mnps(args) -> int:
 
 
 def cmd_ladder(args) -> int:
+    levels = [_parse_pair(lv, "ladder level") for lv in args.levels]
     space, matrix = _load_operator(args.input, args.signature)
-    levels = [tuple(int(x) for x in lv.split(",")) for lv in args.levels]
     tol_res = args.tol_res if args.tol_res is not None else 1e-9 * args.tol
-    report = approximation_ladder(
-        space, matrix, levels, max_workers=_threads(), tol_res=tol_res
-    )
+    report = approximation_ladder(space, matrix, levels, tol_res=tol_res)
     _write_json(report.as_dict(), args.out, args.no_timestamp)
     return EXIT_CERTIFIED if report.all_certified else EXIT_UNCERTIFIED
 

@@ -147,7 +147,7 @@ class UnitarizationReport:
         return report_to_json(self)
 
 
-def rep_validate(rep: GroupRep, tol: float = 1e-9) -> RepDiagnostics:
+def rep_validate(rep: GroupRep) -> RepDiagnostics:
     """Worst homomorphism, identity, and J-unitarity defects of the rep."""
     group, mats = rep.group, rep.matrices
     m = group.order

@@ -41,7 +41,6 @@ residual is at most ``tol_res * nu`` and ``||W|| <= 1 + W_NORM_SLACK``.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -404,15 +403,15 @@ def approximation_ladder(
     space: IndefiniteSpace,
     a,
     levels,
-    max_workers: int | None = None,
-    **solver_opts,
+    tol_res: float = DEFAULT_TOL_RES,
 ) -> LadderReport:
     """Solve the MNPS problem along a ladder of coordinate truncations.
 
     Each level (k-, k+) compresses A onto the first k- negative and first k+
     positive coordinates (which preserves J-dissipativity since J is
-    diagonal); residuals are measured against the truncated operator.  The
-    last level must be the full problem.
+    diagonal); residuals are measured against the truncated operator, and
+    each level is solved by :func:`mnps` with ``tol_res``.  The last level
+    must be the full problem.
     """
     m = _mat(a)
     levels = [(int(km), int(kp)) for km, kp in levels]
@@ -427,21 +426,11 @@ def approximation_ladder(
     if levels[-1] != (space.n_minus, space.n_plus):
         raise ValueError("last ladder level must equal the full signature")
 
-    def solve(level: tuple[int, int]) -> MnpsReport:
-        km, kp = level
-        idx = np.r_[np.arange(km), space.n_minus + np.arange(kp)]
-        sub = m[np.ix_(idx, idx)]
-        return mnps(IndefiniteSpace(km, kp), sub, **solver_opts)
-
-    if max_workers is not None and max_workers > 1 and len(levels) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
-            reports = list(pool.map(solve, levels))
-    else:
-        reports = [solve(level) for level in levels]
-
     out: list[LadderLevel] = []
     prev_w: np.ndarray | None = None
-    for (km, kp), rep in zip(levels, reports):
+    for km, kp in levels:
+        idx = np.r_[np.arange(km), space.n_minus + np.arange(kp)]
+        rep = mnps(IndefiniteSpace(km, kp), m[np.ix_(idx, idx)], tol_res=tol_res)
         w_full = np.zeros((space.n_plus, space.n_minus), dtype=complex)
         w_full[:kp, :km] = rep.w
         delta = None if prev_w is None else operator_norm(w_full - prev_w)
@@ -456,7 +445,7 @@ def approximation_ladder(
             )
         )
         prev_w = w_full
-    return LadderReport(levels=tuple(out), final_w=out[-1].w_embedded, final_report=reports[-1])
+    return LadderReport(levels=tuple(out), final_w=out[-1].w_embedded, final_report=rep)
 
 
 def verify_mnps(space: IndefiniteSpace, a, w, tol: float = 1e-8) -> VerifyReport:

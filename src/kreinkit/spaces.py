@@ -187,10 +187,6 @@ class Inertia:
     n_null: int
 
     @property
-    def is_nonpositive(self) -> bool:
-        return self.n_pos == 0
-
-    @property
     def is_negative(self) -> bool:
         return self.n_pos == 0 and self.n_null == 0
 

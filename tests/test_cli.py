@@ -295,26 +295,18 @@ class TestLadderCommand:
         assert report["levels"][0]["delta_to_previous"] is None
         assert "w_embedded" not in report["levels"][0]
 
-
-class TestThreadCap:
-    def test_thread_env_var_does_not_change_results(self, tmp_path, monkeypatch):
-        from kreinkit.fixtures import corner_decay_fixture
-
-        rng = np.random.default_rng(42)
-        sp = build_space(2, 12)
-        a = corner_decay_fixture(sp, rng, decay=0.8)
+    @pytest.mark.parametrize("level", ["5", "2,4,6", "a,b"])
+    def test_malformed_level_exits_two(self, tmp_path, capsys, level):
+        sp = build_space(1, 2)
         inp = write(
             tmp_path / "a.json",
-            {"space": space_to_json(sp), "matrix": matrix_to_json(a)},
+            {"space": space_to_json(sp), "matrix": matrix_to_json(1j * sp.j)},
         )
-        argv = ["--no-timestamp", "ladder", "--input", inp,
-                "--levels", "2,4", "2,8", "2,12"]
-        out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        monkeypatch.setenv("KREINKIT_THREADS", "1")
-        assert main(argv + ["--out", str(out1)]) == 0
-        monkeypatch.setenv("KREINKIT_THREADS", "3")
-        assert main(argv + ["--out", str(out2)]) == 0
-        assert out1.read_text() == out2.read_text()
+        code = main(["ladder", "--input", inp, "--levels", level, "1,2",
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert f"ladder level '{level}' must look like 'k,m'" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestBallCommand:

@@ -439,16 +439,22 @@ class TestLadder:
         with pytest.raises(ValueError):
             approximation_ladder(sp, a, [(2, 4), (2, 3)])
 
-    def test_parallel_matches_serial(self):
+    def test_levels_match_their_truncated_solves(self):
+        # each level is the plain mnps solve of its truncation, bit for bit,
+        # and the ladder's tol_res reaches every level
         rng = np.random.default_rng(12)
         sp = build_space(2, 20)
         a = corner_decay_fixture(sp, rng, decay=0.8)
-        levels = [(2, 5), (2, 10), (2, 20)]
-        serial = approximation_ladder(sp, a, levels)
-        parallel = approximation_ladder(sp, a, levels, max_workers=3)
-        assert_allclose(serial.final_w, parallel.final_w, atol=0)
-        for lv_s, lv_p in zip(serial.levels, parallel.levels):
-            assert lv_s.residual == lv_p.residual
+        levels = [(1, 5), (2, 10), (2, 20)]
+        for tol_res in (MNPS_MODULE.DEFAULT_TOL_RES, 1e-30):
+            ladder = approximation_ladder(sp, a, levels, tol_res=tol_res)
+            for (km, kp), lv in zip(levels, ladder.levels):
+                idx = np.r_[np.arange(km), sp.n_minus + np.arange(kp)]
+                rep = mnps(build_space(km, kp), a[np.ix_(idx, idx)], tol_res=tol_res)
+                assert_allclose(lv.w_embedded[:kp, :km], rep.w, rtol=0, atol=0)
+                assert lv.residual == rep.residual
+                assert lv.certified == rep.certified
+                assert lv.certified == (tol_res == MNPS_MODULE.DEFAULT_TOL_RES)
 
 
 class TestVerify:

@@ -30,12 +30,14 @@ def test_mnps_attribute_is_the_function_and_the_module_is_reached_by_path():
 def test_cli_import_loads_neither_scipy_nor_fixtures():
     # scipy.linalg is imported only in the functions that call it; the name
     # kreinkit.mnps.sla still resolves to it, and the Schur fallback looks
-    # schur up on that module at each call, so a wrapper set there is seen
+    # schur up on that module at each call, so a wrapper set there is seen.
+    # The ladder runs its levels in one loop, so no thread pool is loaded.
     code = (
         "import importlib, sys\n"
         "import kreinkit.cli\n"
         "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg'\n"
         "assert 'kreinkit.fixtures' not in sys.modules, 'kreinkit.fixtures'\n"
+        "assert 'concurrent.futures' not in sys.modules, 'concurrent.futures'\n"
         "import scipy.linalg\n"
         "mnps = importlib.import_module('kreinkit.mnps')\n"
         "assert mnps.sla is scipy.linalg and mnps.sla.schur is scipy.linalg.schur\n"
