@@ -109,17 +109,18 @@ def fractional_linear(space: IndefiniteSpace, u, w) -> np.ndarray:
     """phi_U(W) = (U21 + U22 W)(U11 + U12 W)^{-1}.
 
     Defined whenever the denominator is well conditioned; for J-unitary U it
-    maps the closed ball into itself.
+    maps the closed ball into itself.  A stack of U, ``(m, n, n)``, maps W to
+    ``(m, n_plus, n_minus)`` images and raises if any denominator is singular.
     """
     wm = _check_ball_shape(space, w, "argument")
     u11, u12, u21, u22 = space.blocks(u)
-    denom = u11 + u12 @ wm
-    if space.n_minus > 0 and np.linalg.cond(denom) > DENOM_COND_LIMIT:
-        raise MapUndefinedError("map undefined at W: singular denominator block")
-    numer = u21 + u22 @ wm
     if space.n_minus == 0:
-        return np.zeros((space.n_plus, 0), dtype=complex)
-    return np.linalg.solve(denom.T, numer.T).T
+        return np.zeros(u21.shape, dtype=complex)
+    denom = u11 + u12 @ wm
+    if np.any(np.linalg.cond(denom) > DENOM_COND_LIMIT):
+        raise MapUndefinedError("map undefined at W: singular denominator block")
+    numer_t = (u21 + u22 @ wm).swapaxes(-1, -2)
+    return np.linalg.solve(denom.swapaxes(-1, -2), numer_t).swapaxes(-1, -2)
 
 
 def hyperbolic_distance(space: IndefiniteSpace, a, b) -> float:

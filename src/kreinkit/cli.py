@@ -19,7 +19,7 @@ import tempfile
 import numpy as np
 
 from .ball import _norm_bounds, hyperbolic_distance, mobius_apply, mobius_matrix
-from .fixpoint import common_fixed_point, rep_validate, unitarize
+from .fixpoint import _rep_defects, common_fixed_point, rep_validate, unitarize
 from .groups import named_group
 from .mnps import NotDissipativeError, approximation_ladder, mnps
 from .qpd import _gram_spectrum, decompose
@@ -35,7 +35,7 @@ from .serialization import (
     rep_to_json,
     space_from_json,
 )
-from .spaces import IndefiniteSpace, _unitarity_gap, operator_norm
+from .spaces import IndefiniteSpace, _stack_frobenius_norm, _unitarity_gap, operator_norm
 
 EXIT_CERTIFIED = 0
 EXIT_UNCERTIFIED = 1
@@ -178,6 +178,9 @@ def cmd_ball(args) -> int:
 def _load_rep(args):
     group = group_from_json(_load_json(args.group))
     rep = rep_from_json(group, _load_json(args.rep))
+    # Frobenius norms bound spectral ones and the tolerance is at least 1e-6.
+    if _rep_defects(rep, _stack_frobenius_norm).ok(1e-6):
+        return rep
     diag = rep_validate(rep)
     if not diag.ok(1e-6 * max(1.0, rep.norm**2)):
         raise ValueError(

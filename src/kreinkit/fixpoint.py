@@ -11,7 +11,8 @@ eigenspace of the Hermitian definite pencil ``J v = lambda B v`` (reduced by
 Cholesky, ``B = L L^H``, to ``L^{-1} J L^{-H}``).  Since ``B^{-1} J``
 commutes with every representation matrix, that eigenspace is invariant;
 since B is positive it is maximal negative.  Every claim is re-checked
-numerically and reported as a certificate.
+numerically and reported as a certificate; each per-element certificate is one
+batched call over the ``(order, n, n)`` element stack.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .serialization import report_to_json
 from .spaces import (
     IndefiniteSpace,
     Subspace,
+    _stack_norm,
     _unitarity_gap,
     graph_from_subspace,
     graph_of,
@@ -95,7 +97,7 @@ class GroupRep:
         """The boundedness constant max_g ||pi(g)||, computed on first read."""
         cached = self.__dict__.get("_norm")
         if cached is None:
-            cached = float(np.max(np.linalg.norm(self.matrices, 2, axis=(-2, -1))))
+            cached = _stack_norm(self.matrices)
             object.__setattr__(self, "_norm", cached)
         return cached
 
@@ -149,29 +151,29 @@ class UnitarizationReport:
 
 def rep_validate(rep: GroupRep) -> RepDiagnostics:
     """Worst homomorphism, identity, and J-unitarity defects of the rep."""
+    return _rep_defects(rep, _stack_norm)
+
+
+def _rep_defects(rep: GroupRep, norm) -> RepDiagnostics:
+    """The defects, ``norm`` giving a stack's largest norm; ``order`` pairs per stack."""
     group, mats = rep.group, rep.matrices
     m = group.order
-    hom = 0.0
     if m <= 64:
-        pairs = ((i, j) for i in range(m) for j in range(m))
+        rows = [(i, slice(None)) for i in range(m)]
     else:
         rng = np.random.default_rng(0)
-        pairs = zip(rng.integers(0, m, 4096), rng.integers(0, m, 4096))
-    for i, j in pairs:
-        hom = max(hom, operator_norm(mats[group.mult(i, j)] - mats[i] @ mats[j]))
-    ident = operator_norm(mats[group.identity] - np.eye(rep.space.n))
-    junit = max(operator_norm(_unitarity_gap(rep.space, mats[g])) for g in range(m))
-    return RepDiagnostics(
-        homomorphism_defect=hom, identity_defect=ident, j_unitarity_defect=junit
-    )
+        left, right = rng.integers(0, m, 4096), rng.integers(0, m, 4096)
+        rows = [(left[s:s + m], right[s:s + m]) for s in range(0, 4096, m)]
+    hom = max(norm(mats[group.table[i, j]] - mats[i] @ mats[j]) for i, j in rows)
+    ident = norm(mats[group.identity] - np.eye(rep.space.n))
+    junit = norm(_unitarity_gap(rep.space, mats))
+    return RepDiagnostics(hom, ident, junit)
 
 
 def orbit_radius(rep: GroupRep) -> float:
     """max_g ||phi_{pi(g)}(0)||, checked against the norm bound for J-unitaries."""
     zero = np.zeros((rep.space.n_plus, rep.space.n_minus), dtype=complex)
-    radius = max(
-        operator_norm(fractional_linear(rep.space, mat, zero)) for mat in rep.matrices
-    )
+    radius = _stack_norm(fractional_linear(rep.space, rep.matrices, zero))
     bound = radius_from_norm(max(rep.norm, 1.0))
     if radius > bound + 1e-9:
         raise ValueError(
@@ -278,7 +280,7 @@ def common_fixed_point(
     else:
         b = group_average_metric(rep) if metric is None else metric
         k = graph_from_subspace(space, _pencil_negative_basis(space, b))
-    residual = max(operator_norm(fractional_linear(space, m, k) - k) for m in rep.matrices)
+    residual = _stack_norm(fractional_linear(space, rep.matrices, k) - k)
     rep_norm = max(rep.norm, 1.0)
     bound = radius_from_norm(rep_norm)
     k_norm = operator_norm(k)
@@ -325,9 +327,8 @@ def unitarize(
         raise ValueError("fixed point sits on the boundary; cannot form its Mobius matrix")
     v = mobius_matrix(space, -k)
     v_inv = mobius_matrix(space, k)
-    eye = np.eye(space.n)
-    unitaries = np.array([v @ mat @ v_inv for mat in rep.matrices])
-    defect = max(operator_norm(u.conj().T @ u - eye) for u in unitaries)
+    unitaries = v @ rep.matrices @ v_inv
+    defect = _stack_norm(unitaries.conj().swapaxes(-1, -2) @ unitaries - np.eye(space.n))
     cond = operator_norm(v) * operator_norm(v_inv)
     sharp = (1.0 + r) / (1.0 - r)
     bound = 2.0 * rep.norm**2 + 1.0

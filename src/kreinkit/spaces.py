@@ -67,6 +67,16 @@ def operator_norm(m) -> float:
     return float(np.linalg.norm(m, 2))
 
 
+def _stack_norm(stack: np.ndarray) -> float:
+    """Largest :func:`operator_norm` in a ``(..., r, c)`` stack, from one SVD call."""
+    return float(np.max(np.linalg.svd(stack, compute_uv=False))) if stack.size else 0.0
+
+
+def _stack_frobenius_norm(stack: np.ndarray) -> float:
+    """The largest Frobenius norm in a stack: an upper bound of :func:`_stack_norm`."""
+    return float(np.max(np.linalg.norm(stack, axis=(-2, -1))))
+
+
 def _norm_lower_bound(m: np.ndarray) -> float:
     """A certified lower bound ``nu = ||A Q|| <= ||A||`` without an SVD of A.
 
@@ -139,12 +149,12 @@ class IndefiniteSpace:
         return _j_signs(self.n_minus, self.n_plus)
 
     def blocks(self, a) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Split an n x n matrix into (a11, a12, a21, a22) blocks."""
+        """Split an n x n matrix, or a stack of them, into (a11, a12, a21, a22) blocks."""
         m = _mat(a)
-        if m.shape != (self.n, self.n):
+        if m.shape[-2:] != (self.n, self.n):
             raise ValueError(f"expected a {self.n}x{self.n} matrix, got {m.shape}")
         k = self.n_minus
-        return m[:k, :k], m[:k, k:], m[k:, :k], m[k:, k:]
+        return m[..., :k, :k], m[..., :k, k:], m[..., k:, :k], m[..., k:, k:]
 
     def assemble(self, a11, a12, a21, a22) -> np.ndarray:
         return np.block([[np.asarray(a11, complex), np.asarray(a12, complex)],
@@ -256,8 +266,8 @@ def dissipativity_form(space: IndefiniteSpace, a) -> np.ndarray:
 
 
 def _unitarity_gap(space: IndefiniteSpace, m: np.ndarray) -> np.ndarray:
-    """A^H J A - J, which vanishes exactly when A is J-unitary."""
-    return m.conj().T @ (space.j_signs[:, None] * m) - space.j
+    """A^H J A - J, which vanishes exactly when A is J-unitary; stacks too."""
+    return m.conj().swapaxes(-1, -2) @ (space.j_signs[:, None] * m) - space.j
 
 
 def classify_operator(space: IndefiniteSpace, a, tol: float | None = None) -> OperatorClasses:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from kreinkit import build_space, cyclic, named_group
-from kreinkit.cli import main
+from kreinkit import GroupRep, build_space, cyclic, named_group, rep_validate
+from kreinkit.cli import _load_rep, main
 from kreinkit.fixtures import (
     random_ball_point,
     random_conjugated_rep,
@@ -28,6 +29,7 @@ from kreinkit.serialization import (
     space_from_json,
     space_to_json,
 )
+from kreinkit.spaces import _stack_frobenius_norm, _unitarity_gap
 
 
 # JSON scalars that a pair list may hold: every float class (signed zeros,
@@ -397,6 +399,68 @@ class TestFixpointCommands:
         obj["matrices"][1] = obj["matrices"][0]
         write(tmp_path / "rep.json", obj)
         assert main(["fixpoint", "--group", gpath, "--rep", rpath]) == 2
+
+
+class TestRepresentationGate:
+    """The CLI's representation gate: a Frobenius bound first, exact defects only past it."""
+
+    @staticmethod
+    def svd_counter(monkeypatch):
+        svd, calls = np.linalg.svd, []
+
+        def counting_svd(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        return calls
+
+    @staticmethod
+    def load_rep(tmp_path, rep):
+        gpath = write(tmp_path / "group.json", group_to_json(rep.group))
+        rpath = write(tmp_path / "rep.json", rep_to_json(rep))
+        return _load_rep(argparse.Namespace(group=gpath, rep=rpath))
+
+    def test_valid_rep_takes_no_svd(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(40)
+        rep, _ = random_conjugated_rep(named_group("S4"), build_space(4, 30), rng, center_norm=0.5)
+        calls = self.svd_counter(monkeypatch)
+        loaded = self.load_rep(tmp_path, rep)
+        assert calls == []
+        assert np.array_equal(loaded.matrices, rep.matrices)
+
+    def test_non_rep_reports_the_exact_defects(self, tmp_path, capsys):
+        rng = np.random.default_rng(41)
+        rep, _ = random_conjugated_rep(named_group("S3"), build_space(2, 3), rng, center_norm=0.5)
+        mats = rep.matrices.copy()
+        mats[1] = mats[2]
+        bad = GroupRep(rep.group, rep.space, mats)
+        diag = rep_validate(bad)
+        gpath = write(tmp_path / "group.json", group_to_json(bad.group))
+        rpath = write(tmp_path / "rep.json", rep_to_json(bad))
+        assert main(["unitarize", "--group", gpath, "--rep", rpath]) == 2
+        err = capsys.readouterr().err
+        assert (
+            "input is not a J-unitary representation "
+            f"(homomorphism defect {diag.homomorphism_defect:.3e}, "
+            f"J-unitarity defect {diag.j_unitarity_defect:.3e})"
+        ) in err
+
+    def test_spectral_defect_within_tol_is_accepted(self, tmp_path, monkeypatch):
+        # one element scaled by 1 + 2e-7 on a unitary rep (||pi|| ~ 1, tol ~ 1e-6):
+        # the spectral defects are about 4e-7, the Frobenius ones sqrt(32) times more
+        rng = np.random.default_rng(42)
+        rep, _ = random_conjugated_rep(named_group("S3"), build_space(2, 30), rng, center_norm=0.0)
+        mats = rep.matrices.copy()
+        mats[1] *= 1.0 + 2e-7
+        near = GroupRep(rep.group, rep.space, mats)
+        tol = 1e-6 * max(1.0, near.norm**2)
+        diag = rep_validate(near)
+        assert diag.ok(tol)
+        assert _stack_frobenius_norm(_unitarity_gap(near.space, near.matrices)) > tol
+        calls = self.svd_counter(monkeypatch)
+        assert np.array_equal(self.load_rep(tmp_path, near).matrices, near.matrices)
+        assert calls  # the guard failed, so the exact defects were computed
 
 
 class TestQpdCommand:

@@ -28,6 +28,7 @@ from kreinkit import (
     word_average_metric,
 )
 import kreinkit.fixpoint as fixpoint_module
+from kreinkit.ball import DENOM_COND_LIMIT, MapUndefinedError
 from kreinkit.fixtures import (
     corner_decay_fixture,
     cyclic_character_rep,
@@ -46,6 +47,7 @@ from kreinkit.fixtures import (
     random_unitary_rep,
 )
 from kreinkit.serialization import report_to_json
+from kreinkit.spaces import _stack_norm
 
 
 def block_unitary_rep(group, space, rng):
@@ -264,6 +266,123 @@ class TestBoundednessConstant:
         monkeypatch.setattr(GroupRep, "norm", property(loop_norm))
         monkeypatch.setattr(fixpoint_module, "group_average_metric", loop_average_metric)
         assert run() == shipped
+
+
+def spectral(x):
+    """The per-element spectral norm the certificates were first written with."""
+    return 0.0 if x.size == 0 else float(np.linalg.norm(x, 2))
+
+
+def loop_fractional_linear(space, u, w):
+    """phi_U(W) for one U, as a reference for the stacked map."""
+    k = space.n_minus
+    if k == 0:
+        return np.zeros((space.n_plus, 0), dtype=complex)
+    denom = u[:k, :k] + u[:k, k:] @ w
+    if np.linalg.cond(denom) > DENOM_COND_LIMIT:
+        raise MapUndefinedError("singular denominator")
+    return np.linalg.solve(denom.T, (u[k:, :k] + u[k:, k:] @ w).T).T
+
+
+def loop_rep_validate(rep):
+    group, mats, space = rep.group, rep.matrices, rep.space
+    m = group.order
+    if m <= 64:
+        pairs = ((i, j) for i in range(m) for j in range(m))
+    else:
+        rng = np.random.default_rng(0)
+        pairs = zip(rng.integers(0, m, 4096), rng.integers(0, m, 4096))
+    hom = 0.0
+    for i, j in pairs:
+        hom = max(hom, spectral(mats[group.mult(i, j)] - mats[i] @ mats[j]))
+    ident = spectral(mats[group.identity] - np.eye(space.n))
+    junit = max(
+        spectral(g.conj().T @ (space.j_signs[:, None] * g) - space.j) for g in mats
+    )
+    return hom, ident, junit
+
+
+class TestBatchedCertificates:
+    """Each certificate over the element stack equals its per-element loop, bit for bit."""
+
+    CASES = [
+        (name, sig)
+        for name in ("S3", "D4", "Q8", "S4", "Z12")
+        for sig in ((0, 3), (3, 0), (1, 2), (2, 3), (3, 5))
+    ]
+
+    @pytest.mark.parametrize("name,sig", CASES)
+    def test_certificates_match_per_element_loops(self, name, sig):
+        rng = np.random.default_rng(sum(sig) + 7 * len(name))
+        rep, _ = random_conjugated_rep(named_group(name), build_space(*sig), rng,
+                                       center_norm=0.7)
+        space, mats = rep.space, rep.matrices
+        fp = common_fixed_point(rep)
+        k = fp.k
+        zero = np.zeros_like(k)
+        assert fp.max_map_residual == max(
+            spectral(loop_fractional_linear(space, m, k) - k) for m in mats)
+        assert fp.orbit_radius == max(
+            spectral(loop_fractional_linear(space, m, zero)) for m in mats)
+        assert np.array_equal(fractional_linear(space, mats, k),
+                              np.array([loop_fractional_linear(space, m, k) for m in mats]))
+        assert rep.norm == max(spectral(m) for m in mats)
+        uni = unitarize(rep, fp)
+        unitaries = np.array([uni.v @ m @ uni.v_inv for m in mats])
+        assert np.array_equal(uni.unitaries, unitaries)
+        assert uni.max_unitarity_defect == max(
+            spectral(u.conj().T @ u - np.eye(space.n)) for u in unitaries)
+        diag = rep_validate(rep)
+        assert (diag.homomorphism_defect, diag.identity_defect,
+                diag.j_unitarity_defect) == loop_rep_validate(rep)
+        if space.n_minus == 0 or space.n_plus == 0:
+            # the stacks of ball points are empty, so their norms read 0.0
+            assert fp.max_map_residual == fp.orbit_radius == 0.0
+
+    def test_sampled_pairs_match_on_s5(self):
+        rng = np.random.default_rng(50)
+        rep, _ = random_conjugated_rep(named_group("S5"), build_space(1, 2), rng)
+        assert rep.group.order > 64
+        diag = rep_validate(rep)
+        assert (diag.homomorphism_defect, diag.identity_defect,
+                diag.j_unitarity_defect) == loop_rep_validate(rep)
+        # a doubled identity breaks the products that the sampled pairs read
+        mats = rep.matrices.copy()
+        mats[rep.group.identity] *= 2.0
+        bad = GroupRep(rep.group, rep.space, mats)
+        assert rep_validate(bad).homomorphism_defect == loop_rep_validate(bad)[0] > 0.5
+
+    def test_one_singular_denominator_in_a_stack_raises(self):
+        rng = np.random.default_rng(51)
+        rep, _ = random_conjugated_rep(named_group("D4"), build_space(1, 2), rng)
+        w = np.zeros((2, 1), dtype=complex)
+        mats = rep.matrices.copy()
+        mats[3, 0, :] = [0.0, 1.0, 0.0]  # U11 + U12 W = 0 at W = 0
+        for g in range(len(mats)):
+            if g != 3:
+                loop_fractional_linear(rep.space, mats[g], w)
+        with pytest.raises(MapUndefinedError):
+            loop_fractional_linear(rep.space, mats[3], w)
+        with pytest.raises(MapUndefinedError):
+            fractional_linear(rep.space, mats, w)
+
+    def test_one_call_per_certificate(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        rep, _ = random_conjugated_rep(named_group("S4"), build_space(4, 30), rng,
+                                       center_norm=0.5)
+        rep.norm  # read once, then cached
+        maps, stacks, norms = [], [], []
+        monkeypatch.setattr(fixpoint_module, "fractional_linear",
+                            lambda *a: maps.append(1) or fractional_linear(*a))
+        monkeypatch.setattr(fixpoint_module, "_stack_norm",
+                            lambda m: stacks.append(m.shape) or _stack_norm(m))
+        monkeypatch.setattr(fixpoint_module, "operator_norm",
+                            lambda m: norms.append(m.shape) or operator_norm(m))
+        unitarize(rep, common_fixed_point(rep))
+        assert len(maps) == 2  # the map residual and the orbit radius
+        # the residual, the orbit radius and the unitarity defect, one stack each
+        assert stacks == [(24, 30, 4), (24, 30, 4), (24, 34, 34)]
+        assert norms == [(30, 4), (30, 4), (34, 34), (34, 34)]  # ||K|| twice, ||V||, ||V^-1||
 
 
 class TestCommonFixedPoint:
