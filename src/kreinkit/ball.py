@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import IndefiniteSpace, operator_norm, _mat
+from .spaces import IndefiniteSpace, operator_norm, _mat, _plus_diagonal
 
 __all__ = [
     "BoundaryError",
@@ -62,15 +62,22 @@ def _check_strict(space: IndefiniteSpace, w, name: str) -> np.ndarray:
     return m
 
 
-def _herm_power(h: np.ndarray, power: float) -> np.ndarray:
-    """Power of a Hermitian PD matrix via eigendecomposition, with a floor guard."""
-    if h.shape[0] == 0:
-        return h.copy()
-    sym = (h + h.conj().T) / 2.0
-    eigs, vecs = np.linalg.eigh(sym)
-    if np.min(eigs) < SQRT_EIG_FLOOR:
+def _defect_roots(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(I - A^H A)^{-1/2}`` and ``(I - A A^H)^{-1/2}`` from one ``eigh`` on the smaller side.
+
+    With ``A^H A = V diag(s) V^H``, the other side is ``I + A V g(s) V^H A^H``,
+    ``g(s) = 1 / (sqrt(1 - s) (1 + sqrt(1 - s)))``; so the cost is
+    ``O(n_plus n_minus^2)`` in the Pontryagin regime, not ``O(n_plus^3)``.
+    """
+    if a.shape[1] > a.shape[0]:
+        return _defect_roots(a.conj().T)[::-1]
+    s, vecs = np.linalg.eigh(a.conj().T @ a)
+    if s.size and 1.0 - np.max(s) < SQRT_EIG_FLOOR:
         raise BoundaryError("matrix power undefined: factor is not safely positive")
-    return (vecs * eigs**power) @ vecs.conj().T
+    root = np.sqrt(1.0 - s)
+    av = a @ vecs
+    far = _plus_diagonal((av / (root * (1.0 + root))) @ av.conj().T, 1.0)
+    return (vecs / root) @ vecs.conj().T, far
 
 
 def mobius_apply(space: IndefiniteSpace, center, x) -> np.ndarray:
@@ -85,23 +92,21 @@ def mobius_apply(space: IndefiniteSpace, center, x) -> np.ndarray:
         raise BoundaryError(
             f"argument has norm {operator_norm(xm):.8g}; needs to stay inside the open ball"
         )
-    k_minus = np.eye(space.n_minus, dtype=complex)
-    k_plus = np.eye(space.n_plus, dtype=complex)
-    left = _herm_power(k_plus - a @ a.conj().T, -0.5)
-    right = _herm_power(k_minus - a.conj().T @ a, 0.5)
-    denom = k_minus + a.conj().T @ xm
-    return left @ (a + xm) @ np.linalg.solve(denom, right)
+    s, t = _defect_roots(a)
+    # (I + A^H X)^{-1} (I - A^H A)^{1/2} = (s (I + A^H X))^{-1}, applied from the right
+    denom = s @ _plus_diagonal(a.conj().T @ xm, 1.0)
+    return np.linalg.solve(denom.T, (t @ (a + xm)).T).T
 
 
 def mobius_matrix(space: IndefiniteSpace, center) -> np.ndarray:
     """The J-unitary block matrix M_A generating mu_A, in (H-, H+) order.
 
     ``M_A = [[(I - A^H A)^{-1/2}, A^H (I - A A^H)^{-1/2}],
-             [A (I - A^H A)^{-1/2}, (I - A A^H)^{-1/2}]]``
+             [A (I - A^H A)^{-1/2}, (I - A A^H)^{-1/2}]]``;
+    ``M_{-A} = J M_A J = M_A^{-1}``, bit for bit.
     """
     a = _check_strict(space, center, "center")
-    s = _herm_power(np.eye(space.n_minus, dtype=complex) - a.conj().T @ a, -0.5)
-    t = _herm_power(np.eye(space.n_plus, dtype=complex) - a @ a.conj().T, -0.5)
+    s, t = _defect_roots(a)
     return space.assemble(s, a.conj().T @ t, a @ s, t)
 
 

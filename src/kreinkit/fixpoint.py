@@ -27,6 +27,8 @@ from .serialization import report_to_json
 from .spaces import (
     IndefiniteSpace,
     Subspace,
+    _j_conjugate,
+    _stack_frobenius_norm,
     _stack_norm,
     _unitarity_gap,
     graph_from_subspace,
@@ -134,7 +136,12 @@ class FixedPointReport:
 
 @dataclass(frozen=True)
 class UnitarizationReport:
-    """Similarity to a unitary representation with condition-number bounds."""
+    """Similarity to a unitary representation with condition-number bounds.
+
+    ``max_unitarity_defect`` is ``max_g ||U(g)^H U(g) - I||_F``, at least the
+    spectral defect and at most ``sqrt(n)`` times it; ``cond`` is
+    ``||V^{-1}||^2``, since ``V = J V^{-1} J``.
+    """
 
     v: np.ndarray
     v_inv: np.ndarray
@@ -314,22 +321,23 @@ def unitarize(
     """Conjugate the representation to a unitary one through the fixed point.
 
     With V = M_{-K}, the operators ``U(g) = V pi(g) V^{-1}`` fix the zero of
-    the ball, hence are block-diagonal J-unitaries, hence unitary.  The
-    condition number ``||V|| ||V^{-1}||`` is exactly (1+||K||)/(1-||K||) and
-    is certified against the group bound ``2 ||pi||^2 + 1``.
+    the ball, hence are block-diagonal J-unitaries, hence unitary.  ``V^{-1} =
+    M_K`` is built once and ``V = J V^{-1} J``, so the condition number
+    ``||V^{-1}||^2`` is exactly (1+||K||)/(1-||K||); it is certified against
+    the group bound ``2 ||pi||^2 + 1``.  The unitarity defect is a Frobenius
+    bound of the spectral one (see :class:`UnitarizationReport`).
     """
     if report is None:
         report = common_fixed_point(rep, cert_tol=cert_tol)
     space = rep.space
-    k = report.k
-    r = operator_norm(k)
+    r = report.k_norm
     if r >= 1.0 - 1e-8:
         raise ValueError("fixed point sits on the boundary; cannot form its Mobius matrix")
-    v = mobius_matrix(space, -k)
-    v_inv = mobius_matrix(space, k)
+    v_inv = mobius_matrix(space, report.k)
+    v = _j_conjugate(space, v_inv)
     unitaries = v @ rep.matrices @ v_inv
-    defect = _stack_norm(unitaries.conj().swapaxes(-1, -2) @ unitaries - np.eye(space.n))
-    cond = operator_norm(v) * operator_norm(v_inv)
+    defect = _stack_frobenius_norm(unitaries.conj().swapaxes(-1, -2) @ unitaries - np.eye(space.n))
+    cond = operator_norm(v_inv) ** 2
     sharp = (1.0 + r) / (1.0 - r)
     bound = 2.0 * rep.norm**2 + 1.0
     certified = (

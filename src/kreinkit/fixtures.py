@@ -14,8 +14,8 @@ from .ball import mobius_matrix
 from .fixpoint import GroupRep
 from .groups import FiniteGroup
 from .qpd import GroupFunction
-from .spaces import (PREDICATE_TOL, IndefiniteSpace, _norm_lower_bound, classify_operator,
-                     dissipativity_form, operator_norm)
+from .spaces import (PREDICATE_TOL, IndefiniteSpace, _j_conjugate, _norm_lower_bound,
+                     classify_operator, dissipativity_form, operator_norm)
 
 __all__ = [
     "random_complex",
@@ -242,7 +242,7 @@ def fixture_conjugated_rep(
     space = IndefiniteSpace(um.shape[1], up.shape[1])
     a = np.asarray(center, dtype=complex)
     m_a = mobius_matrix(space, a)
-    m_a_inv = mobius_matrix(space, -a)
+    m_a_inv = _j_conjugate(space, m_a)  # M_{-A}, bit for bit
     z12 = np.zeros((space.n_minus, space.n_plus))
     z21 = np.zeros((space.n_plus, space.n_minus))
     mats = np.array(

@@ -35,7 +35,7 @@ import numpy as np
 from .fixpoint import GroupRep
 from .groups import FiniteGroup
 from .serialization import report_to_json
-from .spaces import IndefiniteSpace, Inertia, _inertia
+from .spaces import IndefiniteSpace, Inertia, _inertia, _plus_diagonal
 
 __all__ = [
     "GroupFunction",
@@ -225,7 +225,8 @@ def decompose(
     positive semidefinite to roundoff at every scale; no translation
     ``U(g)`` is built.  The returned certificate carries the
     reconstruction error, positivity of both parts, and
-    rank(phi2) = negative_squares(phi), all checked against phi.
+    rank(phi2) = negative_squares(phi), all checked against phi; its count
+    of phi's negative squares is the one this eigendecomposition gives.
     """
     group = phi.group
     eigs, vecs, inertia = _gram_eigs(phi)
@@ -236,7 +237,7 @@ def decompose(
         f = vecs[:, idx] @ (np.sqrt(np.abs(eigs[idx])) * row[idx].conj())
         parts.append(GroupFunction(group, f[group.table].conj() @ f))
     phi1, phi2 = parts
-    return phi1, phi2, verify_decomposition(phi, phi1, phi2)
+    return phi1, phi2, _certificate(phi, phi1, phi2, inertia.n_neg)
 
 
 def verify_decomposition(
@@ -246,7 +247,7 @@ def verify_decomposition(
 
     Checks reconstruction, positive-definiteness of both parts, and the
     two-sided rank relation k <= rank(phi2) (with rank(phi2) <= k holding for
-    decompositions produced here).
+    decompositions produced here).  Every count is taken afresh.
     """
     for part in (phi1, phi2):
         if part.group is not phi.group and not (
@@ -254,12 +255,34 @@ def verify_decomposition(
             and np.array_equal(part.group.table, phi.group.table)
         ):
             raise ValueError("decomposition parts must live on the same group")
+    return _certificate(phi, phi1, phi2, negative_squares(phi))
+
+
+def _certificate(
+    phi: GroupFunction, phi1: GroupFunction, phi2: GroupFunction, n_neg: int
+) -> DecompositionCertificate:
+    """The certificate of phi = phi1 - phi2, given phi's negative-square count."""
     err = float(np.max(np.abs(phi.values - phi1.values + phi2.values)))
     inertia2 = _gram_spectrum(phi2)[1]
     return DecompositionCertificate(
         reconstruction_error=err,
-        phi1_negative_squares=negative_squares(phi1),
+        phi1_negative_squares=_pd_negative_squares(phi1),
         phi2_negative_squares=inertia2.n_neg,
         phi2_rank=None if inertia2.n_neg else inertia2.n_pos,
-        negative_squares=negative_squares(phi),
+        negative_squares=n_neg,
     )
+
+
+def _pd_negative_squares(phi: GroupFunction) -> int:
+    """:func:`negative_squares`, 0 if ``Gram + (GRAM_KERNEL_RTOL/2) phi(e) I`` is Cholesky-PD.
+
+    The null threshold is ``GRAM_KERNEL_RTOL max|eig|`` with ``max|eig| >= |phi(e)|``,
+    the mean eigenvalue, so its other half covers the factor's roundoff.
+    """
+    gram = _hermitian_gram(phi)
+    shift = GRAM_KERNEL_RTOL / 2.0 * float(phi.values[phi.group.identity].real)
+    try:
+        np.linalg.cholesky(_plus_diagonal(gram, shift))
+        return 0
+    except np.linalg.LinAlgError:
+        return _inertia(np.linalg.eigvalsh(gram), GRAM_KERNEL_RTOL).n_neg

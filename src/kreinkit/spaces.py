@@ -265,6 +265,15 @@ def dissipativity_form(space: IndefiniteSpace, a) -> np.ndarray:
     return h
 
 
+def _j_conjugate(space: IndefiniteSpace, m: np.ndarray) -> np.ndarray:
+    """J M J: a copy of M with its off-diagonal blocks negated, exact to the bit."""
+    out = np.array(m, dtype=complex)
+    k = space.n_minus
+    np.negative(out[:k, k:], out=out[:k, k:])
+    np.negative(out[k:, :k], out=out[k:, :k])
+    return out
+
+
 def _unitarity_gap(space: IndefiniteSpace, m: np.ndarray) -> np.ndarray:
     """A^H J A - J, which vanishes exactly when A is J-unitary; stacks too."""
     return m.conj().swapaxes(-1, -2) @ (space.j_signs[:, None] * m) - space.j

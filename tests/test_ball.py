@@ -17,7 +17,9 @@ from kreinkit import (
     operator_norm,
     radius_from_norm,
 )
+from kreinkit.ball import BOUNDARY_MARGIN
 from kreinkit.fixtures import random_ball_point, random_j_unitary
+from kreinkit.spaces import _j_conjugate
 
 
 def test_mobius_of_zero_is_center():
@@ -68,6 +70,41 @@ def test_mobius_matrix_rejects_boundary():
         mobius_matrix(sp, [[1.0]])
     with pytest.raises(BoundaryError):
         mobius_apply(sp, [[1.0 - 1e-12]], [[0.0]])
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 4), st.integers(0, 6),
+       st.sampled_from([0.0, 0.3, 0.9, 0.999]))
+@settings(max_examples=60, deadline=None)
+def test_mobius_matrix_properties(seed, n_minus, n_plus, r):
+    # one eigh on the smaller side serves both orientations and an empty side
+    if n_minus + n_plus == 0:
+        n_plus = 1
+    rng = np.random.default_rng(seed)
+    sp = build_space(n_minus, n_plus)
+    a = random_ball_point(sp, rng, r)
+    m, m_neg = mobius_matrix(sp, a), mobius_matrix(sp, -a)
+    tol = 1e-13 * operator_norm(m) ** 2
+    assert operator_norm(m - m.conj().T) <= tol
+    assert operator_norm(m.conj().T @ sp.j @ m - sp.j) <= tol
+    assert operator_norm(m @ m_neg - np.eye(sp.n)) <= tol
+    assert operator_norm(fractional_linear(sp, m, np.zeros_like(a)) - a) <= tol
+    # M_{-A} is J M_A J, value for value (to the bit, signed zeros aside)
+    assert np.array_equal(m_neg, sp.j_signs[:, None] * m * sp.j_signs)
+    if a.size and r:
+        # the boundary threshold is unchanged: ||A|| >= 1 - BOUNDARY_MARGIN raises
+        unit = a / operator_norm(a)
+        mobius_matrix(sp, (1.0 - 2 * BOUNDARY_MARGIN) * unit)
+        with pytest.raises(BoundaryError):
+            mobius_matrix(sp, (1.0 - BOUNDARY_MARGIN / 2) * unit)
+
+
+def test_mobius_matrix_of_negated_center_is_j_conjugate():
+    rng = np.random.default_rng(10)
+    for sig in ((3, 5), (5, 3), (0, 4), (4, 0), (4, 30)):
+        sp = build_space(*sig)
+        a = random_ball_point(sp, rng, 0.8)
+        m = mobius_matrix(sp, a)
+        assert mobius_matrix(sp, -a).tobytes() == _j_conjugate(sp, m).tobytes()
 
 
 def test_fractional_linear_identity_map():

@@ -27,6 +27,7 @@ from kreinkit import (
     unitarize,
     word_average_metric,
 )
+import kreinkit.ball as ball_module
 import kreinkit.fixpoint as fixpoint_module
 from kreinkit.ball import DENOM_COND_LIMIT, MapUndefinedError
 from kreinkit.fixtures import (
@@ -47,7 +48,7 @@ from kreinkit.fixtures import (
     random_unitary_rep,
 )
 from kreinkit.serialization import report_to_json
-from kreinkit.spaces import _stack_norm
+from kreinkit.spaces import _stack_frobenius_norm, _stack_norm
 
 
 def block_unitary_rep(group, space, rng):
@@ -330,8 +331,12 @@ class TestBatchedCertificates:
         uni = unitarize(rep, fp)
         unitaries = np.array([uni.v @ m @ uni.v_inv for m in mats])
         assert np.array_equal(uni.unitaries, unitaries)
+        gaps = [u.conj().T @ u - np.eye(space.n) for u in unitaries]
         assert uni.max_unitarity_defect == max(
-            spectral(u.conj().T @ u - np.eye(space.n)) for u in unitaries)
+            float(np.sqrt(np.sum((g.conj() * g).real))) for g in gaps)
+        # the Frobenius defect bounds the spectral one, within a factor sqrt(n)
+        exact = max(spectral(g) for g in gaps)
+        assert exact <= uni.max_unitarity_defect <= np.sqrt(space.n) * exact
         diag = rep_validate(rep)
         assert (diag.homomorphism_defect, diag.identity_defect,
                 diag.j_unitarity_defect) == loop_rep_validate(rep)
@@ -376,13 +381,21 @@ class TestBatchedCertificates:
                             lambda *a: maps.append(1) or fractional_linear(*a))
         monkeypatch.setattr(fixpoint_module, "_stack_norm",
                             lambda m: stacks.append(m.shape) or _stack_norm(m))
+        monkeypatch.setattr(fixpoint_module, "_stack_frobenius_norm",
+                            lambda m: stacks.append(("F",) + m.shape)
+                            or _stack_frobenius_norm(m))
         monkeypatch.setattr(fixpoint_module, "operator_norm",
                             lambda m: norms.append(m.shape) or operator_norm(m))
+        ball_norms = []
+        monkeypatch.setattr(ball_module, "operator_norm",
+                            lambda m: ball_norms.append(m.shape) or operator_norm(m))
         unitarize(rep, common_fixed_point(rep))
         assert len(maps) == 2  # the map residual and the orbit radius
-        # the residual, the orbit radius and the unitarity defect, one stack each
-        assert stacks == [(24, 30, 4), (24, 30, 4), (24, 34, 34)]
-        assert norms == [(30, 4), (30, 4), (34, 34), (34, 34)]  # ||K|| twice, ||V||, ||V^-1||
+        # the residual and the orbit radius, one SVD stack each; the unitarity
+        # defect, one Frobenius stack
+        assert stacks == [(24, 30, 4), (24, 30, 4), ("F", 24, 34, 34)]
+        assert norms == [(30, 4), (34, 34)]  # ||K|| once, ||V^-1|| once
+        assert ball_norms == [(30, 4)]  # M_K's boundary check; V = J M_K J takes none
 
 
 class TestCommonFixedPoint:

@@ -388,3 +388,52 @@ def test_sign_counts_match_eigh_reference(name):
                 if part_neg == 0:
                     assert finite_type_rank(part) == part_rank
             assert neg2 == 0 and rank2 == neg
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "S4", "S5", "Z12"])
+def test_decompose_certificate_equals_verify_decomposition(name):
+    # decompose counts phi's negative squares from its own eigh; the public
+    # check recounts every function and must reach the same certificate
+    group = named_group(name)
+    rng = np.random.default_rng(41)
+    for k in (0, 1, 2, 3):
+        for _ in range(2):
+            phi, _, _ = random_qpd_function(group, rng, k=k)
+            phi1, phi2, cert = decompose(phi)
+            assert cert == verify_decomposition(phi, phi1, phi2)
+            assert cert.ok(scale=phi.max_abs)
+
+
+class TestCholeskyFirstCount:
+    """phi1's count: a shifted Cholesky that passes reads 0, else eigvalsh counts."""
+
+    @pytest.mark.parametrize("name", ["S3", "D4", "Q8", "S4", "Z12", "S5"])
+    def test_agrees_with_the_eigvalsh_count(self, name, monkeypatch):
+        group = named_group(name)
+        rng = np.random.default_rng(43)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: calls.append(1) or eigvalsh(h))
+        for k in (1, 2, 3):
+            phi, pd, ft = random_qpd_function(group, rng, k=k)
+            for eps in (1.0, 1e-7, 1e-9):
+                # positive parts at several scales take the Cholesky path
+                for part in (decompose(GroupFunction(group, eps * pd.values - ft.values))[0],
+                             pd, ft):
+                    calls.clear()
+                    assert qpd_module._pd_negative_squares(part) == 0
+                    # a zero phi1 (no positive part left at eps = 1e-9) has no factor
+                    assert len(calls) == (part.max_abs == 0.0)
+                    assert negative_squares(part) == 0
+            # an indefinite input fails the Cholesky and falls back to eigvalsh
+            calls.clear()
+            assert qpd_module._pd_negative_squares(phi) == negative_squares(phi) > 0
+            assert len(calls) == 2
+
+    def test_falls_back_on_a_negative_identity_value(self):
+        # phi(e) < 0 makes the shift negative; the count still comes out exact
+        group = named_group("S3")
+        phi = delta_at_identity(group, -2.0)
+        assert qpd_module._pd_negative_squares(phi) == negative_squares(phi) == 6
+        zero = GroupFunction(group, np.zeros(6))
+        assert qpd_module._pd_negative_squares(zero) == negative_squares(zero) == 0
