@@ -113,15 +113,7 @@ def _threads() -> int:
 
 def cmd_mnps(args) -> int:
     space, matrix = _load_operator(args.input, args.signature)
-    tol_res = args.tol_res if args.tol_res is not None else 1e-9 * args.tol
-    report = mnps(
-        space,
-        matrix,
-        t0=args.t0,
-        shrink=args.shrink,
-        tol_res=tol_res,
-        max_iter=args.max_iter,
-    )
+    report = mnps(space, matrix, tol_res=1e-9 * args.tol)
     payload = report.as_dict()
     payload["norm_a"] = operator_norm(matrix)
     _write_json(payload, args.out, args.no_timestamp)
@@ -131,8 +123,7 @@ def cmd_mnps(args) -> int:
 def cmd_ladder(args) -> int:
     levels = [_parse_pair(lv, "ladder level") for lv in args.levels]
     space, matrix = _load_operator(args.input, args.signature)
-    tol_res = args.tol_res if args.tol_res is not None else 1e-9 * args.tol
-    report = approximation_ladder(space, matrix, levels, tol_res=tol_res)
+    report = approximation_ladder(space, matrix, levels, tol_res=1e-9 * args.tol)
     _write_json(report.as_dict(), args.out, args.no_timestamp)
     return EXIT_CERTIFIED if report.all_certified else EXIT_UNCERTIFIED
 
@@ -282,10 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mnps", help="invariant MNPS of a J-dissipative matrix")
     p.add_argument("--input", required=True, help="operator JSON file")
     p.add_argument("--signature", help="k,m when the input is a bare matrix")
-    p.add_argument("--t0", type=float, default=None)
-    p.add_argument("--shrink", type=float, default=0.5)
-    p.add_argument("--tol-res", type=float, default=None, dest="tol_res")
-    p.add_argument("--max-iter", type=int, default=40, dest="max_iter")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_mnps)
 
@@ -294,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signature", help="k,m when the input is a bare matrix")
     p.add_argument("--levels", nargs="+", required=True, metavar="K,M",
                    help="levels as k,m pairs; the last must be the full signature")
-    p.add_argument("--tol-res", type=float, default=None, dest="tol_res")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_ladder)
 

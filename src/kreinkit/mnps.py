@@ -29,14 +29,16 @@ the stall check, the ``cond(Y-)`` check and the certificate all send the
 solve to the fallback.
 
 When the iteration stalls or its graph does not certify, the solver falls
-back to the finite-dimensional route: perturb the operator to ``A + itJ``
-so that it becomes strongly J-dissipative (the imaginary parts of all
-eigenvalues then stay at distance >= t from the real axis), take the
-spectral subspace for the open lower half-plane from a sorted Schur form
-(it is negative, hence a graph over H-), and shrink t geometrically until
-the graph operator certifies against the *original* matrix.  Either way
-the certificate -- not the sequence of iterates -- is the contract: the
-residual is at most ``tol_res * nu`` and ``||W|| <= 1 + W_NORM_SLACK``.
+back to the finite-dimensional route: the spectral subspace of ``A + itJ``
+for the open lower half-plane, from a sorted Schur form (for t > 0 the
+operator is strongly J-dissipative and the subspace negative, hence a graph
+over H-).  The schedule is fixed: ``t = 0``, then ``T0_SCALE * nu *
+SHRINK**j`` for ``j < LADDER_LEVELS``.  Once a level certifies against the
+*original* matrix, t shrinks while the residual falls, and the certified
+level with the smallest residual wins: the MNPS of ``A + itJ`` moves away
+from that of A as t grows.  Either way the certificate -- not the sequence
+of iterates -- is the contract: the residual is at most ``tol_res * nu``
+and ``||W|| <= 1 + W_NORM_SLACK``.
 """
 
 from __future__ import annotations
@@ -78,11 +80,14 @@ __all__ = [
 #: Relative half-width of the spectral exclusion strip around the real axis.
 AXIS_RTOL = 1e-12
 
-#: Defaults for the regularization ladder.
-DEFAULT_T0_SCALE = 1e-2
-DEFAULT_SHRINK = 0.5
+#: The Schur fallback's schedule of t after t = 0: ``T0_SCALE * nu * SHRINK**j``
+#: for ``j < LADDER_LEVELS``.
+T0_SCALE = 1e-2
+SHRINK = 0.5
+LADDER_LEVELS = 40
+
+#: Default relative residual of the certificate.
 DEFAULT_TOL_RES = 1e-9
-DEFAULT_MAX_ITER = 40
 
 #: Slack of the certificate's maximality test ``||W|| <= 1 + W_NORM_SLACK``.
 W_NORM_SLACK = 1e-8
@@ -197,19 +202,17 @@ def _half_plane_basis(
     return z[:, :sdim]
 
 
-def spectral_split(
-    space: IndefiniteSpace, a, tol_axis: float | None = None
-) -> tuple[Subspace, Subspace]:
+def spectral_split(space: IndefiniteSpace, a) -> tuple[Subspace, Subspace]:
     """Invariant subspaces for the lower / upper open half-planes.
 
     Fails with :class:`SpectrumOnAxisError` when some eigenvalue is within
-    ``tol_axis`` of the real axis.
+    ``AXIS_RTOL * nu`` of the real axis, with ``nu <= ||A||`` the scale of
+    :func:`mnps`, whose fallback uses the same strip.
     """
     m = _mat(a)
     if m.shape != (space.n, space.n):
         raise ValueError(f"operator must be {space.n}x{space.n}, got {m.shape}")
-    if tol_axis is None:
-        tol_axis = AXIS_RTOL * operator_norm(m)
+    tol_axis = AXIS_RTOL * _norm_lower_bound(m)
     z_minus = _half_plane_basis(m, True, tol_axis)
     z_plus = _half_plane_basis(m, False, tol_axis)
     if z_minus.shape[1] + z_plus.shape[1] != space.n:
@@ -326,29 +329,24 @@ def _form_positive_definite(space: IndefiniteSpace, m: np.ndarray, shift: float)
     return True
 
 
-def mnps(
-    space: IndefiniteSpace,
-    a,
-    t0: float | None = None,
-    shrink: float = DEFAULT_SHRINK,
-    tol_res: float = DEFAULT_TOL_RES,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> MnpsReport:
+def mnps(space: IndefiniteSpace, a, tol_res: float = DEFAULT_TOL_RES) -> MnpsReport:
     """Invariant MNPS of a J-dissipative matrix, certified against the input.
 
     Tries the Cayley fixed point first; a graph it finds that certifies is
-    reported with ``t = 0`` at the first step.  Otherwise solves the
-    strongly-dissipative problem for ``A + i t J`` with ``t = t0 * shrink**j``
-    until the graph operator's invariance residual against the original A
-    drops below ``tol_res * nu``.  When the budget runs out the best
-    iterate is returned flagged uncertified.
+    reported with ``t = 0`` and ``iterations = 1``.  Otherwise takes the
+    Schur graph of ``A + i t J`` along the fixed schedule of the module
+    docstring: ``t = 0`` first, which is the answer if it certifies, then
+    ``t = T0_SCALE * nu * SHRINK**j``.  A level certifies when the graph's
+    invariance residual against the original A is at most ``tol_res * nu``;
+    after the first one, t keeps shrinking while the residual falls, and
+    the certified level with the smallest residual is returned.
+    ``iterations`` counts the Schur levels tried.  When none certifies, the
+    level with the smallest residual is returned flagged uncertified.
 
     ``nu <= ||A||`` is the seeded lower bound of the module docstring; it
-    also scales the dissipativity slack, the Cayley shift, the default
-    ``t0`` and the Schur fallback's axis strip.
+    also scales the dissipativity slack, the Cayley shift, the schedule and
+    the Schur fallback's axis strip.
     """
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     m = _mat(a)
     zero = np.zeros((space.n_plus, space.n_minus), dtype=complex)
     if not np.any(m):  # A = 0: every MNPS is invariant
@@ -369,34 +367,29 @@ def mnps(
         if report.certified:
             return report
 
-    if t0 is None:
-        t0 = DEFAULT_T0_SCALE * scale
-    schedule = []
-    if _form_positive_definite(space, m, -PREDICATE_TOL * scale):
-        schedule.append(0.0)
-    schedule.extend(t0 * shrink**j for j in range(max_iter))
-
+    schedule = (0.0, *(T0_SCALE * scale * SHRINK**j for j in range(LADDER_LEVELS)))
     best: MnpsReport | None = None
-    for i, t in enumerate(schedule):
-        b = m + 1j * t * space.j
+    for tried, t in enumerate(schedule, 1):
         try:
-            w = _lower_graph(space, b, AXIS_RTOL * scale)
+            w = _lower_graph(space, m + 1j * t * space.j, AXIS_RTOL * scale)
         except (SpectrumOnAxisError, NotAGraphError):
-            continue
-        report = _report_for(space, m, w, t, i + 1, tol_res, scale)
-        if best is None or report.residual < best.residual:
-            best = report
-        if report.certified:
-            return report
-
+            report = None
+        else:
+            report = _report_for(space, m, w, t, tried, tol_res, scale)
+        if report is not None and (
+            best is None or (report.certified, -report.residual) > (best.certified, -best.residual)
+        ):
+            best = report  # certified first, then the smaller residual
+            if best.certified and t == 0.0:
+                break  # the unperturbed A certifies
+        elif best is not None and best.certified:
+            break  # the residual stopped falling past a certified level
+    if best is None:
+        best = _report_for(space, m, zero, schedule[-1], tried, tol_res, scale)
+    if best.certified:
+        return replace(best, iterations=tried)
     failed = "failed to certify; spectrum may be degenerate near real axis"
-    if best is not None:
-        return replace(best, iterations=len(schedule), message=failed)
-    last_t = schedule[-1] if schedule else 0.0  # max_iter = 0 may leave nothing to try
-    fallback = _report_for(space, m, zero, last_t, len(schedule), tol_res, scale)
-    if fallback.certified:
-        return fallback
-    return replace(fallback, message=failed)
+    return replace(best, iterations=tried, message=failed)
 
 
 def approximation_ladder(

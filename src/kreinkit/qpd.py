@@ -197,7 +197,7 @@ class DecompositionCertificate:
     def k_bounded_by_rank(self) -> bool:
         return self.phi2_rank is not None and self.negative_squares <= self.phi2_rank
 
-    def ok(self, scale: float = 1.0, tol: float = 1e-8) -> bool:
+    def ok(self, scale: float, tol: float = 1e-8) -> bool:
         return (
             self.reconstruction_error <= tol * scale
             and self.parts_positive_definite

@@ -157,8 +157,11 @@ class IndefiniteSpace:
         return m[..., :k, :k], m[..., :k, k:], m[..., k:, :k], m[..., k:, k:]
 
     def assemble(self, a11, a12, a21, a22) -> np.ndarray:
-        return np.block([[np.asarray(a11, complex), np.asarray(a12, complex)],
-                         [np.asarray(a21, complex), np.asarray(a22, complex)]])
+        """The n x n complex matrix with blocks (a11, a12, a21, a22), as :meth:`blocks` splits it."""
+        out = np.empty((self.n, self.n), dtype=complex)
+        k = self.n_minus
+        out[:k, :k], out[:k, k:], out[k:, :k], out[k:, k:] = a11, a12, a21, a22
+        return out
 
 
 def build_space(n_minus: int, n_plus: int) -> IndefiniteSpace:

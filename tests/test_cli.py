@@ -262,17 +262,16 @@ class TestMnpsCommand:
         assert main(["mnps", "--input", inp, "--signature", "1,1"]) == 2
         assert "must be integers" in capsys.readouterr().err
 
-    def test_max_iter_zero_exits_one_and_negative_exits_two(self, tmp_path, capsys):
+    def test_unreachable_tolerance_exits_one_with_message(self, tmp_path):
+        # --tol 1e-21 sets tol_res = 1e-30, which no level of the schedule reaches
         sp = build_space(1, 1)
         inp = write(tmp_path / "a.json", matrix_to_json(sp.j @ np.ones((2, 2))))
         out = tmp_path / "r.json"
-        argv = ["mnps", "--input", inp, "--signature", "1,1", "--out", str(out)]
-        assert main(argv + ["--max-iter", "0"]) == 1
+        argv = ["--tol", "1e-21", "mnps", "--input", inp, "--signature", "1,1", "--out", str(out)]
+        assert main(argv) == 1
         report = load(out)
-        assert report["certified"] is False and report["message"]
-        capsys.readouterr()
-        assert main(argv + ["--max-iter", "-1"]) == 2
-        assert "max_iter" in capsys.readouterr().err
+        assert report["certified"] is False
+        assert report["message"].startswith("failed to certify")
 
 
 class TestLadderCommand:

@@ -13,10 +13,12 @@ from kreinkit import (
     approximation_ladder,
     build_space,
     classify_operator,
+    fractional_linear,
     graph_from_subspace,
     graph_of,
     invariance_residual,
     mnps,
+    mobius_matrix,
     operator_norm,
     spectral_split,
     subspace_signature,
@@ -24,6 +26,7 @@ from kreinkit import (
 )
 from kreinkit.fixtures import (
     corner_decay_fixture,
+    random_ball_point,
     random_complex,
     random_j_dissipative,
     random_strongly_j_dissipative,
@@ -309,17 +312,16 @@ class TestMnps:
         assert_allclose(rep.w, [[-1.0]], atol=1e-3)
         assert rep.residual <= 1e-8 * max(1.0, operator_norm(a))
 
-    def test_zero_max_iter_returns_uncertified_report(self, schur_calls):
-        # the Cayley graph stalls on the boundary and the form is not positive
-        # definite, so max_iter = 0 leaves no regularization level to try
+    def test_unreachable_tolerance_returns_uncertified_report(self, schur_calls):
+        # the Cayley graph stalls on the boundary and no level of the fixed
+        # schedule reaches a residual of 1e-30 nu: every level is tried
         sp = build_space(1, 1)
         a = sp.j @ np.array([[1.0, 1.0], [1.0, 1.0]])
-        rep = mnps(sp, a, max_iter=0)
+        rep = mnps(sp, a, tol_res=1e-30)
         assert not rep.certified
-        assert rep.iterations == 0 and not schur_calls
         assert rep.message.startswith("failed to certify")
-        with pytest.raises(ValueError, match="max_iter"):
-            mnps(sp, a, max_iter=-1)
+        levels = 1 + MNPS_MODULE.LADDER_LEVELS  # t = 0, then the shrinking t
+        assert rep.iterations == levels == len(schur_calls)
 
     def test_random_dissipative_batch(self):
         rng = np.random.default_rng(7)
@@ -360,7 +362,7 @@ class TestMnps:
             ratio = 1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4.0, -1.5)
             a = a + 1j * (-ratio * PREDICATE_TOL * _norm_lower_bound(a) - margin) * sp.j
             try:
-                mnps(sp, a, max_iter=1)
+                mnps(sp, a)
             except NotDissipativeError:
                 accepted = False
             else:
@@ -509,6 +511,65 @@ def test_certificate_batch_over_mixed_signatures():
             assert rep.residual <= 1e-8 * max(1.0, operator_norm(a))
             assert rep.subspace_inertia.n_pos == 0
     assert count == 200
+
+
+def _known_answer(sp, rng, c_norm, eps):
+    """``A = M_c D M_c^{-1}`` with ``D = diag(r + i eps j)``, and its MNPS graph c.
+
+    M_c is J-unitary, so the dissipativity form of A is congruent to eps I and
+    A is strictly J-dissipative; its lower half-plane eigenvectors span
+    ``M_c H- = graph(c)``.  With ``|c|`` near 1 and eps small the spectrum
+    hugs the real axis while ``||A||`` grows with ``cond(M_c)``.
+    """
+    c = random_ball_point(sp, rng, c_norm)
+    m_c = mobius_matrix(sp, c)
+    d = rng.standard_normal(sp.n) + 1j * eps * sp.j_signs
+    return (m_c * d) @ mobius_matrix(sp, -c), c
+
+
+def test_certified_answers_lie_near_the_known_mnps():
+    # the Cayley iteration stalls on most of these draws, and the first Schur
+    # level that certifies can lie far from c: returning it puts 64 of the 108
+    # answers more than 1e-6 away, up to 0.09
+    far, certified = [], 0
+    for sig in [(1, 5), (2, 10), (3, 30)]:
+        sp = build_space(*sig)
+        for c_norm in (0.9, 0.99, 0.999, 0.9999):
+            for eps in (1e-3, 1e-6, 1e-9):
+                for seed in range(3):
+                    a, c = _known_answer(sp, np.random.default_rng(seed), c_norm, eps)
+                    rep = mnps(sp, a)
+                    if rep.certified:
+                        certified += 1
+                        err = operator_norm(rep.w - c)
+                        if err > 1e-6:
+                            far.append((sig, c_norm, eps, seed, err))
+    assert certified == 108
+    assert len(far) <= 8, far
+    assert max((f[-1] for f in far), default=0.0) <= 1e-4
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 4),
+    st.integers(1, 12),
+    st.booleans(),
+    st.floats(0.0, 0.9),
+)
+@settings(max_examples=60, deadline=None)
+def test_mnps_is_j_unitarily_covariant(seed, n_minus, n_plus, strong, c_norm):
+    # V = M_c is J-unitary, so V A V^{-1} is J-dissipative with the MNPS
+    # V graph(W) = graph(phi_V(W))
+    rng = np.random.default_rng(seed)
+    sp = build_space(n_minus, n_plus)
+    draw = random_strongly_j_dissipative if strong else random_j_dissipative
+    a = draw(sp, rng)
+    c = random_ball_point(sp, rng, c_norm)
+    v = mobius_matrix(sp, c)
+    rep = mnps(sp, a)
+    moved = mnps(sp, v @ a @ mobius_matrix(sp, -c))
+    assert rep.certified and moved.certified
+    assert operator_norm(moved.w - fractional_linear(sp, v, rep.w)) <= 1e-10
 
 
 def _ball_operator(data, n_plus, n_minus, seed):

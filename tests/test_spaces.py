@@ -183,6 +183,20 @@ def test_block_operator_blocks_reassemble():
     assert_allclose(sp.assemble(a11, a12, a21, a22), a)
 
 
+@pytest.mark.parametrize("n_minus, n_plus", [(2, 3), (5, 1), (0, 3), (3, 0)])
+def test_assemble_matches_np_block_bit_for_bit(n_minus, n_plus):
+    # real and complex blocks alike come back as one complex matrix
+    rng = np.random.default_rng(n_minus + 7 * n_plus)
+    sp = build_space(n_minus, n_plus)
+    a11, a12, a21, a22 = sp.blocks(random_complex(rng, (sp.n, sp.n)))
+    a12 = a12.real.copy()
+    out = sp.assemble(a11, a12, a21, a22)
+    ref = np.block([[np.asarray(a11, complex), np.asarray(a12, complex)],
+                    [np.asarray(a21, complex), np.asarray(a22, complex)]])
+    assert out.dtype == ref.dtype and out.shape == ref.shape
+    assert out.tobytes() == ref.tobytes()
+
+
 def test_graph_of_zero_spans_h_minus():
     sp = build_space(2, 3)
     z = graph_of(sp, np.zeros((3, 2)))
