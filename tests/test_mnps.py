@@ -93,9 +93,13 @@ class TestSpectralSplit:
             assert resid <= 1e-9 * operator_norm(a)
 
     def test_real_spectrum_rejected(self):
+        # the message names the test that failed; no function takes a
+        # regularization setting, so it does not suggest one
         sp = build_space(1, 1)
-        with pytest.raises(SpectrumOnAxisError):
+        axis = r"within AXIS_RTOL \* nu = .* of the real axis"
+        with pytest.raises(SpectrumOnAxisError, match=axis) as exc:
             spectral_split(sp, sp.j)
+        assert "regularization" not in str(exc.value)
 
     def test_definiteness_of_spectral_subspaces(self):
         # for strongly dissipative operators the split subspaces are definite
@@ -224,6 +228,8 @@ class TestMnpsStrong:
         steps = []
 
         def counting(x):
+            # the pivot blocks of A + i mu are 128 x 128 and 72 x 72, so only
+            # Y- has this shape
             if np.shape(x) == (sp.n_minus, sp.n_minus):  # one Y-^{-1} per step
                 steps.append(1)
             return inv(x)
@@ -267,9 +273,44 @@ class TestMnpsStrong:
         assert rep.certified
         assert_allclose(rep.w, 0, atol=1e-14)
 
+    def test_cayley_solve_inverts_no_n_by_n_array(self, monkeypatch, schur_calls):
+        # A + i mu is factored by the block LU: np.linalg.inv sees only its
+        # pivot blocks and Y-
+        rng = np.random.default_rng(21)
+        sp = build_space(5, 295)
+        a = random_strongly_j_dissipative(sp, rng)
+        inv = np.linalg.inv
+        shapes = []
+
+        def recording(x):
+            shapes.append(np.shape(x))
+            return inv(x)
+
+        monkeypatch.setattr(np.linalg, "inv", recording)
+        rep = mnps(sp, a)
+        assert not schur_calls
+        assert rep.certified
+        assert (sp.n, sp.n) not in shapes
+        assert {(128, 128), (44, 44), (sp.n_minus, sp.n_minus)} == set(shapes)
+
+    def test_cayley_graph_holds_one_n_by_n_array(self):
+        # the LU overwrites the copy A + i mu; no inverse sits beside it
+        rng = np.random.default_rng(20)
+        sp = build_space(5, 295)
+        a = random_strongly_j_dissipative(sp, rng)
+        scale = _norm_lower_bound(a)
+        tracemalloc.start()
+        try:
+            w = MNPS_MODULE._cayley_graph(sp, a, scale)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w is not None
+        assert peak < 1.75 * a.nbytes
+
     def test_solve_holds_two_n_by_n_arrays(self):
         # the dissipativity form lives only inside its Cholesky test, so a
-        # Cayley solve peaks at A + i mu beside its inverse
+        # Cayley solve peaks at that form beside its Cholesky factor
         rng = np.random.default_rng(20)
         sp = build_space(5, 295)
         a = random_strongly_j_dissipative(sp, rng)
@@ -281,6 +322,51 @@ class TestMnpsStrong:
             tracemalloc.stop()
         assert rep.certified
         assert peak < 2.5 * a.nbytes
+
+
+class TestBlockLu:
+    block = MNPS_MODULE._LU_BLOCK
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, block - 1, block, block + 1, 2 * block + 3]),
+        st.integers(1, 20),
+        st.floats(1e-3, 1e3),
+        st.floats(0.0, 0.9),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_solve_of_accretive_shift(self, seed, n, k, mu, ratio):
+        # i mu I + A with ||A|| < mu has positive definite Hermitian part
+        # after division by i mu, so no pivoting between blocks is needed
+        rng = np.random.default_rng(seed)
+        a = random_complex(rng, (n, n))
+        a *= ratio * mu / operator_norm(a)
+        m = a + 1j * mu * np.eye(n)
+        z = random_complex(rng, (n, k))
+        x = MNPS_MODULE._lu_solve(MNPS_MODULE._block_lu(m.copy()), z)
+        eps = np.finfo(float).eps
+        norm_m = operator_norm(m)
+        assert np.linalg.norm(m @ x - z) <= 100 * n * eps * norm_m * np.linalg.norm(x)
+        ref = np.linalg.solve(m, z)
+        cond = (mu + ratio * mu) / (mu - ratio * mu)
+        assert np.linalg.norm(x - ref) <= 100 * n * eps * cond * np.linalg.norm(ref)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, block - 1, block, block + 1, 2 * block + 3]),
+        st.integers(0, 2),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_singular_pivot_block_raises(self, seed, n, pivot):
+        # m is lower triangular, so each pivot is its own diagonal block; a
+        # zero row makes that one exactly singular
+        rng = np.random.default_rng(seed)
+        m = 1j * np.eye(n) + 0.1 * np.tril(random_complex(rng, (n, n)))
+        starts = range(0, n, self.block)
+        j0 = starts[min(pivot, len(starts) - 1)]
+        m[j0, j0 : j0 + self.block] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            MNPS_MODULE._block_lu(m)
 
 
 class TestMnps:

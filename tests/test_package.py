@@ -70,6 +70,24 @@ def test_group_and_qpd_paths_leave_scipy_unloaded():
     run_fresh(code)
 
 
+def test_multi_block_cayley_solve_leaves_scipy_unloaded():
+    # A + i mu is factored by a numpy block LU: a certified (5,295) solve,
+    # three pivot blocks, loads no scipy module
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import kreinkit as kk\n"
+        "from kreinkit import fixtures\n"
+        "sp = kk.build_space(5, 295)\n"
+        "a = fixtures.random_strongly_j_dissipative(sp, np.random.default_rng(20))\n"
+        "rep = kk.mnps(sp, a)\n"
+        "assert rep.certified and rep.regularization_t == 0.0\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not loaded, loaded\n"
+    )
+    run_fresh(code)
+
+
 def run_fresh(code):
     """Runs code in a new interpreter that imports this checkout's kreinkit."""
     src = os.path.dirname(os.path.dirname(kreinkit.__file__))
