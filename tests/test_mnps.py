@@ -290,8 +290,7 @@ class TestMnpsStrong:
         rep = mnps(sp, a)
         assert not schur_calls
         assert rep.certified
-        assert (sp.n, sp.n) not in shapes
-        assert {(128, 128), (44, 44), (sp.n_minus, sp.n_minus)} == set(shapes)
+        assert set(shapes) == {(128, 128), (44, 44), (sp.n_minus, sp.n_minus)}
 
     def test_cayley_graph_holds_one_n_by_n_array(self):
         # the LU overwrites the copy A + i mu; no inverse sits beside it
@@ -345,8 +344,7 @@ class TestBlockLu:
         z = random_complex(rng, (n, k))
         x = MNPS_MODULE._lu_solve(MNPS_MODULE._block_lu(m.copy()), z)
         eps = np.finfo(float).eps
-        norm_m = operator_norm(m)
-        assert np.linalg.norm(m @ x - z) <= 100 * n * eps * norm_m * np.linalg.norm(x)
+        assert np.linalg.norm(m @ x - z) <= 100 * n * eps * operator_norm(m) * np.linalg.norm(x)
         ref = np.linalg.solve(m, z)
         cond = (mu + ratio * mu) / (mu - ratio * mu)
         assert np.linalg.norm(x - ref) <= 100 * n * eps * cond * np.linalg.norm(ref)
