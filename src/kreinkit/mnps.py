@@ -1,19 +1,19 @@
 """Invariant maximal non-positive subspaces of J-dissipative matrices.
 
 The solver first looks for the MNPS as a fixed point of a fractional-linear
-map of the operator ball, the route of Lomonosov's proof.  For ``mu > ||A||``
-the Cayley transform ``C = (A + i mu)^{-1} (A - i mu)`` has the invariant
-subspaces of A and maps non-positive subspaces to non-positive subspaces,
-so ``W -> phi_C(W)`` maps the closed ball into itself.  Its eigenvalues
-outside the unit circle are the images of those of A in the open lower
-half-plane, so iterating it from ``W = 0`` is subspace iteration in graph
-coordinates towards that spectral subspace, the MNPS; for strictly
-J-dissipative A it converges (Earle--Hamilton).  It costs one block LU of
-``A + i mu`` without pivoting between blocks (``n^3 / 3`` multiply-adds),
-and ``O(n^2 n_minus)`` work per step.  No pivoting is needed: for
-``mu > ||A||`` the Hermitian part of ``(A + i mu) / (i mu)``, ``I + Im(A) /
-mu``, is positive definite, and so is that of every pivot block and Schur
-complement.
+map of the operator ball, the route of Lomonosov's proof.  For every shift
+``mu > 0`` at which ``A + i mu`` is invertible, the Cayley transform ``C =
+(A + i mu)^{-1} (A - i mu)`` has the invariant subspaces of A and maps
+non-positive subspaces to non-positive subspaces, so ``W -> phi_C(W)`` maps
+the closed ball into itself.  Its eigenvalues outside the unit circle are
+the images of those of A in the open lower half-plane, so iterating it from
+``W = 0`` is subspace iteration in graph coordinates towards that spectral
+subspace, the MNPS; for strictly J-dissipative A it converges
+(Earle--Hamilton).  It costs one block LU of ``A + i mu`` without pivoting
+between blocks (``n^3 / 3`` multiply-adds), and ``O(n^2 n_minus)`` work per
+step.  No pivoting is needed: the shift keeps the Hermitian part of ``(A +
+i mu) / (i mu)``, ``I + Im(A) / mu``, positive definite, and so that of
+every pivot block and Schur complement.
 
 No step takes an SVD of A.  Its scale is ``nu <= ||A||``, a lower bound
 from a few seeded block-power steps (``spaces._norm_lower_bound``, within
@@ -21,16 +21,25 @@ a few percent of ||A||; above ``0.95 ||A||`` on every draw measured).
 Every tolerance is relative to nu, so it is at least as strict as the same
 tolerance relative to ||A||.
 
-The shift is ``mu = 1.25 nu``.  For every ``mu > 0``,
+The shift is ``mu = min(1.25 nu, max(1.25 theta, rho))``, from the
+``n_minus`` rows of A in ``O(n n_minus^2)`` work.  For every ``mu > 0``,
 ``|c(lambda)| = |lambda - i mu| / |lambda + i mu|`` exceeds 1 exactly when
-``Im lambda < 0``, so the fixed point does not depend on mu.  ``mu > ||A||``
-(``nu > 0.8 ||A||``) only bounds ``cond(A + i mu) <= (mu + ||A||) /
-(mu - ||A||)``, about 11.5 at ``nu = 0.95 ||A||``.  A smaller mu contracts
-faster: for the lower eigenvalue ``a - i beta`` closest to the axis,
-``|c|^2 = (a^2 + (mu + beta)^2) / (a^2 + (mu - beta)^2)`` grows as mu falls
-towards ``|lambda|``.  A shift too small is caught: a singular pivot block
-of ``A + i mu``, the stall check, the ``cond(Y-)`` check and the
-certificate all send the solve to the fallback.
+``Im lambda < 0``, so the fixed point does not depend on mu; mu sets the
+speed and keeps the LU stable.  ``theta >= -lambda_min(Im A)`` is certified
+by the Pontryagin structure: ``Im A`` is the dissipativity form, which the
+solver proves positive semidefinite, plus a Hermitian matrix of rank at
+most ``2 n_minus`` whose spectrum is that of a ``2 n_minus x 2 n_minus``
+matrix.  So ``mu >= 1.25 theta`` keeps ``I + Im(A) / mu >= 0.2 I``, and the
+cap ``1.25 nu > ||A||`` (``nu > 0.8 ||A||``) keeps it positive definite too.
+For a lower eigenvalue ``a - i beta``, ``|c|^2 = (a^2 + (mu + beta)^2) /
+(a^2 + (mu - beta)^2)`` falls as mu grows past ``|lambda|``; ``rho = ||A11||
++ ||A12|| >= |lambda|`` for each of them, so ``mu >= rho`` puts every
+outer eigenvalue at least as far out as ``mu = 1.25 nu`` does.  On strongly
+J-dissipative draws with ``n_minus << n`` the shift is 0.7 to 0.8 nu, and
+the iteration takes 35--47% fewer steps than at 1.25 nu.  A shift too
+small is caught all the same: a singular pivot block of ``A + i mu``, the
+stall check, the ``cond(Y-)`` check and the certificate all send the solve
+to the fallback.
 
 When the iteration stalls or its graph does not certify, the solver falls
 back to the finite-dimensional route: the spectral subspace of ``A + itJ``
@@ -96,9 +105,10 @@ DEFAULT_TOL_RES = 1e-9
 #: Slack of the certificate's maximality test ``||W|| <= 1 + W_NORM_SLACK``.
 W_NORM_SLACK = 1e-8
 
-#: Cayley shift relative to the scale nu.  With ``nu > 0.8 ||A||`` it keeps
-#: ``mu > ||A||``, so that A + i mu is invertible (at ``mu = ||A||`` it is
-#: singular for A = iJ).
+#: Cayley shift factor.  The shift is at most ``CAYLEY_SHIFT * nu``, above
+#: ||A|| for ``nu > 0.8 ||A||`` (at ``mu = ||A||``, A + i mu is singular for
+#: A = iJ), and below that cap at least ``CAYLEY_SHIFT * theta``, which keeps
+#: the Hermitian part of ``(A + i mu) / (i mu)`` at least ``0.2 I``.
 CAYLEY_SHIFT = 1.25
 
 #: Step cap of the Cayley fixed-point iteration.
@@ -305,11 +315,40 @@ def _lu_solve(lu: np.ndarray, z: np.ndarray) -> np.ndarray:
     return x
 
 
+def _shift_bounds(space: IndefiniteSpace, m: np.ndarray, scale: float) -> tuple[float, float]:
+    """``(theta, rho)``: bounds on ``-lambda_min(Im m)`` and on the lower spectrum of m.
+
+    Reads only the first ``n_minus`` rows of m: ``O(n n_minus^2)`` work and no
+    ``n x n`` array.  ``Im m = H + E`` with H the dissipativity form, ``H >=
+    -PREDICATE_TOL * nu`` by the test in :func:`mnps`, and ``E = [[2 Im A11,
+    -i A12], [i A12^H, 0]]`` of rank at most ``2 n_minus``.  With ``(-i
+    A12)^H = Q R``, E is unitarily similar to ``[[2 Im A11, R^H], [R, 0]]``
+    plus zeros, so ``theta = PREDICATE_TOL * nu - lambda_min(E)`` bounds
+    ``-lambda_min(Im m)``, and ``theta >= PREDICATE_TOL * nu > 0`` because E
+    has a zero block.  ``rho = ||A11|| + ||A12||`` bounds ``|lambda|`` for
+    every eigenvalue in the open lower half-plane: each is one of ``A11 + A12
+    W*``, with ``||W*|| <= 1`` the MNPS graph.
+    """
+    k = space.n_minus
+    a11 = m[:k, :k]
+    r = np.linalg.qr(1j * m[:k, k:].conj().T, mode="r")  # (-i A12)^H = Q R
+    e = np.block([[(a11 - a11.conj().T) / 1j, r.conj().T], [r, np.zeros((r.shape[0],) * 2)]])
+    theta = PREDICATE_TOL * scale - float(np.linalg.eigvalsh(e)[0])
+    rho = float(np.linalg.svd(a11, compute_uv=False)[0] + np.linalg.svd(r, compute_uv=False)[0])
+    return theta, rho
+
+
+def _cayley_shift(space: IndefiniteSpace, m: np.ndarray, scale: float) -> float:
+    """Shift ``mu = min(CAYLEY_SHIFT * nu, max(CAYLEY_SHIFT * theta, rho))`` of the Cayley solve."""
+    theta, rho = _shift_bounds(space, m, scale)
+    return min(CAYLEY_SHIFT * scale, max(CAYLEY_SHIFT * theta, rho))
+
+
 def _cayley_graph(space: IndefiniteSpace, m: np.ndarray, scale: float) -> np.ndarray | None:
     """Fixed point of ``W -> phi_C(W)`` for the Cayley transform C of m, or None.
 
-    ``C = (m + i mu)^{-1} (m - i mu) = I - 2i mu (m + i mu)^{-1}`` with
-    ``mu = CAYLEY_SHIFT * scale``, so one step maps the basis ``Z = [I; W]``
+    ``C = (m + i mu)^{-1} (m - i mu) = I - 2i mu (m + i mu)^{-1}`` with mu
+    from :func:`_cayley_shift`, so one step maps the basis ``Z = [I; W]``
     of the graph to ``Y = C Z`` with one block LU solve against
     ``n x n_minus`` right-hand sides, and the next W is ``Y+ Y-^{-1}``.
     Neither C nor ``(m + i mu)^{-1}`` is formed: ``m + i mu`` is factored
@@ -317,14 +356,14 @@ def _cayley_graph(space: IndefiniteSpace, m: np.ndarray, scale: float) -> np.nda
     ``O(n^2 n_minus)``.
 
     The LU needs no pivoting between blocks.  The Hermitian part of
-    ``(m + i mu) / (i mu)`` is ``I + Im(m) / mu >= (1 - ||m|| / mu) I``,
-    positive definite for ``mu > ||m||``, which ``scale = nu > 0.8 ||m||``
-    gives.  So every pivot block and every Schur complement has positive
-    definite Hermitian part, hence a bounded inverse, and the factorization
-    is stable (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    2nd ed., ch. 10).  With ``mu = 1.25 nu``,
-    ``cond(m + i mu) <= (1.25 nu + ||m||) / (1.25 nu - ||m||)``, about 11.5
-    for ``nu >= 0.95 ||m||``.
+    ``(m + i mu) / (i mu)`` is ``I + Im(m) / mu``.  Either ``mu >= 1.25
+    theta >= -1.25 lambda_min(Im m)``, and then it is at least ``0.2 I``, or
+    the cap ``mu = 1.25 nu`` binds, which is above ``||m||`` since ``nu >
+    0.8 ||m||``, and then it is at least ``(1 - ||m|| / mu) I``.  Either way
+    every pivot block and every Schur complement has positive definite
+    Hermitian part, hence a bounded inverse, and the factorization is stable
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    ch. 10).
 
     With ``q`` the larger of the last two increment ratios, the iteration
     returns W once the geometric tail bound ``step * q / (1 - q)`` on its
@@ -334,10 +373,10 @@ def _cayley_graph(space: IndefiniteSpace, m: np.ndarray, scale: float) -> np.nda
     ``Y-`` is worse conditioned than ``GRAPH_COND_LIMIT``.
     """
     k = space.n_minus
-    mu = CAYLEY_SHIFT * scale
+    mu = _cayley_shift(space, m, scale)
     try:
         lu = _block_lu(_plus_diagonal(m, 1j * mu))
-    except np.linalg.LinAlgError:  # a singular pivot block: mu below ||A||
+    except np.linalg.LinAlgError:  # a singular pivot block: the shift is too small
         return None
     z = np.eye(space.n, k, dtype=complex)  # [I; W] with W = 0
     prev = prev_ratio = np.inf

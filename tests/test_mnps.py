@@ -195,7 +195,9 @@ class TestMnpsStrong:
         assert (sp.n, sp.n) not in shapes
 
     def test_cayley_certificate_reads_one_svd_of_w(self, monkeypatch, schur_calls):
-        # ||W|| and the graph inertia come from one singular-value call on W
+        # ||W|| and the graph inertia come from one singular-value call on W;
+        # the only other spectral calls are the shift's, on matrices of at
+        # most 2 n_minus rows and columns
         rng = np.random.default_rng(17)
         sp = build_space(4, 60)
         a = random_strongly_j_dissipative(sp, rng)
@@ -215,12 +217,15 @@ class TestMnpsStrong:
         rep = mnps(sp, a)
         assert not schur_calls
         assert rep.certified and rep.regularization_t == 0.0
-        assert svd_shapes == [(sp.n_plus, sp.n_minus)]
-        assert eigvalsh_shapes == []
+        assert svd_shapes.count((sp.n_plus, sp.n_minus)) == 1
+        svd_shapes.remove((sp.n_plus, sp.n_minus))
+        assert svd_shapes and eigvalsh_shapes  # the shift's norms went through the recorders
+        assert max(max(shape) for shape in svd_shapes + eigvalsh_shapes) <= 2 * sp.n_minus
 
     def test_cayley_step_count(self, monkeypatch, schur_calls):
-        # mu = 1.25 nu with the stop on the tail bound takes about 50 steps
-        # here; mu = 2 nu with a stop one step past roundoff takes 88
+        # the certified shift (0.77 nu here) with the stop on the tail
+        # bound takes 30 steps; the fixed mu = 1.25 nu took 50, and mu = 2 nu
+        # with a stop one step past roundoff took 88
         rng = np.random.default_rng(19)
         sp = build_space(5, 195)
         a = random_strongly_j_dissipative(sp, rng)
@@ -238,7 +243,29 @@ class TestMnpsStrong:
         rep = mnps(sp, a)
         assert not schur_calls
         assert rep.certified
-        assert 0 < len(steps) <= 65
+        assert 0 < len(steps) <= 40
+
+    @pytest.mark.parametrize("delta, fixed_shift_steps", [(0.1, 126), (0.05, 166), (0.02, 205)])
+    def test_near_axis_shift_takes_no_more_steps(self, monkeypatch, schur_calls, delta,
+                                                 fixed_shift_steps):
+        # theta is about 2 delta here: mu = 1.25 theta alone would run past
+        # the 300-step cap and fall back to the Schur path at delta <= 0.05;
+        # rho = ||A11|| + ||A12|| keeps mu near 0.91, and the steps at or
+        # below the fixed shift mu = 1.25 nu's (fixed_shift_steps)
+        sp = build_space(3, 60)
+        a = _near_axis_draw(sp, np.random.default_rng(0), delta)
+        solve = MNPS_MODULE._lu_solve
+        steps = []
+
+        def counting(lu, z):
+            steps.append(1)
+            return solve(lu, z)
+
+        monkeypatch.setattr(MNPS_MODULE, "_lu_solve", counting)
+        rep = mnps(sp, a)
+        assert not schur_calls
+        assert rep.certified
+        assert 0 < len(steps) <= fixed_shift_steps
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 60))
     @settings(
@@ -611,10 +638,72 @@ def _known_answer(sp, rng, c_norm, eps):
     return (m_c * d) @ mobius_matrix(sp, -c), c
 
 
+def _near_axis_draw(sp, rng, delta):
+    """Lower eigenvalues near ``+-0.9 - i delta`` behind a small ``A12``.
+
+    ``A = J (S + iP)`` with dissipativity form ``P = diag(delta, 0.12)``:
+    A11 is ``diag(-0.9, 0.9, ...) - i delta``, A22 a real diagonal plus ``0.12 i`` and
+    the coupling has entries of size 1e-3.  So ``-lambda_min(Im A)`` is about
+    ``2 delta``, far below ``||A||``, while the lower eigenvalues are not.
+    """
+    k, n = sp.n_minus, sp.n
+    s = np.zeros((n, n), dtype=complex)
+    s[:k, :k] = np.diag(0.9 * (-1.0) ** np.arange(k))
+    s[k:, k:] = np.diag(rng.uniform(-1.0, 1.0, sp.n_plus))
+    corner = 1e-3 * random_complex(rng, (k, sp.n_plus))
+    s[:k, k:] = corner
+    s[k:, :k] = corner.conj().T
+    p = np.diag(np.r_[np.full(k, delta), np.full(sp.n_plus, 0.12)])
+    return sp.j_signs[:, None] * (s + 1j * p)
+
+
+def _shift_input(kind, sp, rng):
+    if kind == "dissipative":
+        return random_j_dissipative(sp, rng)
+    if kind == "rank-deficient":
+        return random_j_dissipative(sp, rng, rank_deficient=True)
+    if kind == "strong":
+        return random_strongly_j_dissipative(sp, rng)
+    if kind == "corner-decay":
+        return corner_decay_fixture(sp, rng)
+    # eigenvalues of the known-answer draw keep their half-plane in rounding
+    return _known_answer(sp, rng, rng.choice([0.9, 0.99, 0.999]), rng.choice([1e-3, 1e-6]))[0]
+
+
+@given(
+    st.sampled_from(["dissipative", "rank-deficient", "strong", "corner-decay", "known-answer"]),
+    st.integers(1, 5),
+    st.integers(1, 30),
+    st.integers(-6, 6),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_cayley_shift_bounds(kind, n_minus, n_plus, exponent, seed):
+    # theta certifies that A + i mu is accretive and rho bounds the lower
+    # spectrum, at every scale; below the cap, the pivot-free LU of A + i mu
+    # sees a Hermitian part of (A + i mu) / (i mu) of at least 0.2 I
+    sp = build_space(n_minus, n_plus)
+    base = _shift_input(kind, sp, np.random.default_rng(seed))
+    a = 10.0**exponent * base
+    nu = _norm_lower_bound(a)
+    theta, rho = MNPS_MODULE._shift_bounds(sp, a, nu)
+    mu = MNPS_MODULE._cayley_shift(sp, a, nu)
+    im_a = (a - a.conj().T) / 2j
+    assert theta >= -np.linalg.eigvalsh(im_a)[0]
+    eigs = np.linalg.eigvals(a)
+    assert rho >= np.max(np.abs(eigs[eigs.imag < 0]), initial=0.0)
+    assert mu <= MNPS_MODULE.CAYLEY_SHIFT * nu
+    if mu != MNPS_MODULE.CAYLEY_SHIFT * nu:
+        assert np.linalg.eigvalsh(np.eye(sp.n) + im_a / mu)[0] >= 0.2 - 1e-12
+    base_mu = MNPS_MODULE._cayley_shift(sp, base, _norm_lower_bound(base))
+    assert mu == pytest.approx(10.0**exponent * base_mu, rel=1e-12)
+
+
 def test_certified_answers_lie_near_the_known_mnps():
-    # the Cayley iteration stalls on most of these draws, and the first Schur
-    # level that certifies can lie far from c: returning it puts 64 of the 108
-    # answers more than 1e-6 away, up to 0.09
+    # the Cayley path certifies none of these draws (97 certify by a Schur of
+    # A at t = 0, 11 on the t ladder), and the first Schur level that
+    # certifies can lie far from c: returning it puts 64 of the 108 answers
+    # more than 1e-6 away, up to 0.09
     far, certified = [], 0
     for sig in [(1, 5), (2, 10), (3, 30)]:
         sp = build_space(*sig)

@@ -147,7 +147,7 @@ def _bound_input(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
 @settings(max_examples=80, deadline=None)
 def test_norm_lower_bound_is_certified_and_tight(kind, n, exponent, seed):
     # nu <= ||A|| makes every tolerance relative to it stricter than relative
-    # to ||A||; nu > 0.8 ||A|| keeps the Cayley shift mu = 1.25 nu above ||A||
+    # to ||A||; nu > 0.8 ||A|| keeps the Cayley shift's cap 1.25 nu above ||A||
     a = 10.0**exponent * _bound_input(kind, n, np.random.default_rng(seed))
     nu = _norm_lower_bound(a)
     norm = operator_norm(a)
