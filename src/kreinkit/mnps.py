@@ -33,8 +33,12 @@ matrix.  So ``mu >= 1.25 theta`` keeps ``I + Im(A) / mu >= 0.2 I``, and the
 cap ``1.25 nu > ||A||`` (``nu > 0.8 ||A||``) keeps it positive definite too.
 For a lower eigenvalue ``a - i beta``, ``|c|^2 = (a^2 + (mu + beta)^2) /
 (a^2 + (mu - beta)^2)`` falls as mu grows past ``|lambda|``; ``rho = ||A11||
-+ ||A12|| >= |lambda|`` for each of them, so ``mu >= rho`` puts every
-outer eigenvalue at least as far out as ``mu = 1.25 nu`` does.  On strongly
++ ||A12|| >= |lambda|`` for each of them, so ``mu >= rho`` maps every lower
+eigenvalue at least as far outside the unit circle as ``mu = 1.25 nu``
+does.  The upper ones have no such guarantee: where mu falls far below
+their moduli, as when the H- block of A is much smaller than the rest,
+their images move towards the unit circle and the iteration can reach its
+step cap.  On strongly
 J-dissipative draws with ``n_minus << n`` the shift is 0.7 to 0.8 nu, and
 the iteration takes 35--47% fewer steps than at 1.25 nu.  A shift too
 small is caught all the same: a singular pivot block of ``A + i mu``, the

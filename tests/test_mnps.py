@@ -275,14 +275,17 @@ class TestMnpsStrong:
     )
     def test_cayley_graph_does_not_depend_on_shift(self, schur_calls, seed, n_minus, n_plus):
         # |c(lambda)| = |lambda - i mu| / |lambda + i mu| > 1 exactly when
-        # Im lambda < 0, for every mu > 0: the shift moves only the speed
+        # Im lambda < 0, for every mu > 0: the shift moves only the speed.
+        # The certified shift is compared with fixed multiples of nu, which
+        # CAYLEY_SHIFT alone would not give where rho sets the shift
         rng = np.random.default_rng(seed)
         sp = build_space(n_minus, n_plus)
         a = random_strongly_j_dissipative(sp, rng, margin=rng.uniform(0.05, 0.5))
         graphs = []
-        for shift in (1.25, 2.0, 4.0):
+        for shift in (None, 1.25, 2.0, 4.0):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(MNPS_MODULE, "CAYLEY_SHIFT", shift)
+                if shift is not None:
+                    mp.setattr(MNPS_MODULE, "_cayley_shift", lambda space, m, scale: shift * scale)
                 rep = mnps(sp, a)
             assert rep.certified and rep.regularization_t == 0.0
             graphs.append(rep.w)
@@ -641,10 +644,10 @@ def _known_answer(sp, rng, c_norm, eps):
 def _near_axis_draw(sp, rng, delta):
     """Lower eigenvalues near ``+-0.9 - i delta`` behind a small ``A12``.
 
-    ``A = J (S + iP)`` with dissipativity form ``P = diag(delta, 0.12)``:
-    A11 is ``diag(-0.9, 0.9, ...) - i delta``, A22 a real diagonal plus ``0.12 i`` and
-    the coupling has entries of size 1e-3.  So ``-lambda_min(Im A)`` is about
-    ``2 delta``, far below ``||A||``, while the lower eigenvalues are not.
+    ``A = J (S + iP)`` with dissipativity form ``P = diag(delta, 0.12)``: A11
+    is ``diag(-0.9, 0.9, ...) - i delta``, A22 a real diagonal plus ``0.12 i``
+    and the coupling has entries of size 1e-3.  So ``-lambda_min(Im A)`` is
+    about ``2 delta``, far below ``||A||``, while the lower eigenvalues are not.
     """
     k, n = sp.n_minus, sp.n
     s = np.zeros((n, n), dtype=complex)
