@@ -129,6 +129,8 @@ def cmd_ladder(args) -> int:
 
 
 def cmd_ball(args) -> int:
+    if args.action != "matrix" and args.point is None:
+        raise ValueError(f"ball {args.action} needs --point")
     if args.action == "apply":
         a = matrix_from_json(_load_json(args.center))
         x = matrix_from_json(_load_json(args.point))

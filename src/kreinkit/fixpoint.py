@@ -44,7 +44,6 @@ __all__ = [
     "rep_validate",
     "orbit_radius",
     "group_average_metric",
-    "word_average_metric",
     "common_fixed_point",
     "invariant_dual_pair",
     "unitarize",
@@ -59,9 +58,6 @@ PENCIL_ZERO_RTOL = 1e-10
 #: Relative tolerance of the group-invariance check of an averaged metric
 #: (scaled by ||pi||^2 and ||B||, each floored at 1, so never below this).
 INVARIANCE_RTOL = 1e-10
-
-#: Default word-length cap for finitely generated (word-averaged) mode.
-DEFAULT_WORD_CAP = 12
 
 
 class DegeneratePencilError(RuntimeError):
@@ -90,9 +86,6 @@ class GroupRep:
                 f"expected {self.group.order} matrices of size {n}x{n}, got {mats.shape}"
             )
         object.__setattr__(self, "matrices", mats)
-
-    def __getitem__(self, g: int) -> np.ndarray:
-        return self.matrices[g]
 
     @property
     def norm(self) -> float:
@@ -211,45 +204,6 @@ def group_average_metric(rep: GroupRep) -> np.ndarray:
     return b
 
 
-def word_average_metric(
-    space: IndefiniteSpace, generators, length_cap: int = DEFAULT_WORD_CAP
-) -> tuple[np.ndarray, float]:
-    """Average the metric over all distinct words of bounded length.
-
-    For finitely generated bounded groups that are too large to enumerate;
-    returns (B, invariance defect).  The defect is reported, never asserted.
-    """
-    gens = [np.asarray(g, dtype=complex) for g in generators]
-    alphabet = gens + [np.linalg.inv(g) for g in gens]
-    seen: dict[bytes, np.ndarray] = {}
-
-    def key(mat: np.ndarray) -> bytes:
-        rounded = np.round(mat, 9) + 0.0  # adding 0.0 folds -0.0 into +0.0
-        return rounded.tobytes()
-
-    eye = np.eye(space.n, dtype=complex)
-    seen[key(eye)] = eye
-    frontier = [eye]
-    for _ in range(length_cap):
-        nxt = []
-        for word in frontier:
-            for letter in alphabet:
-                prod = word @ letter
-                k = key(prod)
-                if k not in seen:
-                    seen[k] = prod
-                    nxt.append(prod)
-        if not nxt:
-            break
-        frontier = nxt
-
-    words = list(seen.values())
-    b = sum(w.conj().T @ w for w in words) / len(words)
-    b = (b + b.conj().T) / 2.0
-    defect = max(operator_norm(g.conj().T @ b @ g - b) for g in gens)
-    return b, defect
-
-
 def _pencil_negative_basis(space: IndefiniteSpace, b: np.ndarray) -> np.ndarray:
     """Negative eigenvectors of J v = lambda B v (B positive definite).
 
@@ -271,22 +225,13 @@ def _pencil_negative_basis(space: IndefiniteSpace, b: np.ndarray) -> np.ndarray:
     return l_inv.conj().T @ vec[:, neg]
 
 
-def common_fixed_point(
-    rep: GroupRep, cert_tol: float = CERT_TOL, metric: np.ndarray | None = None
-) -> FixedPointReport:
-    """Common fixed point of all phi_{pi(g)} via an invariant-metric pencil.
-
-    ``metric`` is a positive matrix B invariant under the group, by default
-    :func:`group_average_metric`.  For a group given by generators, pass
-    ``word_average_metric(space, generators)[0]``; the map residuals certify
-    the result either way.
-    """
+def common_fixed_point(rep: GroupRep, cert_tol: float = CERT_TOL) -> FixedPointReport:
+    """Common fixed point of all phi_{pi(g)}: the pencil of :func:`group_average_metric`."""
     space = rep.space
     if space.n_minus == 0 or space.n_plus == 0:
         k = np.zeros((space.n_plus, space.n_minus), dtype=complex)
     else:
-        b = group_average_metric(rep) if metric is None else metric
-        k = graph_from_subspace(space, _pencil_negative_basis(space, b))
+        k = graph_from_subspace(space, _pencil_negative_basis(space, group_average_metric(rep)))
     residual = _stack_norm(fractional_linear(space, rep.matrices, k) - k)
     rep_norm = max(rep.norm, 1.0)
     bound = radius_from_norm(rep_norm)

@@ -77,20 +77,15 @@ class GroupFunction:
             )
         object.__setattr__(self, "values", v)
 
-    def __call__(self, g: int) -> complex:
-        return complex(self.values[g])
-
     @property
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
 
 
-def gram_matrix(phi: GroupFunction, elements=None) -> np.ndarray:
+def gram_matrix(phi: GroupFunction) -> np.ndarray:
     """Hermitian matrix with entry (i, j) = phi(g_i^{-1} g_j)."""
     group = phi.group
-    idx = np.arange(group.order) if elements is None else np.asarray(elements, int)
-    pairs = group.table[np.ix_(group.inverses[idx], idx)]
-    return phi.values[pairs]
+    return phi.values[group.table[group.inverses]]
 
 
 def _hermitian_gram(phi: GroupFunction) -> np.ndarray:

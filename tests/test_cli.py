@@ -344,6 +344,15 @@ class TestBallCommand:
         assert main(["ball", "matrix", "--center", ca]) == 2
         assert main(["ball", "apply", "--center", ca, "--point", zero]) == 2
 
+    @pytest.mark.parametrize("action", ["apply", "distance"])
+    def test_missing_point_exits_two(self, tmp_path, capsys, action):
+        ca = write(tmp_path / "a.json", matrix_to_json(np.array([[0.5]])))
+        out = tmp_path / "r.json"
+        assert main(["--no-timestamp", "ball", action, "--center", ca, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: ball {action} needs --point" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestFixpointCommands:
     def make_rep_files(self, tmp_path, seed=6, group_name="Z4", sig=(1, 2), norm=0.5):

@@ -25,7 +25,6 @@ from kreinkit import (
     rep_validate,
     subspace_signature,
     unitarize,
-    word_average_metric,
 )
 import kreinkit.ball as ball_module
 import kreinkit.fixpoint as fixpoint_module
@@ -452,23 +451,19 @@ class TestCommonFixedPoint:
         st.sampled_from(["Z4", "D4", "S3", "Q8"]),
         st.integers(1, 2),
         st.integers(1, 3),
-        st.booleans(),
         st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=30, deadline=None)
-    def test_block_unitary_conjugation_moves_fixed_point(
-        self, name, n_minus, n_plus, word_metric, seed
-    ):
+    def test_block_unitary_conjugation_moves_fixed_point(self, name, n_minus, n_plus, seed):
         # D = diag(U-, U+) acts on the ball as W -> U+ W U-^H, so conjugating
-        # the rep by D must carry its fixed point K to U+ K U-^H, in both modes
+        # the rep by D must carry its fixed point K to U+ K U-^H
         rng = np.random.default_rng(seed)
         sp = build_space(n_minus, n_plus)
         rep, _ = random_conjugated_rep(named_group(name), sp, rng)
         um, up = random_unitary(rng, n_minus), random_unitary(rng, n_plus)
         d = sp.assemble(um, np.zeros((n_minus, n_plus)), np.zeros((n_plus, n_minus)), up)
         moved = GroupRep(rep.group, sp, d @ rep.matrices @ d.conj().T)
-        metric = word_average_metric(sp, moved.matrices, length_cap=1)[0] if word_metric else None
-        report = common_fixed_point(moved, metric=metric)
+        report = common_fixed_point(moved)
         assert report.certified
         assert_allclose(report.k, up @ common_fixed_point(rep).k @ um.conj().T, atol=1e-9)
 
@@ -501,24 +496,6 @@ class TestCommonFixedPoint:
         )
         for mats, k in carried:
             assert max(operator_norm(fractional_linear(sp, m, k) - k) for m in mats) <= 1e-9
-
-
-class TestWordAverage:
-    def test_finite_group_closure_matches_exact(self):
-        rng = np.random.default_rng(13)
-        rep, _ = random_conjugated_rep(cyclic(4), build_space(1, 2), rng)
-        gen = rep.matrices[1]  # generator of Z4
-        b_words, defect = word_average_metric(rep.space, [gen], length_cap=8)
-        assert defect <= 1e-10
-        assert_allclose(b_words, group_average_metric(rep), atol=1e-10)
-
-    def test_word_mode_certifies_by_residual(self):
-        rng = np.random.default_rng(14)
-        rep, _ = random_conjugated_rep(cyclic(6), build_space(1, 2), rng)
-        b, _ = word_average_metric(rep.space, [rep.matrices[1]], length_cap=8)
-        report = common_fixed_point(rep, metric=b)
-        assert report.certified
-        assert report.max_map_residual <= 1e-8
 
 
 class TestInvariantDualPair:
@@ -602,7 +579,7 @@ class TestPencilAndDualPair:
         rng = np.random.default_rng(38)
         rep, _ = random_conjugated_rep(named_group("S3"), build_space(1, 2), rng)
         with pytest.raises(np.linalg.LinAlgError):
-            common_fixed_point(rep, metric=-group_average_metric(rep))
+            fixpoint_module._pencil_negative_basis(rep.space, -group_average_metric(rep))
 
     def test_decompose_reads_no_boundedness_constant(self, monkeypatch):
         # decompose takes K from the metric and the pencil alone: neither the

@@ -611,6 +611,27 @@ class TestVerify:
         assert verify_mnps(sp, 1e-10 * a, mnps(sp, a).w).invariant
 
 
+@pytest.mark.parametrize(
+    "solve",
+    [
+        spectral_split,
+        mnps,
+        lambda sp, a: approximation_ladder(sp, a, [(1, 2)]),
+        lambda sp, a: verify_mnps(sp, a, np.zeros((2, 1))),
+    ],
+    ids=["spectral_split", "mnps", "approximation_ladder", "verify_mnps"],
+)
+@pytest.mark.parametrize(
+    "a",
+    [np.diag([-1j, 1 + 1j, 2 + 1j, 3 + 1j]), np.ones((3, 2)), np.diag([-1j, 1j]), 1j],
+    ids=["4x4", "3x2", "2x2", "scalar"],
+)
+def test_operator_of_the_wrong_size_is_rejected(solve, a):
+    # each entry point names the size the (1,2) space expects
+    with pytest.raises(ValueError, match=r"must be 3x3, got "):
+        solve(build_space(1, 2), a)
+
+
 def test_certificate_batch_over_mixed_signatures():
     # every certified report must satisfy all three certificates
     rng = np.random.default_rng(14)
