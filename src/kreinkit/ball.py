@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import IndefiniteSpace, operator_norm, _mat, _plus_diagonal
+from .spaces import IndefiniteSpace, operator_norm, _checked, _plus_diagonal
 
 __all__ = [
     "BoundaryError",
@@ -45,16 +45,8 @@ class MapUndefinedError(ValueError):
     """Raised when the fractional-linear denominator is singular."""
 
 
-def _check_ball_shape(space: IndefiniteSpace, w, name: str) -> np.ndarray:
-    m = _mat(w)
-    expected = (space.n_plus, space.n_minus)
-    if m.shape != expected:
-        raise ValueError(f"{name} must be {expected}, got {m.shape}")
-    return m
-
-
 def _check_strict(space: IndefiniteSpace, w, name: str) -> np.ndarray:
-    m = _check_ball_shape(space, w, name)
+    m = _checked(w, (space.n_plus, space.n_minus), name)
     if operator_norm(m) >= 1.0 - BOUNDARY_MARGIN:
         raise BoundaryError(
             f"{name} has norm {operator_norm(m):.8g}; needs to stay inside the open ball"
@@ -87,7 +79,7 @@ def mobius_apply(space: IndefiniteSpace, center, x) -> np.ndarray:
     invertible and the image stays strictly inside.
     """
     a = _check_strict(space, center, "center")
-    xm = _check_ball_shape(space, x, "argument")
+    xm = _checked(x, (space.n_plus, space.n_minus), "argument")
     if operator_norm(xm) >= 1.0:
         raise BoundaryError(
             f"argument has norm {operator_norm(xm):.8g}; needs to stay inside the open ball"
@@ -117,7 +109,8 @@ def fractional_linear(space: IndefiniteSpace, u, w) -> np.ndarray:
     maps the closed ball into itself.  A stack of U, ``(m, n, n)``, maps W to
     ``(m, n_plus, n_minus)`` images and raises if any denominator is singular.
     """
-    wm = _check_ball_shape(space, w, "argument")
+    wm = _checked(w, (space.n_plus, space.n_minus), "argument")
+    u = _checked(u, np.shape(u)[:-2] + (space.n, space.n), "map")
     u11, u12, u21, u22 = space.blocks(u)
     if space.n_minus == 0:
         return np.zeros(u21.shape, dtype=complex)

@@ -19,9 +19,9 @@ import tempfile
 import numpy as np
 
 from .ball import _norm_bounds, hyperbolic_distance, mobius_apply, mobius_matrix
-from .fixpoint import _rep_defects, common_fixed_point, rep_validate, unitarize
+from .fixpoint import CERT_TOL, _rep_defects, common_fixed_point, rep_validate, unitarize
 from .groups import named_group
-from .mnps import NotDissipativeError, approximation_ladder, mnps
+from .mnps import DEFAULT_TOL_RES, NotDissipativeError, approximation_ladder, mnps
 from .qpd import _gram_spectrum, decompose
 from .serialization import (
     group_from_json,
@@ -87,18 +87,10 @@ def _load_operator(path: str, signature: str | None):
     """Matrix file, either bare or wrapped as {'space': ..., 'matrix': ...}."""
     obj = _load_json(path)
     if isinstance(obj, dict) and "matrix" in obj:
-        space = space_from_json(obj.get("space", {}))
-        matrix = matrix_from_json(obj["matrix"])
-    else:
-        if signature is None:
-            raise ValueError("bare matrix input needs --signature k,m")
-        space = _parse_signature(signature)
-        matrix = matrix_from_json(obj)
-    if matrix.shape != (space.n, space.n):
-        raise ValueError(
-            f"matrix is {matrix.shape} but the signature implies {space.n}x{space.n}"
-        )
-    return space, matrix
+        return space_from_json(obj.get("space", {})), matrix_from_json(obj["matrix"])
+    if signature is None:
+        raise ValueError("bare matrix input needs --signature k,m")
+    return _parse_signature(signature), matrix_from_json(obj)
 
 
 def _ball_space(matrix: np.ndarray) -> IndefiniteSpace:
@@ -113,7 +105,7 @@ def _threads() -> int:
 
 def cmd_mnps(args) -> int:
     space, matrix = _load_operator(args.input, args.signature)
-    report = mnps(space, matrix, tol_res=1e-9 * args.tol)
+    report = mnps(space, matrix, tol_res=DEFAULT_TOL_RES * args.tol)
     payload = report.as_dict()
     payload["norm_a"] = operator_norm(matrix)
     _write_json(payload, args.out, args.no_timestamp)
@@ -123,7 +115,7 @@ def cmd_mnps(args) -> int:
 def cmd_ladder(args) -> int:
     levels = [_parse_pair(lv, "ladder level") for lv in args.levels]
     space, matrix = _load_operator(args.input, args.signature)
-    report = approximation_ladder(space, matrix, levels, tol_res=1e-9 * args.tol)
+    report = approximation_ladder(space, matrix, levels, tol_res=DEFAULT_TOL_RES * args.tol)
     _write_json(report.as_dict(), args.out, args.no_timestamp)
     return EXIT_CERTIFIED if report.all_certified else EXIT_UNCERTIFIED
 
@@ -186,15 +178,15 @@ def _load_rep(args):
 
 def cmd_fixpoint(args) -> int:
     rep = _load_rep(args)
-    report = common_fixed_point(rep, cert_tol=1e-8 * args.tol)
+    report = common_fixed_point(rep, cert_tol=CERT_TOL * args.tol)
     _write_json(report.as_dict(), args.out, args.no_timestamp)
     return EXIT_CERTIFIED if report.certified else EXIT_UNCERTIFIED
 
 
 def cmd_unitarize(args) -> int:
     rep = _load_rep(args)
-    fp = common_fixed_point(rep, cert_tol=1e-8 * args.tol)
-    report = unitarize(rep, fp, cert_tol=1e-8 * args.tol)
+    fp = common_fixed_point(rep, cert_tol=CERT_TOL * args.tol)
+    report = unitarize(rep, fp, cert_tol=CERT_TOL * args.tol)
     payload = report.as_dict()
     payload["fixed_point"] = fp.as_dict()
     _write_json(payload, args.out, args.no_timestamp)

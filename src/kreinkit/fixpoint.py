@@ -27,6 +27,7 @@ from .serialization import report_to_json
 from .spaces import (
     IndefiniteSpace,
     Subspace,
+    _checked,
     _j_conjugate,
     _stack_frobenius_norm,
     _stack_norm,
@@ -79,12 +80,8 @@ class GroupRep:
     matrices: np.ndarray  # shape (order, n, n)
 
     def __post_init__(self):
-        mats = np.asarray(self.matrices, dtype=complex)
         n = self.space.n
-        if mats.shape != (self.group.order, n, n):
-            raise ValueError(
-                f"expected {self.group.order} matrices of size {n}x{n}, got {mats.shape}"
-            )
+        mats = _checked(self.matrices, (self.group.order, n, n), "matrices")
         object.__setattr__(self, "matrices", mats)
 
     @property
@@ -276,9 +273,7 @@ def unitarize(
         report = common_fixed_point(rep, cert_tol=cert_tol)
     space = rep.space
     r = report.k_norm
-    if r >= 1.0 - 1e-8:
-        raise ValueError("fixed point sits on the boundary; cannot form its Mobius matrix")
-    v_inv = mobius_matrix(space, report.k)
+    v_inv = mobius_matrix(space, report.k)  # BoundaryError when K is on the sphere
     v = _j_conjugate(space, v_inv)
     unitaries = v @ rep.matrices @ v_inv
     defect = _stack_frobenius_norm(unitaries.conj().swapaxes(-1, -2) @ unitaries - np.eye(space.n))

@@ -23,6 +23,9 @@ __all__ = [
 EXHAUSTIVE_ORDER = 64
 SAMPLED_TRIPLES = 10_000
 
+#: Largest group order built: a table of order m takes 8 m^2 bytes.
+MAX_ORDER = 4096
+
 
 class GroupStructureError(ValueError):
     """Raised when a Cayley table does not describe a group."""
@@ -129,7 +132,7 @@ def _closure(generators, mul, key, label):
                     add(prod)
                     if len(elems) > before:
                         nxt.append(len(elems) - 1)
-            if len(elems) > 4096:
+            if len(elems) > MAX_ORDER:
                 raise GroupStructureError("generator closure did not terminate")
         frontier = nxt
     m = len(elems)
@@ -140,11 +143,18 @@ def _closure(generators, mul, key, label):
     return FiniteGroup.from_table([label(x) for x in elems], table)
 
 
+def _capped(order: int) -> int:
+    """``order``, checked against :data:`MAX_ORDER` before any table is built."""
+    if order > MAX_ORDER:
+        raise ValueError(f"group order {order} exceeds MAX_ORDER = {MAX_ORDER}")
+    return order
+
+
 def cyclic(n: int) -> FiniteGroup:
     """Z_n with elements labelled 0..n-1."""
     if n < 1:
         raise ValueError("cyclic group order must be positive")
-    idx = np.arange(n)
+    idx = np.arange(_capped(n))
     table = (idx[:, None] + idx[None, :]) % n
     return FiniteGroup.from_table([str(i) for i in range(n)], table)
 
@@ -170,6 +180,7 @@ def dihedral(n: int) -> FiniteGroup:
     """D_n of order 2n, acting on the vertices of the n-gon."""
     if n < 3:
         raise ValueError("dihedral group needs n >= 3 (use Z2 x Z2 for order 4)")
+    _capped(2 * n)
     rotation = tuple((i + 1) % n for i in range(n))
     reflection = tuple((n - i) % n for i in range(n))
     return _perm_group([rotation, reflection])
@@ -205,6 +216,7 @@ def quaternion() -> FiniteGroup:
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """G x H with componentwise multiplication."""
     mg, mh = g.order, h.order
+    _capped(mg * mh)
     labels = [f"({g.elements[i]},{h.elements[j]})" for i in range(mg) for j in range(mh)]
     table = np.empty((mg * mh, mg * mh), dtype=int)
     for i1 in range(mg):

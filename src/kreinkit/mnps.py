@@ -71,8 +71,8 @@ from .spaces import (
     NotAGraphError,
     PREDICATE_TOL,
     Subspace,
+    _checked,
     _inertia,
-    _mat,
     _norm_lower_bound,
     _plus_diagonal,
     dissipativity_form,
@@ -80,7 +80,7 @@ from .spaces import (
     invariance_residual,
     operator_norm,
 )
-from .serialization import report_to_json
+from .serialization import _is_integer, report_to_json
 
 __all__ = [
     "NotDissipativeError",
@@ -223,14 +223,6 @@ def _half_plane_basis(
     return z[:, :sdim]
 
 
-def _operator(space: IndefiniteSpace, a) -> np.ndarray:
-    """``a`` as a complex array, checked to be an operator on the space."""
-    m = _mat(a)
-    if m.shape != (space.n, space.n):
-        raise ValueError(f"operator must be {space.n}x{space.n}, got {m.shape}")
-    return m
-
-
 def spectral_split(space: IndefiniteSpace, a) -> tuple[Subspace, Subspace]:
     """Invariant subspaces for the lower / upper open half-planes.
 
@@ -238,7 +230,7 @@ def spectral_split(space: IndefiniteSpace, a) -> tuple[Subspace, Subspace]:
     ``AXIS_RTOL * nu`` of the real axis, with ``nu <= ||A||`` the scale of
     :func:`mnps`, whose fallback uses the same strip.
     """
-    m = _operator(space, a)
+    m = _checked(a, (space.n, space.n), "operator")
     tol_axis = AXIS_RTOL * _norm_lower_bound(m)
     z_minus = _half_plane_basis(m, True, tol_axis)
     z_plus = _half_plane_basis(m, False, tol_axis)
@@ -445,7 +437,7 @@ def mnps(space: IndefiniteSpace, a, tol_res: float = DEFAULT_TOL_RES) -> MnpsRep
     also scales the dissipativity slack, the Cayley shift, the schedule and
     the Schur fallback's axis strip.
     """
-    m = _operator(space, a)
+    m = _checked(a, (space.n, space.n), "operator")
     zero = np.zeros((space.n_plus, space.n_minus), dtype=complex)
     if not np.any(m):  # A = 0: every MNPS is invariant
         return _report_for(space, m, zero, 0.0, 0, tol_res, 0.0)
@@ -504,7 +496,10 @@ def approximation_ladder(
     each level is solved by :func:`mnps` with ``tol_res``.  The last level
     must be the full problem.
     """
-    m = _operator(space, a)
+    m = _checked(a, (space.n, space.n), "operator")
+    levels = [(km, kp) for km, kp in levels]
+    if not all(_is_integer(k) for level in levels for k in level):
+        raise ValueError(f"ladder levels must be pairs of integers, got {levels}")
     levels = [(int(km), int(kp)) for km, kp in levels]
     if not levels:
         raise ValueError("at least one ladder level is required")
@@ -547,8 +542,9 @@ def verify_mnps(space: IndefiniteSpace, a, w, tol: float = 1e-8) -> VerifyReport
     the scale :func:`mnps` uses, and maximal non-positive when
     ``||W|| <= 1 + W_NORM_SLACK``, which ``tol`` does not change.
     """
-    m = _operator(space, a)
-    res, inertia, _, invariant, maximal = _certificate(space, m, _mat(w), tol, _norm_lower_bound(m))
+    m = _checked(a, (space.n, space.n), "operator")
+    w = _checked(w, (space.n_plus, space.n_minus), "graph operator")
+    res, inertia, _, invariant, maximal = _certificate(space, m, w, tol, _norm_lower_bound(m))
     return VerifyReport(
         maximal_nonpositive=maximal,
         invariant=invariant,

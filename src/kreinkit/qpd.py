@@ -35,7 +35,7 @@ import numpy as np
 from .fixpoint import GroupRep
 from .groups import FiniteGroup
 from .serialization import report_to_json
-from .spaces import IndefiniteSpace, Inertia, _inertia, _plus_diagonal
+from .spaces import IndefiniteSpace, Inertia, _checked, _inertia, _plus_diagonal
 
 __all__ = [
     "GroupFunction",
@@ -64,11 +64,7 @@ class GroupFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex).reshape(-1)
-        if v.shape[0] != self.group.order:
-            raise ValueError(
-                f"need {self.group.order} values, got {v.shape[0]}"
-            )
+        v = _checked(np.reshape(self.values, -1), (self.group.order,), "values")
         scale = float(np.max(np.abs(v)))
         defect = float(np.max(np.abs(v[self.group.inverses] - v.conj())))
         if defect > SYMMETRY_TOL * scale:

@@ -107,6 +107,22 @@ def _mat(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
 
 
+def _checked(a, shape: tuple, name: str) -> np.ndarray:
+    """``a`` as a complex array of ``shape`` (``None``: any size) with finite entries.
+
+    The package's one input gate: every public function that takes a matrix,
+    vector, basis or stack passes it here before any linear algebra runs.
+    """
+    m = _mat(a)
+    if m.ndim != len(shape) or any(s not in (None, k) for s, k in zip(shape, m.shape)):
+        want = "x".join("d" if s is None else str(s) for s in shape)
+        want = want if len(shape) > 1 else f"of length {want}"
+        raise ValueError(f"{name} must be {want}, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return m
+
+
 @functools.lru_cache(maxsize=64)
 def _j_signs(n_minus: int, n_plus: int) -> np.ndarray:
     signs = np.r_[-np.ones(n_minus), np.ones(n_plus)]
@@ -177,9 +193,7 @@ class Subspace:
     basis: np.ndarray
 
     def __post_init__(self):
-        z = np.asarray(self.basis, dtype=complex)
-        if z.ndim != 2 or z.shape[0] != self.space.n:
-            raise ValueError(f"basis must be {self.space.n} x d, got {z.shape}")
+        z = _checked(self.basis, (self.space.n, None), "basis")
         if z.shape[1] > 0:
             s = np.linalg.svd(z, compute_uv=False)
             if s[-1] <= RANK_RTOL * s[0]:
@@ -238,18 +252,14 @@ class OperatorClasses:
 
 def indefinite_product(space: IndefiniteSpace, x, y) -> complex:
     """The form [x, y] = (Jx, y), conjugate-linear in y."""
-    xv = np.asarray(x, dtype=complex).reshape(-1)
-    yv = np.asarray(y, dtype=complex).reshape(-1)
-    if xv.shape[0] != space.n or yv.shape[0] != space.n:
-        raise ValueError("vector length does not match the space dimension")
+    xv = _checked(np.reshape(x, -1), (space.n,), "x")
+    yv = _checked(np.reshape(y, -1), (space.n,), "y")
     return complex(np.vdot(yv, space.j_signs * xv))
 
 
 def j_adjoint(space: IndefiniteSpace, a) -> np.ndarray:
     """A^# = J A^H J, the unique B with [Ax, y] = [x, By]."""
-    m = _mat(a)
-    if m.shape != (space.n, space.n):
-        raise ValueError(f"operator must be {space.n}x{space.n}, got {m.shape}")
+    m = _checked(a, (space.n, space.n), "operator")
     signs = space.j_signs
     return signs[:, None] * m.conj().T * signs[None, :]
 
@@ -290,9 +300,7 @@ def classify_operator(space: IndefiniteSpace, a, tol: float | None = None) -> Op
     predicates are scale-invariant, and the same scale as the dissipativity
     test of :func:`kreinkit.mnps.mnps`, so the two agree.
     """
-    m = _mat(a)
-    if m.shape != (space.n, space.n):
-        raise ValueError(f"operator must be {space.n}x{space.n}, got {m.shape}")
+    m = _checked(a, (space.n, space.n), "operator")
     if tol is None:
         tol = PREDICATE_TOL * _norm_lower_bound(m)
 
@@ -318,11 +326,7 @@ def classify_operator(space: IndefiniteSpace, a, tol: float | None = None) -> Op
 
 def graph_of(space: IndefiniteSpace, w) -> Subspace:
     """The graph subspace L_W with basis [I; W] (block order H-, H+)."""
-    wm = _mat(w)
-    if wm.shape != (space.n_plus, space.n_minus):
-        raise ValueError(
-            f"graph operator must be {space.n_plus}x{space.n_minus}, got {wm.shape}"
-        )
+    wm = _checked(w, (space.n_plus, space.n_minus), "graph operator")
     z = np.vstack([np.eye(space.n_minus, dtype=complex), wm])
     return Subspace(space, z)
 
@@ -333,9 +337,7 @@ def graph_from_subspace(space: IndefiniteSpace, z) -> np.ndarray:
     Raises :class:`NotAGraphError` when the H- block of the basis is too
     ill-conditioned for the subspace to be a graph over H-.
     """
-    zb = z.basis if isinstance(z, Subspace) else np.asarray(z, dtype=complex)
-    if zb.ndim != 2 or zb.shape[0] != space.n:
-        raise ValueError(f"basis must be {space.n} x d, got {zb.shape}")
+    zb = _checked(getattr(z, "basis", z), (space.n, None), "basis")
     if zb.shape[1] != space.n_minus:
         raise ValueError(
             f"graph conversion needs a subspace of dimension {space.n_minus}"
@@ -352,9 +354,7 @@ def graph_from_subspace(space: IndefiniteSpace, z) -> np.ndarray:
 
 def subspace_signature(space: IndefiniteSpace, z, tol: float | None = None) -> Inertia:
     """Inertia of the Gram matrix Z^H J Z; eigenvalues within tol count as null."""
-    zb = z.basis if isinstance(z, Subspace) else np.asarray(z, dtype=complex)
-    if zb.shape[0] != space.n:
-        raise ValueError(f"basis must be {space.n} x d, got {zb.shape}")
+    zb = _checked(getattr(z, "basis", z), (space.n, None), "basis")
     gram = (zb.conj().T * space.j_signs) @ zb  # Z^H J Z with no n x n read
     gram = (gram + gram.conj().T) / 2.0
     if gram.shape[0] == 0:
@@ -364,10 +364,6 @@ def subspace_signature(space: IndefiniteSpace, z, tol: float | None = None) -> I
 
 def invariance_residual(space: IndefiniteSpace, a, w) -> float:
     """Norm of W A11 + W A12 W - A21 - A22 W; zero iff L_W is A-invariant."""
-    wm = _mat(w)
-    if wm.shape != (space.n_plus, space.n_minus):
-        raise ValueError(
-            f"graph operator must be {space.n_plus}x{space.n_minus}, got {wm.shape}"
-        )
-    a11, a12, a21, a22 = space.blocks(a)
+    wm = _checked(w, (space.n_plus, space.n_minus), "graph operator")
+    a11, a12, a21, a22 = space.blocks(_checked(a, (space.n, space.n), "operator"))
     return operator_norm(wm @ a11 + wm @ a12 @ wm - a21 - a22 @ wm)

@@ -263,3 +263,42 @@ def test_j_unitary_generator_passes_classifier():
     for _ in range(10):
         u = random_j_unitary(sp, rng)
         assert classify_operator(sp, u).j_unitary
+
+
+@pytest.mark.parametrize("bad", ["shape", "nan", "inf"])
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda sp, v: mobius_apply(sp, v, np.zeros((2, 1))), "center"),
+        (lambda sp, v: mobius_apply(sp, np.zeros((2, 1)), v), "argument"),
+        (mobius_matrix, "center"),
+        (mobius_norm, "center"),
+        (lambda sp, v: fractional_linear(sp, np.eye(3), v), "argument"),
+        (lambda sp, v: hyperbolic_distance(sp, v, np.zeros((2, 1))), "first point"),
+        (lambda sp, v: hyperbolic_distance(sp, np.zeros((2, 1)), v), "second point"),
+    ],
+    ids=["apply-center", "apply-argument", "mobius_matrix", "mobius_norm",
+         "fractional_linear", "distance-first", "distance-second"],
+)
+def test_ball_points_reject_bad_input_by_name(call, name, bad):
+    # every ball point is an n_plus x n_minus matrix with finite entries,
+    # checked by one gate that names the argument
+    sp = build_space(1, 2)
+    good = np.full((2, 1), 0.1 + 0.0j)
+    call(sp, good)
+    if bad == "shape":
+        v, message = good.T, "must be 2x1, got \\(1, 2\\)"
+    else:
+        v, message = good.copy(), "has non-finite entries"
+        v[1, 0] = np.nan if bad == "nan" else -np.inf
+    with pytest.raises(ValueError, match=f"^{name} {message}"):
+        call(sp, v)
+
+
+@pytest.mark.parametrize("u", [np.eye(2), np.ones((4, 3, 2)), np.diag([np.nan, 1, 1])],
+                         ids=["2x2", "stack-3x2", "nan"])
+def test_fractional_linear_rejects_a_bad_map(u):
+    # U is one n x n matrix or a stack of them; its size and entries are checked
+    sp = build_space(1, 2)
+    with pytest.raises(ValueError, match=r"^map (must be (4x)?3x3|has non-finite)"):
+        fractional_linear(sp, u, np.zeros((2, 1)))

@@ -238,9 +238,11 @@ class TestMnpsCommand:
         assert main(["mnps", "--input", inp, "--signature", "1,1"]) == 2
         assert "non-finite" in capsys.readouterr().err
 
-    def test_wrong_shape_exits_two(self, tmp_path):
+    def test_wrong_shape_exits_two(self, tmp_path, capsys):
         inp = write(tmp_path / "a.json", matrix_to_json(np.eye(3)))
         assert main(["mnps", "--input", inp, "--signature", "1,1"]) == 2
+        assert main(["mnps", "--input", inp, "--signature", "2,2"]) == 2
+        assert "error: operator must be 4x4, got (3, 3)" in capsys.readouterr().err
 
     def test_non_integer_signature_exits_two(self, tmp_path):
         sp = build_space(1, 2)
@@ -553,6 +555,11 @@ class TestGenCommand:
             "qpd", "decompose", "--group", str(tmp_path / "q.group.json"),
             "--values", str(tmp_path / "q.values.json"),
         ]) == 0
+
+    def test_gen_group_above_the_order_cap_exits_two(self, tmp_path, capsys):
+        # the cap fires before Z60000's 29 GB table is allocated
+        assert main(["gen", "conjugated-rep", "--group", "Z60000", "--out", str(tmp_path / "fx")]) == 2
+        assert "exceeds MAX_ORDER" in capsys.readouterr().err
 
     def test_gen_reproducible(self, tmp_path):
         a1, a2 = tmp_path / "a1.json", tmp_path / "a2.json"

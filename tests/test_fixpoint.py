@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -28,7 +30,7 @@ from kreinkit import (
 )
 import kreinkit.ball as ball_module
 import kreinkit.fixpoint as fixpoint_module
-from kreinkit.ball import DENOM_COND_LIMIT, MapUndefinedError
+from kreinkit.ball import DENOM_COND_LIMIT, BoundaryError, MapUndefinedError
 from kreinkit.fixtures import (
     corner_decay_fixture,
     cyclic_character_rep,
@@ -179,6 +181,20 @@ def loop_average_metric(rep, check=True):
         if defect > 1e-10 * max(1.0, loop_norm(rep) ** 2) * max(1.0, operator_norm(b)):
             raise ValueError("averaged metric is not group-invariant")
     return b
+
+
+@pytest.mark.parametrize("bad", ["shape", "nan", "inf"])
+def test_group_rep_rejects_bad_matrices_by_name(bad):
+    # the stack is one (order, n, n) array with finite entries
+    sp = build_space(1, 2)
+    mats = np.stack([np.eye(3), np.diag([1.0, -1.0, -1.0])]).astype(complex)
+    GroupRep(cyclic(2), sp, mats)
+    if bad == "shape":
+        mats, message = mats[:, :2, :2], r"must be 2x3x3, got \(2, 2, 2\)"
+    else:
+        mats[1, 0, 2], message = (np.nan if bad == "nan" else np.inf), "has non-finite entries"
+    with pytest.raises(ValueError, match=f"^matrices {message}"):
+        GroupRep(cyclic(2), sp, mats)
 
 
 class TestBoundednessConstant:
@@ -639,6 +655,17 @@ class TestUnitarize:
             assert report.cond <= 2 * rep.norm**2 + 1 + 1e-6
             for u in report.unitaries:
                 assert operator_norm(u.conj().T @ u - np.eye(sp.n)) <= 1e-8
+
+    def test_boundary_fixed_point_raises(self):
+        # a fixed point within BOUNDARY_MARGIN of the sphere has no Mobius
+        # matrix: mobius_matrix's own check rejects it
+        rng = np.random.default_rng(21)
+        rep = block_unitary_rep(cyclic(4), build_space(1, 2), rng)
+        report = common_fixed_point(rep)
+        k = np.array([[1.0 - 1e-9], [0.0]])
+        with pytest.raises(ValueError) as exc:
+            unitarize(rep, replace(report, k=k, k_norm=operator_norm(k)))
+        assert exc.type is BoundaryError
 
 
 class TestFixtures:

@@ -11,6 +11,7 @@ from kreinkit import (
     quaternion,
     symmetric,
 )
+from kreinkit.groups import MAX_ORDER
 
 
 @pytest.mark.parametrize(
@@ -87,3 +88,16 @@ def test_named_group_resolution():
     assert named_group("Q8").order == 8
     with pytest.raises(ValueError):
         named_group("E8")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: named_group("Z4097"), lambda: named_group("D2049"),
+     lambda: direct_product(cyclic(64), cyclic(65))],
+    ids=["Z4097", "D2049", "Z64xZ65"],
+)
+def test_order_cap_fires_before_the_table_is_built(build):
+    # a table of order m takes 8 m^2 bytes; named groups stop at MAX_ORDER
+    assert MAX_ORDER == 4096
+    with pytest.raises(ValueError, match="exceeds MAX_ORDER = 4096"):
+        build()

@@ -554,6 +554,12 @@ class TestLadder:
             approximation_ladder(sp, a, [(1, 2)])
         with pytest.raises(ValueError):
             approximation_ladder(sp, a, [(2, 4), (2, 3)])
+        # levels are integers: neither truncated nor read from booleans
+        sp = build_space(1, 2)
+        for levels in ([(0.9, 1.5), (1.2, 2.7)], [(True, 2)], [(1, 2.0)]):
+            with pytest.raises(ValueError, match="pairs of integers"):
+                approximation_ladder(sp, 1j * sp.j, levels)
+        assert approximation_ladder(sp, 1j * sp.j, [(np.int64(1), 2)]).all_certified
 
     def test_levels_match_their_truncated_solves(self):
         # each level is the plain mnps solve of its truncation, bit for bit,
@@ -622,13 +628,22 @@ class TestVerify:
     ids=["spectral_split", "mnps", "approximation_ladder", "verify_mnps"],
 )
 @pytest.mark.parametrize(
-    "a",
-    [np.diag([-1j, 1 + 1j, 2 + 1j, 3 + 1j]), np.ones((3, 2)), np.diag([-1j, 1j]), 1j],
-    ids=["4x4", "3x2", "2x2", "scalar"],
+    "a,message",
+    [
+        (np.diag([-1j, 1 + 1j, 2 + 1j, 3 + 1j]), "must be 3x3, got "),
+        (np.ones((3, 2)), "must be 3x3, got "),
+        (np.diag([-1j, 1j]), "must be 3x3, got "),
+        (1j, "must be 3x3, got "),
+        (np.diag([-1j, np.nan, 1j]), "has non-finite entries"),
+        (np.diag([-1j, np.inf, 1j]), "has non-finite entries"),
+        (np.diag([-1j, 1j, -np.inf]), "has non-finite entries"),
+    ],
+    ids=["4x4", "3x2", "2x2", "scalar", "nan", "inf", "-inf"],
 )
-def test_operator_of_the_wrong_size_is_rejected(solve, a):
-    # each entry point names the size the (1,2) space expects
-    with pytest.raises(ValueError, match=r"must be 3x3, got "):
+def test_operator_of_the_wrong_size_is_rejected(solve, a, message):
+    # each entry point names the operator and the size the (1,2) space
+    # expects, and rejects a non-finite operator before any linear algebra
+    with pytest.raises(ValueError, match=f"^operator {message}"):
         solve(build_space(1, 2), a)
 
 

@@ -432,3 +432,17 @@ class TestCholeskyFirstCount:
         assert qpd_module._pd_negative_squares(phi) == negative_squares(phi) == 6
         zero = GroupFunction(group, np.zeros(6))
         assert qpd_module._pd_negative_squares(zero) == negative_squares(zero) == 0
+
+
+@pytest.mark.parametrize("bad", ["shape", "nan", "inf"])
+def test_group_function_rejects_bad_values_by_name(bad):
+    # one value per element, all finite: a NaN would pass the symmetry test
+    # (NaN > tol is False) and reach the negative-square count
+    good = [1.0, 0.5, 0.5]
+    assert negative_squares(GroupFunction(cyclic(3), good)) == 0
+    if bad == "shape":
+        values, message = good[:2], r"must be of length 3, got \(2,\)"
+    else:
+        values, message = [np.nan if bad == "nan" else np.inf, 0.5, 0.5], "has non-finite entries"
+    with pytest.raises(ValueError, match=f"^values {message}"):
+        negative_squares(GroupFunction(cyclic(3), values))

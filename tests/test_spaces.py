@@ -322,3 +322,35 @@ def test_subspace_rejects_rank_deficient_basis():
     sp = build_space(1, 2)
     with pytest.raises(ValueError):
         Subspace(sp, np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]]))
+
+
+@pytest.mark.parametrize("bad", ["shape", "nan", "inf"])
+@pytest.mark.parametrize(
+    "call,name,good",
+    [
+        (Subspace, "basis", np.eye(3)[:, :1]),
+        (lambda sp, v: indefinite_product(sp, v, np.ones(3)), "x", np.ones(3)),
+        (lambda sp, v: indefinite_product(sp, np.ones(3), v), "y", np.ones(3)),
+        (j_adjoint, "operator", np.eye(3)),
+        (classify_operator, "operator", np.eye(3)),
+        (graph_of, "graph operator", np.zeros((2, 1))),
+        (graph_from_subspace, "basis", np.eye(3)[:, :1]),
+        (subspace_signature, "basis", np.eye(3)[:, :1]),
+        (lambda sp, v: invariance_residual(sp, v, np.zeros((2, 1))), "operator", np.eye(3)),
+        (lambda sp, v: invariance_residual(sp, np.eye(3), v), "graph operator", np.zeros((2, 1))),
+    ],
+    ids=["Subspace", "product-x", "product-y", "j_adjoint", "classify_operator", "graph_of",
+         "graph_from_subspace", "subspace_signature", "residual-a", "residual-w"],
+)
+def test_entry_points_reject_bad_input_by_name(call, name, good, bad):
+    # the one input gate: a wrong shape or a non-finite entry is named
+    # after the argument it arrived in, before any linear algebra runs
+    sp = build_space(1, 2)
+    call(sp, good)
+    if bad == "shape":
+        v, message = good[1:], "must be "
+    else:
+        v, message = good.astype(complex), "has non-finite entries"
+        v.flat[0] = np.nan if bad == "nan" else np.inf
+    with pytest.raises(ValueError, match=f"^{name} {message}"):
+        call(sp, v)
