@@ -22,7 +22,7 @@ from .ball import _norm_bounds, hyperbolic_distance, mobius_apply, mobius_matrix
 from .fixpoint import CERT_TOL, _rep_defects, common_fixed_point, rep_validate, unitarize
 from .groups import named_group
 from .mnps import DEFAULT_TOL_RES, NotDissipativeError, approximation_ladder, mnps
-from .qpd import _gram_spectrum, decompose
+from .qpd import RECONSTRUCTION_RTOL, _gram_spectrum, decompose
 from .serialization import (
     group_from_json,
     group_function_from_json,
@@ -210,7 +210,8 @@ def cmd_qpd(args) -> int:
         "certificate": cert.as_dict(),
     }
     _write_json(payload, args.out, args.no_timestamp)
-    return EXIT_CERTIFIED if cert.ok(scale=phi.max_abs, tol=1e-8 * args.tol) else EXIT_UNCERTIFIED
+    certified = cert.ok(scale=phi.max_abs, tol=RECONSTRUCTION_RTOL * args.tol)
+    return EXIT_CERTIFIED if certified else EXIT_UNCERTIFIED
 
 
 def _out_path(base: str, suffix: str) -> str:

@@ -163,9 +163,9 @@ def _invariant_clusters(group: FiniteGroup, rng: np.random.Generator) -> list[np
     equal the dimensions of the irreducible representations.
     """
     m = group.order
-    perms = [group.left_translation(g) for g in range(m)]
     h = random_hermitian(rng, m)
-    c = sum(p @ h @ p.T for p in perms) / m
+    # P_g h P_g^T = h[ix_(q, q)] with q = table[g^-1]; summed in the same order
+    c = sum(h[np.ix_(q, q)] for q in group.table[group.inverses]) / m
     eigs, vecs = np.linalg.eigh((c + c.conj().T) / 2.0)
     gap = 1e-6 * max(1.0, float(np.max(np.abs(eigs))))
     clusters = []
@@ -175,6 +175,11 @@ def _invariant_clusters(group: FiniteGroup, rng: np.random.Generator) -> list[np
             clusters.append(vecs[:, start:i])
             start = i
     return clusters
+
+
+def _compression(group: FiniteGroup, g: int, v: np.ndarray) -> np.ndarray:
+    """``v^H P_g v`` bit for bit: ``v^H P_g`` is ``v[table[g]]^H``, laid out as before."""
+    return np.ascontiguousarray(v[group.table[g]].conj().T) @ v
 
 
 def random_unitary_rep(
@@ -195,11 +200,10 @@ def random_unitary_rep(
         choice = options[rng.integers(0, len(options))]
         pieces.append(choice)
         total += choice.shape[1]
-    perms = [group.left_translation(g) for g in range(group.order)]
     q = random_unitary(rng, dim)
     mats = np.empty((group.order, dim, dim), dtype=complex)
     for g in range(group.order):
-        blocks = [v.conj().T @ perms[g] @ v for v in pieces]
+        blocks = [_compression(group, g, v) for v in pieces]
         full = np.zeros((dim, dim), dtype=complex)
         at = 0
         for b in blocks:
@@ -277,9 +281,9 @@ def random_qpd_function(
     Returns (phi, phi_pd, scaled finite-type part).
     """
     m = group.order
-    perms = [group.left_translation(g) for g in range(m)]
     x = random_complex(rng, m)
-    pd_vals = np.array([np.vdot(x, p @ x) for p in perms])
+    # P_g x = x[table[g^-1]]
+    pd_vals = np.array([np.vdot(x, x[q]) for q in group.table[group.inverses]])
     delta = np.zeros(m)
     delta[group.identity] = rng.uniform(0.5, 1.5) * float(np.abs(pd_vals).max())
     pd_vals = pd_vals + delta
@@ -299,7 +303,7 @@ def random_qpd_function(
         total = picked[0].shape[1]
     v = np.hstack(picked)
     y = random_complex(rng, total)
-    ft_vals = np.array([np.vdot(y, v.conj().T @ p @ v @ y) for p in perms])
+    ft_vals = np.array([np.vdot(y, _compression(group, g, v) @ y) for g in range(m)])
     scale = 2.0 * float(np.abs(pd_vals).max()) / max(float(np.abs(ft_vals).max()), 1e-12)
     ft_vals = scale * rng.uniform(1.0, 2.0) * ft_vals
 

@@ -73,11 +73,11 @@ from .spaces import (
     Subspace,
     _checked,
     _inertia,
+    _invariance_residual,
     _norm_lower_bound,
     _plus_diagonal,
     dissipativity_form,
     graph_from_subspace,
-    invariance_residual,
     operator_norm,
 )
 from .serialization import _is_integer, report_to_json
@@ -252,7 +252,7 @@ def _certificate(space: IndefiniteSpace, m: np.ndarray, w: np.ndarray, tol: floa
     and ``-1`` on the rest of H-.  The solver's ``tol_res`` defaults to 1e-9 and
     the verifier's ``tol`` to 1e-8, so every W the solver certifies verifies.
     """
-    res = invariance_residual(space, m, w)
+    res = _invariance_residual(space, m, w)
     s = np.linalg.svd(w, compute_uv=False)
     w_norm = float(s[0]) if s.size else 0.0
     gram_eigs = np.concatenate([s**2 - 1.0, -np.ones(space.n_minus - s.size)])

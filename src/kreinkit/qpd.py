@@ -24,6 +24,20 @@ common fixed point ``K = 0``.  :func:`decompose` therefore reads both pieces
 off the one eigendecomposition of ``Phi`` without building any ``U(g)``.
 :func:`kreinkit.fixpoint.common_fixed_point` is the route for
 representations given in any other coordinates.
+
+Every spectrum comes from :func:`_block_spectrum`.  ``Phi = sum_x phi(x)
+R_x``, with right translations ``(R_x)[g, h] = [h = g x]``, commutes with
+every ``L_y[a, b] = y(a b^{-1})``, so each eigenspace of a real symmetric L_y
+(fixed-seed random real y with ``y(g^{-1}) = y(g)``) is invariant under every
+Gram matrix; generically it is one copy of an irreducible representation or
+of a conjugate pair (Dixon 1970; Serre 1977).  One real ``eigh(L_y)`` per
+group gives an orthogonal U, kept on the group (``8 m^2`` bytes, the size of
+the table).  Eigenvalues closer than ``_MERGE_GAP max|eig|`` share a block (a
+sum of invariant subspaces is invariant; closer clusters leave U visibly off
+them).  Each call diagonalizes the blocks ``U_b^T Phi U_b``, stacked by size,
+if ``||Phi U - U (+)T||_F <= _BLOCK_RESIDUAL_RTOL ||Phi||_F``; otherwise, and
+below ``_BLOCK_MIN_ORDER`` (the dense call wins at m = 24, ties at 48), the
+dense ``eigh``/``eigvalsh`` of ``Phi`` runs.
 """
 
 from __future__ import annotations
@@ -55,6 +69,18 @@ GRAM_KERNEL_RTOL = 1e-10
 #: Hermitian-symmetry tolerance for group functions.
 SYMMETRY_TOL = 1e-12
 
+#: Default reconstruction tolerance of :meth:`DecompositionCertificate.ok`, relative to max|phi|.
+RECONSTRUCTION_RTOL = 1e-8
+
+#: Smallest group order whose Gram spectra go through invariant blocks.
+_BLOCK_MIN_ORDER = 60
+
+#: Eigenvalues of L_y closer than this times max|eig| share one block.
+_MERGE_GAP = 1e-2
+
+#: Largest accepted block residual ||Phi U - U (+)T||_F, relative to ||Phi||_F.
+_BLOCK_RESIDUAL_RTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class GroupFunction:
@@ -85,19 +111,63 @@ def gram_matrix(phi: GroupFunction) -> np.ndarray:
 
 
 def _hermitian_gram(phi: GroupFunction) -> np.ndarray:
-    gram = gram_matrix(phi)
-    return (gram + gram.conj().T) / 2.0
+    """``(G + G^H) / 2`` bit for bit, indexed from the Hermitian part of the values."""
+    v, inv = phi.values, phi.group.inverses
+    return ((v + v[inv].conj()) / 2.0)[phi.group.table[inv]]
+
+
+def _block_spectrum(phi: GroupFunction, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Ascending eigenvalues of the Hermitian Gram matrix, and its eigenvectors if asked.
+
+    ``U^T Phi U`` is within ``R = ||Phi U - U (+)T||_F`` of ``(+)T`` (U orthogonal to
+    roundoff), so by Weyl each block eigenvalue is within R of Phi's; the accepted
+    ``R <= 1e-12 sqrt(MAX_ORDER) ||Phi||_2`` is below ``GRAM_KERNEL_RTOL ||Phi||_2``.
+    """
+    gram, m = _hermitian_gram(phi), phi.group.order
+    if m >= _BLOCK_MIN_ORDER:
+        basis, layout = _invariant_basis(phi.group)
+        pu = gram @ basis
+        eigs, vecs, res2 = [], [], 0.0
+        for start, stop, d in layout:  # c blocks of size d, stacked as (c, m, d)
+            ub, pub = (a[:, start:stop].reshape(m, -1, d).transpose(1, 0, 2) for a in (basis, pu))
+            t = ub.transpose(0, 2, 1) @ pub
+            res2 += float(np.linalg.norm(pub - ub @ t)) ** 2
+            w, x = np.linalg.eigh(t) if vectors else (np.linalg.eigvalsh(t), None)
+            eigs.append(w.reshape(-1))
+            vecs.append(x if x is None else (ub @ x).transpose(1, 0, 2).reshape(m, -1))
+        if res2 <= (_BLOCK_RESIDUAL_RTOL * float(np.linalg.norm(gram))) ** 2:
+            eigs = np.concatenate(eigs)
+            order = np.argsort(eigs, kind="stable")
+            return eigs[order], np.hstack(vecs)[:, order] if vectors else None
+    return np.linalg.eigh(gram) if vectors else (np.linalg.eigvalsh(gram), None)
+
+
+def _invariant_basis(group: FiniteGroup) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    """U from ``eigh(L_y)``, cached on the group, and its ``(start, stop, d)``: blocks of size d."""
+    cached = group.__dict__.get("_invariant_basis")
+    if cached is None:
+        m, inv = group.order, group.inverses
+        z = np.random.default_rng(0).standard_normal(m)
+        eigs, vecs = np.linalg.eigh(((z + z[inv]) / 2.0)[group.table[:, inv]])  # L_y, real symmetric
+        cuts = np.flatnonzero(np.diff(eigs) > _MERGE_GAP * float(np.max(np.abs(eigs)))) + 1
+        sizes = np.diff(np.r_[0, cuts, m])
+        cols = np.argsort(np.repeat(sizes, sizes), kind="stable")  # clusters stay whole, in order
+        d, count = np.unique(sizes, return_counts=True)
+        bounds = np.r_[0, np.cumsum(d * count)].tolist()
+        cached = (vecs[:, cols], list(zip(bounds[:-1], bounds[1:], d.tolist())))
+        object.__setattr__(group, "_invariant_basis", cached)
+    return cached
 
 
 def _gram_spectrum(phi: GroupFunction) -> tuple[np.ndarray, Inertia]:
     """Eigenvalues of the Gram matrix, with no eigenvectors, and their sign count."""
-    eigs = np.linalg.eigvalsh(_hermitian_gram(phi))
+    eigs = _block_spectrum(phi, vectors=False)[0]
     return eigs, _inertia(eigs, GRAM_KERNEL_RTOL)
 
 
 def _gram_eigs(phi: GroupFunction) -> tuple[np.ndarray, np.ndarray, Inertia]:
     """Ascending eigenpairs of the Gram matrix (negatives first) and their sign count."""
-    eigs, vecs = np.linalg.eigh(_hermitian_gram(phi))
+    eigs, vecs = _block_spectrum(phi, vectors=True)
     return eigs, vecs, _inertia(eigs, GRAM_KERNEL_RTOL)
 
 
@@ -188,7 +258,7 @@ class DecompositionCertificate:
     def k_bounded_by_rank(self) -> bool:
         return self.phi2_rank is not None and self.negative_squares <= self.phi2_rank
 
-    def ok(self, scale: float, tol: float = 1e-8) -> bool:
+    def ok(self, scale: float, tol: float = RECONSTRUCTION_RTOL) -> bool:
         return (
             self.reconstruction_error <= tol * scale
             and self.parts_positive_definite
@@ -270,10 +340,9 @@ def _pd_negative_squares(phi: GroupFunction) -> int:
     The null threshold is ``GRAM_KERNEL_RTOL max|eig|`` with ``max|eig| >= |phi(e)|``,
     the mean eigenvalue, so its other half covers the factor's roundoff.
     """
-    gram = _hermitian_gram(phi)
     shift = GRAM_KERNEL_RTOL / 2.0 * float(phi.values[phi.group.identity].real)
     try:
-        np.linalg.cholesky(_plus_diagonal(gram, shift))
+        np.linalg.cholesky(_plus_diagonal(_hermitian_gram(phi), shift))
         return 0
     except np.linalg.LinAlgError:
-        return _inertia(np.linalg.eigvalsh(gram), GRAM_KERNEL_RTOL).n_neg
+        return negative_squares(phi)

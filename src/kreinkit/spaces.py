@@ -365,5 +365,10 @@ def subspace_signature(space: IndefiniteSpace, z, tol: float | None = None) -> I
 def invariance_residual(space: IndefiniteSpace, a, w) -> float:
     """Norm of W A11 + W A12 W - A21 - A22 W; zero iff L_W is A-invariant."""
     wm = _checked(w, (space.n_plus, space.n_minus), "graph operator")
-    a11, a12, a21, a22 = space.blocks(_checked(a, (space.n, space.n), "operator"))
-    return operator_norm(wm @ a11 + wm @ a12 @ wm - a21 - a22 @ wm)
+    return _invariance_residual(space, _checked(a, (space.n, space.n), "operator"), wm)
+
+
+def _invariance_residual(space: IndefiniteSpace, a: np.ndarray, w: np.ndarray) -> float:
+    """Unchecked :func:`invariance_residual`; ``W (A12 W)`` keeps temporaries n_plus x n_minus."""
+    a11, a12, a21, a22 = space.blocks(a)
+    return operator_norm(w @ a11 + w @ (a12 @ w) - a21 - a22 @ w)

@@ -352,6 +352,37 @@ class TestMnpsStrong:
         assert rep.certified
         assert peak < 2.5 * a.nbytes
 
+    def test_solve_gates_the_operator_once(self, monkeypatch):
+        # the certificate's residual takes the already-checked operator
+        spaces_module = importlib.import_module("kreinkit.spaces")
+        checked, names = spaces_module._checked, []
+
+        def spy(a, shape, name):
+            names.append(name)
+            return checked(a, shape, name)
+
+        monkeypatch.setattr(spaces_module, "_checked", spy)
+        monkeypatch.setattr(MNPS_MODULE, "_checked", spy)
+        sp = build_space(5, 95)
+        rep = mnps(sp, random_strongly_j_dissipative(sp, np.random.default_rng(21)))
+        assert rep.certified
+        assert names == ["operator"]
+
+    def test_certificate_holds_no_n_plus_square_array(self):
+        # W (A12 W) keeps every temporary n_plus x n_minus; (W A12) W was n_plus x n_plus
+        sp = build_space(5, 400)
+        a = random_strongly_j_dissipative(sp, np.random.default_rng(22))
+        w = mnps(sp, a).w
+        tracemalloc.start()
+        try:
+            res, _, _, invariant, _ = MNPS_MODULE._certificate(sp, a, w, 1e-9, _norm_lower_bound(a))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert invariant
+        assert res == invariance_residual(sp, a, w)
+        assert peak < a.nbytes / 16
+
 
 class TestBlockLu:
     block = MNPS_MODULE._LU_BLOCK

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,6 +11,8 @@ from kreinkit import (
     common_fixed_point,
     cyclic,
     decompose,
+    dihedral,
+    direct_product,
     finite_type_rank,
     gns_construct,
     gram_matrix,
@@ -19,6 +23,9 @@ from kreinkit import (
     verify_decomposition,
 )
 from kreinkit.fixtures import random_complex, random_qpd_function
+
+
+DENSE_EIGH = np.linalg.eigh
 
 
 def delta_at_identity(group, scale=1.0):
@@ -400,15 +407,15 @@ def test_decompose_certificate_equals_verify_decomposition(name):
 
 
 class TestCholeskyFirstCount:
-    """phi1's count: a shifted Cholesky that passes reads 0, else eigvalsh counts."""
+    """phi1's count: a shifted Cholesky that passes reads 0, else the Gram spectrum counts."""
 
     @pytest.mark.parametrize("name", ["S3", "D4", "Q8", "S4", "Z12", "S5"])
     def test_agrees_with_the_eigvalsh_count(self, name, monkeypatch):
         group = named_group(name)
         rng = np.random.default_rng(43)
         calls = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: calls.append(1) or eigvalsh(h))
+        spectrum = qpd_module._gram_spectrum
+        monkeypatch.setattr(qpd_module, "_gram_spectrum", lambda phi: calls.append(1) or spectrum(phi))
         for k in (1, 2, 3):
             phi, pd, ft = random_qpd_function(group, rng, k=k)
             for eps in (1.0, 1e-7, 1e-9):
@@ -420,7 +427,7 @@ class TestCholeskyFirstCount:
                     # a zero phi1 (no positive part left at eps = 1e-9) has no factor
                     assert len(calls) == (part.max_abs == 0.0)
                     assert negative_squares(part) == 0
-            # an indefinite input fails the Cholesky and falls back to eigvalsh
+            # an indefinite input fails the Cholesky and falls back to the spectrum
             calls.clear()
             assert qpd_module._pd_negative_squares(phi) == negative_squares(phi) > 0
             assert len(calls) == 2
@@ -432,6 +439,123 @@ class TestCholeskyFirstCount:
         assert qpd_module._pd_negative_squares(phi) == negative_squares(phi) == 6
         zero = GroupFunction(group, np.zeros(6))
         assert qpd_module._pd_negative_squares(zero) == negative_squares(zero) == 0
+
+
+BLOCK_GROUPS = {
+    "S5": lambda: named_group("S5"),
+    "S4xZ2": lambda: direct_product(symmetric(4), cyclic(2)),
+    "Q8xS3": lambda: direct_product(named_group("Q8"), symmetric(3)),
+    "D4xD4": lambda: direct_product(dihedral(4), dihedral(4)),
+    "D30": lambda: dihedral(30),
+    "Z64": lambda: cyclic(64),
+    "S5xZ2": lambda: direct_product(symmetric(5), cyclic(2)),
+}
+
+
+def dense_reference(phi):
+    """Eigenvalues and parts phi1, phi2 of the spectral split, from one dense eigh."""
+    group = phi.group
+    gram = gram_matrix(phi)
+    eigs, vecs = DENSE_EIGH((gram + gram.conj().T) / 2.0)
+    thr = qpd_module.GRAM_KERNEL_RTOL * np.max(np.abs(eigs))
+    row = vecs[group.identity]
+    parts = []
+    for keep in (eigs > thr, eigs < -thr):
+        f = vecs[:, keep] @ (np.sqrt(np.abs(eigs[keep])) * row[keep].conj())
+        parts.append(f[group.table].conj() @ f)
+    return eigs, parts[0], parts[1]
+
+
+@pytest.fixture
+def square_eigensolves(monkeypatch):
+    """Every order takes the block path; records the shape of each m x m eigensolve in qpd."""
+    monkeypatch.setattr(qpd_module, "_BLOCK_MIN_ORDER", 1)
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+
+        def recording(a, *args, _solver=solver, **kwargs):
+            if np.ndim(a) == 2 and sys._getframe(1).f_globals["__name__"] == qpd_module.__name__:
+                calls.append(a.shape)
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    return calls
+
+
+class TestBlockSpectrum:
+    """Gram spectra through the group's invariant basis agree with a dense eigh."""
+
+    @pytest.mark.parametrize("name", list(BLOCK_GROUPS))
+    def test_matches_the_dense_eigh(self, name, square_eigensolves):
+        group = BLOCK_GROUPS[name]()
+        rng = np.random.default_rng(53)
+        for k in (1, 3):
+            _, pd, ft = random_qpd_function(group, rng, k=k)
+            for eps in (1.0, 1e-7, 1e-9):
+                for c in (1.0, 1e-7, 1e-9):
+                    phi = GroupFunction(group, eps * pd.values - c * ft.values)
+                    ref_eigs, ref1, ref2 = dense_reference(phi)
+                    tol = 1e-13 * np.max(np.abs(ref_eigs))
+                    eigs, _ = qpd_module._gram_spectrum(phi)
+                    assert np.max(np.abs(eigs - ref_eigs)) <= tol
+                    assert np.max(np.abs(qpd_module._gram_eigs(phi)[0] - ref_eigs)) <= tol
+                    phi1, phi2, cert = decompose(phi)
+                    assert np.max(np.abs(phi1.values - ref1)) <= 1e-12 * phi.max_abs
+                    assert np.max(np.abs(phi2.values - ref2)) <= 1e-12 * phi.max_abs
+                    assert cert == verify_decomposition(phi, phi1, phi2)
+                    neg, _ = eigh_counts(phi)
+                    assert negative_squares(phi) == cert.negative_squares == neg
+                    (neg1, _), (neg2, rank2) = eigh_counts(phi1), eigh_counts(phi2)
+                    assert (cert.phi1_negative_squares, cert.phi2_negative_squares) == (neg1, neg2)
+                    assert cert.phi2_rank == (rank2 if neg2 == 0 else None)
+        # the one m x m eigensolve is the basis
+        assert square_eigensolves == [(group.order, group.order)]
+
+    def test_corrupted_basis_falls_back_to_the_dense_solver(self, square_eigensolves):
+        group = named_group("S5")
+        phi, _, _ = random_qpd_function(group, np.random.default_rng(54), k=3)
+        basis, layout = qpd_module._invariant_basis(group)
+        # rotate one column of the first block into the last block: still orthogonal, no longer invariant
+        i, j = layout[0][0], layout[-1][1] - 1
+        bad = basis.copy()
+        bad[:, i], bad[:, j] = (basis[:, i] + basis[:, j]) / np.sqrt(2), (basis[:, i] - basis[:, j]) / np.sqrt(2)
+        object.__setattr__(group, "_invariant_basis", (bad, layout))
+        square_eigensolves.clear()
+        gram = gram_matrix(phi)
+        eigs, _ = qpd_module._gram_spectrum(phi)
+        assert square_eigensolves == [(120, 120)]
+        assert np.array_equal(eigs, np.linalg.eigvalsh((gram + gram.conj().T) / 2.0))
+        assert negative_squares(phi) == eigh_counts(phi)[0] > 0
+        phi1, phi2, cert = decompose(phi)
+        assert cert.ok(scale=phi.max_abs)
+        assert cert == verify_decomposition(phi, phi1, phi2)
+
+    def test_basis_eigh_runs_once_per_group_object(self, square_eigensolves):
+        for _ in range(2):
+            group = named_group("S5")
+            rng = np.random.default_rng(55)
+            for k in (1, 2, 3):
+                phi, _, _ = random_qpd_function(group, rng, k=k)
+                phi1, phi2, _ = decompose(phi)
+                verify_decomposition(phi, phi1, phi2)
+                gns_construct(phi)
+                finite_type_rank(phi2)
+        assert square_eigensolves == [(120, 120)] * 2
+
+    def test_dense_below_the_crossover(self, monkeypatch):
+        # small groups keep the dense solver's exact results: -2 I gives exact zeros
+        monkeypatch.setattr(qpd_module, "_invariant_basis", _forbidden_basis)
+        group = named_group("S4")
+        assert group.order < qpd_module._BLOCK_MIN_ORDER
+        phi = GroupFunction(group, -delta_at_identity(group, 2.0).values)
+        phi1, phi2, cert = decompose(phi)
+        assert abs(phi1.values).max() == 0.0
+        assert cert.negative_squares == 24
+
+
+def _forbidden_basis(group):
+    raise AssertionError("a group below the crossover built the invariant basis")
 
 
 @pytest.mark.parametrize("bad", ["shape", "nan", "inf"])
