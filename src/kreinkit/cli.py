@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import gc
 import json
 import os
 import sys
@@ -44,7 +45,10 @@ EXIT_INPUT_ERROR = 2
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError as exc:  # a RuntimeError, which would read as "uncertified"
+            raise ValueError(f"{path}: JSON nested too deeply to decode") from exc
 
 
 def _write_json(obj: dict, path: str | None, no_timestamp: bool) -> None:
@@ -77,6 +81,17 @@ def _parse_pair(text: str, what: str) -> tuple[int, int]:
     except ValueError as exc:
         raise ValueError(f"{what} {text!r} must look like 'k,m'") from exc
     return k, m
+
+
+def _positive_tol(text: str) -> float:
+    """``--tol``: a finite multiplier above 0; inf would pass every residual test, nan or 0 none."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not (np.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text!r}")
+    return value
 
 
 def _parse_signature(text: str) -> IndefiniteSpace:
@@ -259,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="kreinkit",
         description="Indefinite-metric linear algebra with machine-checkable certificates.",
     )
-    parser.add_argument("--tol", type=float, default=1.0,
+    parser.add_argument("--tol", type=_positive_tol, default=1.0,
                         help="multiplier applied to all default tolerances")
     parser.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp field for byte-identical reruns")
@@ -321,6 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # JSON input and output build hundreds of thousands of small lists, which the
+    # cyclic collector would traverse again and again; reference counting frees them
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         try:
             return args.func(args)
@@ -337,6 +356,9 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNCERTIFIED
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ off the one eigendecomposition of ``Phi`` without building any ``U(g)``.
 :func:`kreinkit.fixpoint.common_fixed_point` is the route for
 representations given in any other coordinates.
 
-Every spectrum comes from :func:`_block_spectrum`.  ``Phi = sum_x phi(x)
+Every spectrum comes from :func:`_gram_blocks`.  ``Phi = sum_x phi(x)
 R_x``, with right translations ``(R_x)[g, h] = [h = g x]``, commutes with
 every ``L_y[a, b] = y(a b^{-1})``, so each eigenspace of a real symmetric L_y
 (fixed-seed random real y with ``y(g^{-1}) = y(g)``) is invariant under every
@@ -37,7 +37,14 @@ sum of invariant subspaces is invariant; closer clusters leave U visibly off
 them).  Each call diagonalizes the blocks ``U_b^T Phi U_b``, stacked by size,
 if ``||Phi U - U (+)T||_F <= _BLOCK_RESIDUAL_RTOL ||Phi||_F``; otherwise, and
 below ``_BLOCK_MIN_ORDER`` (the dense call wins at m = 24, ties at 48), the
-dense ``eigh``/``eigvalsh`` of ``Phi`` runs.
+dense ``eigh``/``eigvalsh`` of ``Phi`` runs.  Every product with U runs in
+real arithmetic: ``Phi`` is Hermitian bit for bit, so ``Phi U = (U^T Phi)^H``
+is one real product on the float view of ``Phi``, and the stacked
+``U_b^T (Phi U_b)``, ``U_b T`` and ``U_b X`` are real products on the float
+views of their complex factors, half the flops of complex products and no
+complex copy of U.  On the block path :func:`decompose` never forms Phi's
+eigenvectors ``U_b X``: it needs only the cyclic vector split by sign, one
+product ``U_b (X c)`` per stack (:func:`_cyclic_parts`).
 """
 
 from __future__ import annotations
@@ -116,30 +123,86 @@ def _hermitian_gram(phi: GroupFunction) -> np.ndarray:
     return ((v + v[inv].conj()) / 2.0)[phi.group.table[inv]]
 
 
-def _block_spectrum(phi: GroupFunction, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Ascending eigenvalues of the Hermitian Gram matrix, and its eigenvectors if asked.
+def _gram_blocks(phi: GroupFunction, vectors: bool) -> tuple[np.ndarray, list | None]:
+    """The Hermitian Gram matrix and its block stacks ``(U_b, eigenvalues, eigenvectors or None)``.
 
     ``U^T Phi U`` is within ``R = ||Phi U - U (+)T||_F`` of ``(+)T`` (U orthogonal to
     roundoff), so by Weyl each block eigenvalue is within R of Phi's; the accepted
     ``R <= 1e-12 sqrt(MAX_ORDER) ||Phi||_2`` is below ``GRAM_KERNEL_RTOL ||Phi||_2``.
+    The stacks are ``None`` below ``_BLOCK_MIN_ORDER`` and when R is larger.
     """
     gram, m = _hermitian_gram(phi), phi.group.order
-    if m >= _BLOCK_MIN_ORDER:
-        basis, layout = _invariant_basis(phi.group)
-        pu = gram @ basis
-        eigs, vecs, res2 = [], [], 0.0
-        for start, stop, d in layout:  # c blocks of size d, stacked as (c, m, d)
-            ub, pub = (a[:, start:stop].reshape(m, -1, d).transpose(1, 0, 2) for a in (basis, pu))
-            t = ub.transpose(0, 2, 1) @ pub
-            res2 += float(np.linalg.norm(pub - ub @ t)) ** 2
-            w, x = np.linalg.eigh(t) if vectors else (np.linalg.eigvalsh(t), None)
-            eigs.append(w.reshape(-1))
-            vecs.append(x if x is None else (ub @ x).transpose(1, 0, 2).reshape(m, -1))
-        if res2 <= (_BLOCK_RESIDUAL_RTOL * float(np.linalg.norm(gram))) ** 2:
-            eigs = np.concatenate(eigs)
-            order = np.argsort(eigs, kind="stable")
-            return eigs[order], np.hstack(vecs)[:, order] if vectors else None
-    return np.linalg.eigh(gram) if vectors else (np.linalg.eigvalsh(gram), None)
+    if m < _BLOCK_MIN_ORDER:
+        return gram, None
+    basis, layout = _invariant_basis(phi.group)
+    pu = _gram_times_basis(gram, basis)
+    stacks, res2 = [], 0.0
+    for start, stop, d in layout:  # c blocks of size d, stacked as (c, m, d)
+        ub, pub = (a[:, start:stop].reshape(m, -1, d).transpose(1, 0, 2) for a in (basis, pu))
+        t = _real_left(ub.transpose(0, 2, 1), pub)
+        res2 += float(np.linalg.norm(pub - _real_left(ub, t))) ** 2
+        stacks.append((ub, *(np.linalg.eigh(t) if vectors else (np.linalg.eigvalsh(t), None))))
+    if res2 <= (_BLOCK_RESIDUAL_RTOL * float(np.linalg.norm(gram))) ** 2:
+        return gram, stacks
+    return gram, None
+
+
+def _block_spectrum(phi: GroupFunction, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Ascending eigenvalues of the Hermitian Gram matrix, and its eigenvectors if asked."""
+    gram, stacks = _gram_blocks(phi, vectors)
+    if stacks is None:
+        return np.linalg.eigh(gram) if vectors else (np.linalg.eigvalsh(gram), None)
+    eigs = np.concatenate([w.reshape(-1) for _, w, _ in stacks])
+    order = np.argsort(eigs, kind="stable")
+    if not vectors:
+        return eigs[order], None
+    m = phi.group.order
+    vecs = np.hstack([_real_left(ub, x).transpose(1, 0, 2).reshape(m, -1) for ub, _, x in stacks])
+    return eigs[order], vecs[:, order]
+
+
+def _cyclic_parts(phi: GroupFunction) -> tuple[list[np.ndarray], Inertia]:
+    """The cyclic vector split by sign, ``Phi_+^{1/2} delta_e`` and ``Phi_-^{1/2} delta_e``.
+
+    Returned with the sign count.  Each vector is ``sum_k v_k sqrt|lambda_k| conj(v_k[e])``
+    over the eigenpairs of one sign.  On the block path ``v_k = U_b x_k``: the coefficients
+    come from ``x^H U_b[e]`` and each vector from one real product ``U_b (x c)`` per stack,
+    so Phi's eigenvectors are never formed.
+    """
+    group = phi.group
+    gram, stacks = _gram_blocks(phi, vectors=True)
+    if stacks is None:
+        eigs, vecs = np.linalg.eigh(gram)
+        inertia = _inertia(eigs, GRAM_KERNEL_RTOL)
+        row = vecs[group.identity]
+        # index arrays, not slices: a contiguous copy of the columns keeps the products' bits
+        signs = (np.arange(eigs.size - inertia.n_pos, eigs.size), np.arange(inertia.n_neg))
+        return [vecs[:, idx] @ (np.sqrt(np.abs(eigs[idx])) * row[idx].conj()) for idx in signs], inertia
+    eigs = np.concatenate([w.reshape(-1) for _, w, _ in stacks])
+    inertia = _inertia(eigs, GRAM_KERNEL_RTOL)
+    order = np.argsort(eigs, kind="stable")
+    conj_row = np.concatenate(
+        [(x.conj().swapaxes(-1, -2) @ ub[:, group.identity, :, None]).reshape(-1) for ub, _, x in stacks]
+    )
+    coef = np.zeros((eigs.size, 2), dtype=complex)  # one column per sign
+    for col, idx in enumerate((order[eigs.size - inertia.n_pos:], order[:inertia.n_neg])):
+        coef[idx, col] = np.sqrt(np.abs(eigs[idx])) * conj_row[idx]
+    f, start = np.zeros((eigs.size, 2), dtype=complex), 0
+    for ub, w, x in stacks:
+        y = x @ coef[start:start + w.size].reshape(w.shape + (2,))
+        f += _real_left(ub, y).sum(axis=0)
+        start += w.size
+    return [f[:, 0], f[:, 1]], inertia
+
+
+def _gram_times_basis(gram: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """``Phi U`` (C order) for ``Phi = Phi^H`` bit for bit and real U: ``(U^T Phi)^H``."""
+    return np.conjugate(_real_left(basis.T, gram).T, order="C")
+
+
+def _real_left(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``a @ z`` for real a and complex z with unit-stride rows: one real product on z's float view."""
+    return (a @ z.view(float)).view(complex)
 
 
 def _invariant_basis(group: FiniteGroup) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
@@ -290,14 +353,8 @@ def decompose(
     of phi's negative squares is the one this eigendecomposition gives.
     """
     group = phi.group
-    eigs, vecs, inertia = _gram_eigs(phi)
-    row = vecs[group.identity]
-    parts = []
-    # index arrays, not slices: a contiguous copy of the columns keeps the products' bits
-    for idx in (np.arange(eigs.size - inertia.n_pos, eigs.size), np.arange(inertia.n_neg)):
-        f = vecs[:, idx] @ (np.sqrt(np.abs(eigs[idx])) * row[idx].conj())
-        parts.append(GroupFunction(group, f[group.table].conj() @ f))
-    phi1, phi2 = parts
+    cyclic, inertia = _cyclic_parts(phi)
+    phi1, phi2 = (GroupFunction(group, f[group.table].conj() @ f) for f in cyclic)
     return phi1, phi2, _certificate(phi, phi1, phi2, inertia.n_neg)
 
 

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import os
 
@@ -598,3 +599,47 @@ class TestDeterminism:
         out = tmp_path / "r.json"
         assert main(["mnps", "--input", inp, "--signature", "1,1", "--out", str(out)]) == 0
         assert "timestamp" in load(out)
+
+
+class TestEntryPoint:
+    @pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "0", "-1", "abc"])
+    def test_tol_must_be_finite_and_positive(self, tmp_path, capsys, tol):
+        # inf would pass every residual test; nan, 0 and negatives would fail them all
+        out = tmp_path / "a.json"
+        assert main(["gen", "dissipative", "--signature", "1,3", "--seed", "0", "--out", str(out)]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([f"--tol={tol}", "mnps", "--input", str(out)])
+        assert exc.value.code == 2
+        assert "argument --tol: must be a finite number above 0" in capsys.readouterr().err
+        assert main(["--tol", "2.5", "mnps", "--input", str(out), "--out", str(tmp_path / "r.json")]) == 0
+
+    def test_json_nested_past_the_recursion_limit_exits_two(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        assert main(["mnps", "--input", str(deep), "--signature", "1,1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {deep}: JSON nested too deeply")
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_is_restored(self, tmp_path, enabled):
+        sp = build_space(1, 1)
+        inputs = (
+            (matrix_to_json(sp.j), 0),
+            (matrix_to_json(-1j * sp.j), 1),  # not J-dissipative
+            (matrix_to_json(np.eye(3)), 2),  # wrong shape
+        )
+        was = gc.isenabled()
+        try:
+            for obj, code in inputs:
+                if enabled:
+                    gc.enable()
+                else:
+                    gc.disable()
+                argv = ["mnps", "--input", write(tmp_path / "a.json", obj), "--signature", "1,1",
+                        "--out", str(tmp_path / "r.json")]
+                assert main(argv) == code
+                assert gc.isenabled() is enabled
+        finally:
+            if was:
+                gc.enable()

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from kreinkit import (
     cyclic,
     decompose,
     fractional_linear,
+    gns_construct,
     graph_from_subspace,
     group_average_metric,
     invariance_residual,
@@ -768,3 +770,59 @@ class TestFixtures:
                 ]
             )
             assert operator_norm(raw.conj().T @ form @ raw - form) <= 1e-10
+
+
+def frobenius_precheck(rep, b):
+    """The per-element Frobenius pre-check of the loop reference."""
+    return all(np.linalg.norm(m.conj().T @ b @ m - b) <= fixpoint_module.INVARIANCE_RTOL
+               for m in rep.matrices)
+
+
+class TestElementStackChunks:
+    """The averaged metric runs over the element stack in chunks, with the loop's bits."""
+
+    @pytest.fixture(scope="class")
+    def gns_rep(self):
+        # 120 GNS matrices of 120 x 120 (27.6 MB), each larger than one chunk
+        phi = random_qpd_function(named_group("S5"), np.random.default_rng(36), k=3)[0]
+        rep = gns_construct(phi).rep(phi.group)
+        assert rep.matrices.shape == (120, 120, 120)
+        return rep
+
+    def test_many_chunks_give_the_loop_metric_and_decision(self, gns_rep, monkeypatch):
+        assert gns_rep.matrices[0].nbytes > fixpoint_module._CHUNK_BYTES  # one element a chunk
+        calls = []
+        monkeypatch.setattr(fixpoint_module, "operator_norm",
+                            lambda m: calls.append(1) or operator_norm(m))
+        b = group_average_metric(gns_rep)
+        assert np.array_equal(b, loop_average_metric(gns_rep))
+        assert (not calls) == frobenius_precheck(gns_rep, b)
+
+    def test_peak_memory_stays_below_the_stack(self, gns_rep):
+        gns_rep.norm  # cached before the measurement, as on a fallback's second call
+        tracemalloc.start()
+        try:
+            group_average_metric(gns_rep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < gns_rep.matrices.nbytes
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 2**10, 2**12])
+    def test_small_chunks_keep_every_decision(self, monkeypatch, chunk_bytes):
+        monkeypatch.setattr(fixpoint_module, "_CHUNK_BYTES", chunk_bytes)
+        rng = np.random.default_rng(37)
+        rep, _ = random_conjugated_rep(named_group("S4"), build_space(2, 6), rng)
+        assert rep.matrices.nbytes > chunk_bytes  # several chunks
+        b = group_average_metric(rep)
+        assert np.array_equal(b, loop_average_metric(rep)) and frobenius_precheck(rep, b)
+        # a corruption in the last chunk is still caught
+        mats = rep.matrices.copy()
+        mats[-1] *= 2.0
+        with pytest.raises(ValueError, match="not group-invariant"):
+            group_average_metric(GroupRep(rep.group, rep.space, mats))
+        # near the boundary the pre-check fails and the exact defect accepts
+        rep, _ = random_conjugated_rep(named_group("D4"), build_space(2, 3), rng, center_norm=0.999)
+        b = loop_average_metric(rep)
+        assert not frobenius_precheck(rep, b)
+        assert np.array_equal(group_average_metric(rep), b)

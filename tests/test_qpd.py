@@ -570,3 +570,26 @@ def test_group_function_rejects_bad_values_by_name(bad):
         values, message = [np.nan if bad == "nan" else np.inf, 0.5, 0.5], "has non-finite entries"
     with pytest.raises(ValueError, match=f"^values {message}"):
         negative_squares(GroupFunction(cyclic(3), values))
+
+
+@pytest.mark.parametrize("name", ["S5", "S5xZ2", "D30"])
+def test_real_products_with_the_basis_match_the_complex_product(name):
+    # U is real and the Hermitian Gram is Hermitian bit for bit, so Phi U is one
+    # real product on Phi's float view; it agrees with the complex product
+    group = BLOCK_GROUPS[name]()
+    basis, layout = qpd_module._invariant_basis(group)
+    assert basis.dtype == float
+    rng = np.random.default_rng(56)
+    for k in (1, 3):
+        phi, _, _ = random_qpd_function(group, rng, k=k)
+        gram = qpd_module._hermitian_gram(phi)
+        assert np.array_equal(gram, gram.conj().T)
+        pu = qpd_module._gram_times_basis(gram, basis)
+        assert pu.flags.c_contiguous
+        assert np.linalg.norm(pu - gram @ basis.astype(complex)) <= 1e-14 * np.linalg.norm(gram)
+        for start, stop, d in layout:
+            ub = basis[:, start:stop].reshape(group.order, -1, d).transpose(1, 0, 2)
+            pub = pu[:, start:stop].reshape(group.order, -1, d).transpose(1, 0, 2)
+            t = qpd_module._real_left(ub.transpose(0, 2, 1), pub)
+            assert_allclose(t, ub.transpose(0, 2, 1).astype(complex) @ pub,
+                            rtol=0, atol=1e-14 * np.linalg.norm(gram))
