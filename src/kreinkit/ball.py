@@ -45,13 +45,13 @@ class MapUndefinedError(ValueError):
     """Raised when the fractional-linear denominator is singular."""
 
 
-def _check_strict(space: IndefiniteSpace, w, name: str) -> np.ndarray:
+def _check_strict(space: IndefiniteSpace, w, name: str) -> tuple[np.ndarray, float]:
+    """The checked ball point and its norm, which must stay below ``1 - BOUNDARY_MARGIN``."""
     m = _checked(w, (space.n_plus, space.n_minus), name)
-    if operator_norm(m) >= 1.0 - BOUNDARY_MARGIN:
-        raise BoundaryError(
-            f"{name} has norm {operator_norm(m):.8g}; needs to stay inside the open ball"
-        )
-    return m
+    norm = operator_norm(m)
+    if norm >= 1.0 - BOUNDARY_MARGIN:
+        raise BoundaryError(f"{name} has norm {norm:.8g}; needs to stay inside the open ball")
+    return m, norm
 
 
 def _defect_roots(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -78,12 +78,11 @@ def mobius_apply(space: IndefiniteSpace, center, x) -> np.ndarray:
     Both arguments must lie strictly inside the ball; then ``I + A^H X`` is
     invertible and the image stays strictly inside.
     """
-    a = _check_strict(space, center, "center")
+    a = _check_strict(space, center, "center")[0]
     xm = _checked(x, (space.n_plus, space.n_minus), "argument")
-    if operator_norm(xm) >= 1.0:
-        raise BoundaryError(
-            f"argument has norm {operator_norm(xm):.8g}; needs to stay inside the open ball"
-        )
+    x_norm = operator_norm(xm)
+    if x_norm >= 1.0:
+        raise BoundaryError(f"argument has norm {x_norm:.8g}; needs to stay inside the open ball")
     s, t = _defect_roots(a)
     # (I + A^H X)^{-1} (I - A^H A)^{1/2} = (s (I + A^H X))^{-1}, applied from the right
     denom = s @ _plus_diagonal(a.conj().T @ xm, 1.0)
@@ -97,7 +96,11 @@ def mobius_matrix(space: IndefiniteSpace, center) -> np.ndarray:
              [A (I - A^H A)^{-1/2}, (I - A A^H)^{-1/2}]]``;
     ``M_{-A} = J M_A J = M_A^{-1}``, bit for bit.
     """
-    a = _check_strict(space, center, "center")
+    return _mobius_block(space, _check_strict(space, center, "center")[0])
+
+
+def _mobius_block(space: IndefiniteSpace, a: np.ndarray) -> np.ndarray:
+    """:func:`mobius_matrix` of a checked ball point."""
     s, t = _defect_roots(a)
     return space.assemble(s, a.conj().T @ t, a @ s, t)
 
@@ -123,8 +126,8 @@ def fractional_linear(space: IndefiniteSpace, u, w) -> np.ndarray:
 
 def hyperbolic_distance(space: IndefiniteSpace, a, b) -> float:
     """rho(A, B) = atanh ||mu_{-A}(B)||, the invariant (Caratheodory) distance."""
-    am = _check_strict(space, a, "first point")
-    bm = _check_strict(space, b, "second point")
+    am = _check_strict(space, a, "first point")[0]
+    bm = _check_strict(space, b, "second point")[0]
     gap = operator_norm(mobius_apply(space, -am, bm))
     gap = min(gap, 1.0 - 1e-16)
     return float(np.arctanh(gap))
@@ -144,15 +147,16 @@ def mobius_norm(space: IndefiniteSpace, center) -> MobiusNormBounds:
 
     With r = ||A||: sqrt((1 + r^2)/(1 - r^2)) <= ||M_A|| <= sqrt((1 + r)/(1 - r)).
     """
-    a = _check_strict(space, center, "center")
-    return _norm_bounds(operator_norm(a), operator_norm(mobius_matrix(space, a)))
+    return _matrix_and_bounds(space, center)[1]
 
 
-def _norm_bounds(r: float, norm: float) -> MobiusNormBounds:
-    """``||M_A|| = norm`` with the bounds that ``||A|| = r`` gives it."""
+def _matrix_and_bounds(space: IndefiniteSpace, center) -> tuple[np.ndarray, MobiusNormBounds]:
+    """M_A and :func:`mobius_norm`, taking ``r = ||A||`` once, in the boundary check."""
+    a, r = _check_strict(space, center, "center")
+    m = _mobius_block(space, a)
     lower = float(np.sqrt((1.0 + r * r) / (1.0 - r * r)))
     upper = float(np.sqrt((1.0 + r) / (1.0 - r)))
-    return MobiusNormBounds(norm=norm, lower_bound=lower, upper_bound=upper)
+    return m, MobiusNormBounds(norm=operator_norm(m), lower_bound=lower, upper_bound=upper)
 
 
 def radius_from_norm(c: float) -> float:

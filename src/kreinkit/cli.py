@@ -19,7 +19,7 @@ import tempfile
 
 import numpy as np
 
-from .ball import _norm_bounds, hyperbolic_distance, mobius_apply, mobius_matrix
+from .ball import _matrix_and_bounds, hyperbolic_distance, mobius_apply
 from .fixpoint import CERT_TOL, _rep_defects, common_fixed_point, rep_validate, unitarize
 from .groups import named_group
 from .mnps import DEFAULT_TOL_RES, NotDissipativeError, approximation_ladder, mnps
@@ -35,6 +35,7 @@ from .serialization import (
     rep_from_json,
     rep_to_json,
     space_from_json,
+    space_to_json,
 )
 from .spaces import IndefiniteSpace, _stack_frobenius_norm, _unitarity_gap, operator_norm
 
@@ -138,39 +139,22 @@ def cmd_ladder(args) -> int:
 def cmd_ball(args) -> int:
     if args.action != "matrix" and args.point is None:
         raise ValueError(f"ball {args.action} needs --point")
-    if args.action == "apply":
-        a = matrix_from_json(_load_json(args.center))
-        x = matrix_from_json(_load_json(args.point))
-        space = _ball_space(a)
-        image = mobius_apply(space, a, x)
-        _write_json(
-            {"image": matrix_to_json(image), "image_norm": operator_norm(image)},
-            args.out,
-            args.no_timestamp,
-        )
-        return EXIT_CERTIFIED
-    if args.action == "distance":
-        a = matrix_from_json(_load_json(args.center))
-        b = matrix_from_json(_load_json(args.point))
-        space = _ball_space(a)
-        _write_json(
-            {"distance": hyperbolic_distance(space, a, b)},
-            args.out,
-            args.no_timestamp,
-        )
-        return EXIT_CERTIFIED
-    # action == "matrix"
     a = matrix_from_json(_load_json(args.center))
     space = _ball_space(a)
-    m = mobius_matrix(space, a)  # built once for the matrix, its norm and its defect
-    bounds = _norm_bounds(operator_norm(a), operator_norm(m))
-    payload = {
-        "matrix": matrix_to_json(m),
-        "j_unitarity_defect": operator_norm(_unitarity_gap(space, m)),
-        "norm": bounds.norm,
-        "lower_bound": bounds.lower_bound,
-        "upper_bound": bounds.upper_bound,
-    }
+    if args.action == "apply":
+        image = mobius_apply(space, a, matrix_from_json(_load_json(args.point)))
+        payload = {"image": matrix_to_json(image), "image_norm": operator_norm(image)}
+    elif args.action == "distance":
+        payload = {"distance": hyperbolic_distance(space, a, matrix_from_json(_load_json(args.point)))}
+    else:  # matrix, built once for the matrix, its norm and its defect
+        m, bounds = _matrix_and_bounds(space, a)
+        payload = {
+            "matrix": matrix_to_json(m),
+            "j_unitarity_defect": operator_norm(_unitarity_gap(space, m)),
+            "norm": bounds.norm,
+            "lower_bound": bounds.lower_bound,
+            "upper_bound": bounds.upper_bound,
+        }
     _write_json(payload, args.out, args.no_timestamp)
     return EXIT_CERTIFIED
 
@@ -212,7 +196,7 @@ def cmd_qpd(args) -> int:
     group = group_from_json(_load_json(args.group))
     phi = group_function_from_json(group, _load_json(args.values))
     if args.action == "classify":
-        eigs, inertia = _gram_spectrum(phi)
+        eigs, _, inertia = _gram_spectrum(phi)
         payload = {"negative_squares": inertia.n_neg, "gram_norm": float(np.max(np.abs(eigs)))}
         if inertia.n_neg == 0:
             payload["finite_type_rank"] = inertia.n_pos
@@ -246,12 +230,8 @@ def cmd_gen(args) -> int:
             matrix = fixtures.random_j_dissipative(space, rng)
         else:
             matrix = fixtures.random_strongly_j_dissipative(space, rng)
-        _write_json(
-            {"space": {"n_minus": space.n_minus, "n_plus": space.n_plus},
-             "matrix": matrix_to_json(matrix)},
-            args.out,
-            args.no_timestamp,
-        )
+        _write_json({"space": space_to_json(space), "matrix": matrix_to_json(matrix)},
+                    args.out, args.no_timestamp)
         return EXIT_CERTIFIED
     if args.kind == "conjugated-rep":
         group = named_group(args.group)

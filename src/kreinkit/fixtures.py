@@ -97,6 +97,8 @@ def random_ball_point(
     space: IndefiniteSpace, rng: np.random.Generator, norm: float = 0.5
 ) -> np.ndarray:
     """A ball point with spectral norm exactly ``norm``."""
+    if norm < 0:
+        raise ValueError(f"a ball point's norm must be at least 0, got {norm}")
     g = random_complex(rng, (space.n_plus, space.n_minus))
     top = operator_norm(g)
     if top == 0.0:
@@ -277,9 +279,11 @@ def random_qpd_function(
     The PD part is a matrix element of the regular representation plus a
     multiple of the delta at the identity; the finite-type part is a matrix
     element of a k'-dimensional invariant compression (k' <= k), scaled so
-    the difference really has negative squares.
+    the difference really has negative squares.  k = 0 gives phi_ft = 0.
     Returns (phi, phi_pd, scaled finite-type part).
     """
+    if k < 0:
+        raise ValueError(f"k must be at least 0, got {k}")
     m = group.order
     x = random_complex(rng, m)
     # P_g x = x[table[g^-1]]
@@ -287,6 +291,10 @@ def random_qpd_function(
     delta = np.zeros(m)
     delta[group.identity] = rng.uniform(0.5, 1.5) * float(np.abs(pd_vals).max())
     pd_vals = pd_vals + delta
+
+    phi_pd = GroupFunction(group, pd_vals)
+    if k == 0:
+        return phi_pd, phi_pd, GroupFunction(group, np.zeros(m))
 
     clusters = _invariant_clusters(group, rng)
     rng.shuffle(clusters)
@@ -298,16 +306,12 @@ def random_qpd_function(
             total += c.shape[1]
         if total == k:
             break
-    if not picked:
-        picked = [min(clusters, key=lambda c: c.shape[1])]
-        total = picked[0].shape[1]
     v = np.hstack(picked)
     y = random_complex(rng, total)
     ft_vals = np.array([np.vdot(y, _compression(group, g, v) @ y) for g in range(m)])
     scale = 2.0 * float(np.abs(pd_vals).max()) / max(float(np.abs(ft_vals).max()), 1e-12)
     ft_vals = scale * rng.uniform(1.0, 2.0) * ft_vals
 
-    phi_pd = GroupFunction(group, pd_vals)
     phi_ft = GroupFunction(group, ft_vals)
     phi = GroupFunction(group, pd_vals - ft_vals)
     return phi, phi_pd, phi_ft

@@ -30,21 +30,23 @@ R_x``, with right translations ``(R_x)[g, h] = [h = g x]``, commutes with
 every ``L_y[a, b] = y(a b^{-1})``, so each eigenspace of a real symmetric L_y
 (fixed-seed random real y with ``y(g^{-1}) = y(g)``) is invariant under every
 Gram matrix; generically it is one copy of an irreducible representation or
-of a conjugate pair (Dixon 1970; Serre 1977).  One real ``eigh(L_y)`` per
-group gives an orthogonal U, kept on the group (``8 m^2`` bytes, the size of
-the table).  Eigenvalues closer than ``_MERGE_GAP max|eig|`` share a block (a
-sum of invariant subspaces is invariant; closer clusters leave U visibly off
-them).  Each call diagonalizes the blocks ``U_b^T Phi U_b``, stacked by size,
-if ``||Phi U - U (+)T||_F <= _BLOCK_RESIDUAL_RTOL ||Phi||_F``; otherwise, and
-below ``_BLOCK_MIN_ORDER`` (the dense call wins at m = 24, ties at 48), the
-dense ``eigh``/``eigvalsh`` of ``Phi`` runs.  Every product with U runs in
-real arithmetic: ``Phi`` is Hermitian bit for bit, so ``Phi U = (U^T Phi)^H``
-is one real product on the float view of ``Phi``, and the stacked
-``U_b^T (Phi U_b)``, ``U_b T`` and ``U_b X`` are real products on the float
-views of their complex factors, half the flops of complex products and no
-complex copy of U.  On the block path :func:`decompose` never forms Phi's
-eigenvectors ``U_b X``: it needs only the cyclic vector split by sign, one
-product ``U_b (X c)`` per stack (:func:`_cyclic_parts`).
+of a conjugate pair (Dixon 1970; Serre 1977).  From ``_BLOCK_MIN_ORDER`` on,
+one real ``eigh(L_y)`` per group gives an orthogonal U, kept on the group
+(``8 m^2`` bytes, the size of the table).  Eigenvalues closer than
+``_MERGE_GAP max|eig|`` share a block (a sum of invariant subspaces is
+invariant; closer clusters leave U visibly off them).  Below it (the dense
+call wins at m = 24, ties at 48) U is the identity as one block, which is the
+dense eigensolve of ``Phi``.  Each call diagonalizes the blocks
+``U_b^T Phi U_b``, stacked by size, if ``||Phi U - U (+)T||_F <=
+_BLOCK_RESIDUAL_RTOL ||Phi||_F``; otherwise it retries U as one block, whose
+residual is U's orthogonality error, and raises ``RuntimeError`` if that fails
+too.  Every product with U runs in real arithmetic: ``Phi`` is Hermitian bit
+for bit, so ``Phi U = (U^T Phi)^H`` is one real product on the float view of
+``Phi``, and the stacked ``U_b^T (Phi U_b)``, ``U_b T`` and ``U_b X`` are real
+products on the float views of their complex factors, half the flops of
+complex products and no complex copy of U.  :func:`decompose` never forms
+Phi's eigenvectors ``U_b X``: it needs only the cyclic vector split by sign,
+one product ``U_b (X c)`` per stack (:func:`_cyclic_parts`).
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ SYMMETRY_TOL = 1e-12
 #: Default reconstruction tolerance of :meth:`DecompositionCertificate.ok`, relative to max|phi|.
 RECONSTRUCTION_RTOL = 1e-8
 
-#: Smallest group order whose Gram spectra go through invariant blocks.
+#: Smallest group order whose basis comes from L_y; smaller groups take the identity as one block.
 _BLOCK_MIN_ORDER = 60
 
 #: Eigenvalues of L_y closer than this times max|eig| share one block.
@@ -123,61 +125,59 @@ def _hermitian_gram(phi: GroupFunction) -> np.ndarray:
     return ((v + v[inv].conj()) / 2.0)[phi.group.table[inv]]
 
 
-def _gram_blocks(phi: GroupFunction, vectors: bool) -> tuple[np.ndarray, list | None]:
-    """The Hermitian Gram matrix and its block stacks ``(U_b, eigenvalues, eigenvectors or None)``.
+def _gram_blocks(
+    phi: GroupFunction, vectors: bool
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
+    """Block stacks ``(U_b, eigenvalues, eigenvectors or None)`` of the Hermitian Gram matrix.
 
     ``U^T Phi U`` is within ``R = ||Phi U - U (+)T||_F`` of ``(+)T`` (U orthogonal to
     roundoff), so by Weyl each block eigenvalue is within R of Phi's; the accepted
     ``R <= 1e-12 sqrt(MAX_ORDER) ||Phi||_2`` is below ``GRAM_KERNEL_RTOL ||Phi||_2``.
-    The stacks are ``None`` below ``_BLOCK_MIN_ORDER`` and when R is larger.
+    A layout with a larger R is retried as one block, whose R is U's orthogonality error.
     """
     gram, m = _hermitian_gram(phi), phi.group.order
-    if m < _BLOCK_MIN_ORDER:
-        return gram, None
     basis, layout = _invariant_basis(phi.group)
     pu = _gram_times_basis(gram, basis)
-    stacks, res2 = [], 0.0
-    for start, stop, d in layout:  # c blocks of size d, stacked as (c, m, d)
-        ub, pub = (a[:, start:stop].reshape(m, -1, d).transpose(1, 0, 2) for a in (basis, pu))
-        t = _real_left(ub.transpose(0, 2, 1), pub)
-        res2 += float(np.linalg.norm(pub - _real_left(ub, t))) ** 2
-        stacks.append((ub, *(np.linalg.eigh(t) if vectors else (np.linalg.eigvalsh(t), None))))
-    if res2 <= (_BLOCK_RESIDUAL_RTOL * float(np.linalg.norm(gram))) ** 2:
-        return gram, stacks
-    return gram, None
+    limit = (_BLOCK_RESIDUAL_RTOL * float(np.linalg.norm(gram))) ** 2
+    for blocks in (layout, [(0, m, m)]):
+        stacks, res2 = [], 0.0
+        for start, stop, d in blocks:  # c blocks of size d, stacked as (c, m, d)
+            ub, pub = (a[:, start:stop].reshape(m, -1, d).transpose(1, 0, 2) for a in (basis, pu))
+            t = _real_left(ub.transpose(0, 2, 1), pub)
+            res2 += float(np.linalg.norm(pub - _real_left(ub, t))) ** 2
+            stacks.append((ub, t))
+        if res2 <= limit:
+            return [(ub, *(np.linalg.eigh(t) if vectors else (np.linalg.eigvalsh(t), None)))
+                    for ub, t in stacks]
+    raise RuntimeError(f"the invariant basis of the order-{m} group is not orthogonal")
 
 
-def _block_spectrum(phi: GroupFunction, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Ascending eigenvalues of the Hermitian Gram matrix, and its eigenvectors if asked."""
-    gram, stacks = _gram_blocks(phi, vectors)
-    if stacks is None:
-        return np.linalg.eigh(gram) if vectors else (np.linalg.eigvalsh(gram), None)
+def _gram_spectrum(
+    phi: GroupFunction, vectors: bool = False
+) -> tuple[np.ndarray, np.ndarray | None, Inertia]:
+    """Ascending eigenvalues of the Hermitian Gram matrix, eigenvectors if asked, and the sign count."""
+    stacks = _gram_blocks(phi, vectors)
     eigs = np.concatenate([w.reshape(-1) for _, w, _ in stacks])
     order = np.argsort(eigs, kind="stable")
-    if not vectors:
-        return eigs[order], None
-    m = phi.group.order
-    vecs = np.hstack([_real_left(ub, x).transpose(1, 0, 2).reshape(m, -1) for ub, _, x in stacks])
-    return eigs[order], vecs[:, order]
+    vecs = None
+    if vectors:
+        m = phi.group.order
+        vecs = np.hstack([_real_left(ub, x).transpose(1, 0, 2).reshape(m, -1) for ub, _, x in stacks])
+        vecs = vecs[:, order]
+    eigs = eigs[order]
+    return eigs, vecs, _inertia(eigs, GRAM_KERNEL_RTOL)
 
 
 def _cyclic_parts(phi: GroupFunction) -> tuple[list[np.ndarray], Inertia]:
     """The cyclic vector split by sign, ``Phi_+^{1/2} delta_e`` and ``Phi_-^{1/2} delta_e``.
 
     Returned with the sign count.  Each vector is ``sum_k v_k sqrt|lambda_k| conj(v_k[e])``
-    over the eigenpairs of one sign.  On the block path ``v_k = U_b x_k``: the coefficients
-    come from ``x^H U_b[e]`` and each vector from one real product ``U_b (x c)`` per stack,
-    so Phi's eigenvectors are never formed.
+    over the eigenpairs of one sign, with ``v_k = U_b x_k``: the coefficients come from
+    ``x^H U_b[e]`` and each vector from one real product ``U_b (x c)`` per stack, so
+    Phi's eigenvectors are never formed.
     """
     group = phi.group
-    gram, stacks = _gram_blocks(phi, vectors=True)
-    if stacks is None:
-        eigs, vecs = np.linalg.eigh(gram)
-        inertia = _inertia(eigs, GRAM_KERNEL_RTOL)
-        row = vecs[group.identity]
-        # index arrays, not slices: a contiguous copy of the columns keeps the products' bits
-        signs = (np.arange(eigs.size - inertia.n_pos, eigs.size), np.arange(inertia.n_neg))
-        return [vecs[:, idx] @ (np.sqrt(np.abs(eigs[idx])) * row[idx].conj()) for idx in signs], inertia
+    stacks = _gram_blocks(phi, vectors=True)
     eigs = np.concatenate([w.reshape(-1) for _, w, _ in stacks])
     inertia = _inertia(eigs, GRAM_KERNEL_RTOL)
     order = np.argsort(eigs, kind="stable")
@@ -206,42 +206,36 @@ def _real_left(a: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _invariant_basis(group: FiniteGroup) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
-    """U from ``eigh(L_y)``, cached on the group, and its ``(start, stop, d)``: blocks of size d."""
+    """U and its ``(start, stop, d)``: blocks of size d, cached on the group.
+
+    U comes from ``eigh(L_y)``; below ``_BLOCK_MIN_ORDER`` it is the identity as one block.
+    """
     cached = group.__dict__.get("_invariant_basis")
     if cached is None:
         m, inv = group.order, group.inverses
-        z = np.random.default_rng(0).standard_normal(m)
-        eigs, vecs = np.linalg.eigh(((z + z[inv]) / 2.0)[group.table[:, inv]])  # L_y, real symmetric
-        cuts = np.flatnonzero(np.diff(eigs) > _MERGE_GAP * float(np.max(np.abs(eigs)))) + 1
-        sizes = np.diff(np.r_[0, cuts, m])
-        cols = np.argsort(np.repeat(sizes, sizes), kind="stable")  # clusters stay whole, in order
-        d, count = np.unique(sizes, return_counts=True)
-        bounds = np.r_[0, np.cumsum(d * count)].tolist()
-        cached = (vecs[:, cols], list(zip(bounds[:-1], bounds[1:], d.tolist())))
+        if m < _BLOCK_MIN_ORDER:  # the dense eigensolve, as one block
+            cached = (np.eye(m), [(0, m, m)])
+        else:
+            z = np.random.default_rng(0).standard_normal(m)
+            eigs, vecs = np.linalg.eigh(((z + z[inv]) / 2.0)[group.table[:, inv]])  # L_y, real symmetric
+            cuts = np.flatnonzero(np.diff(eigs) > _MERGE_GAP * float(np.max(np.abs(eigs)))) + 1
+            sizes = np.diff(np.r_[0, cuts, m])
+            cols = np.argsort(np.repeat(sizes, sizes), kind="stable")  # clusters stay whole, in order
+            d, count = np.unique(sizes, return_counts=True)
+            bounds = np.r_[0, np.cumsum(d * count)].tolist()
+            cached = (vecs[:, cols], list(zip(bounds[:-1], bounds[1:], d.tolist())))
         object.__setattr__(group, "_invariant_basis", cached)
     return cached
 
 
-def _gram_spectrum(phi: GroupFunction) -> tuple[np.ndarray, Inertia]:
-    """Eigenvalues of the Gram matrix, with no eigenvectors, and their sign count."""
-    eigs = _block_spectrum(phi, vectors=False)[0]
-    return eigs, _inertia(eigs, GRAM_KERNEL_RTOL)
-
-
-def _gram_eigs(phi: GroupFunction) -> tuple[np.ndarray, np.ndarray, Inertia]:
-    """Ascending eigenpairs of the Gram matrix (negatives first) and their sign count."""
-    eigs, vecs = _block_spectrum(phi, vectors=True)
-    return eigs, vecs, _inertia(eigs, GRAM_KERNEL_RTOL)
-
-
 def negative_squares(phi: GroupFunction) -> int:
     """Number of negative eigenvalues of the full-group Gram matrix."""
-    return _gram_spectrum(phi)[1].n_neg
+    return _gram_spectrum(phi)[2].n_neg
 
 
 def finite_type_rank(phi: GroupFunction) -> int:
     """Rank of the Gram matrix of a positive-definite function."""
-    inertia = _gram_spectrum(phi)[1]
+    inertia = _gram_spectrum(phi)[2]
     if inertia.n_neg:
         raise ValueError("function is not positive definite")
     return inertia.n_pos
@@ -280,7 +274,7 @@ def gns_construct(phi: GroupFunction) -> GnsResult:
     """
     group = phi.group
     m = group.order
-    eigs, vecs, inertia = _gram_eigs(phi)
+    eigs, vecs, inertia = _gram_spectrum(phi, vectors=True)
     keep = np.r_[: inertia.n_neg, eigs.size - inertia.n_pos : eigs.size]
     kept_eigs = eigs[keep]          # negatives first
     kept_vecs = vecs[:, keep]
@@ -381,7 +375,7 @@ def _certificate(
 ) -> DecompositionCertificate:
     """The certificate of phi = phi1 - phi2, given phi's negative-square count."""
     err = float(np.max(np.abs(phi.values - phi1.values + phi2.values)))
-    inertia2 = _gram_spectrum(phi2)[1]
+    inertia2 = _gram_spectrum(phi2)[2]
     return DecompositionCertificate(
         reconstruction_error=err,
         phi1_negative_squares=_pd_negative_squares(phi1),

@@ -17,6 +17,7 @@ from kreinkit import (
     operator_norm,
     radius_from_norm,
 )
+import kreinkit.ball as ball_module
 from kreinkit.ball import BOUNDARY_MARGIN
 from kreinkit.fixtures import random_ball_point, random_j_unitary
 from kreinkit.spaces import _j_conjugate
@@ -302,3 +303,14 @@ def test_fractional_linear_rejects_a_bad_map(u):
     sp = build_space(1, 2)
     with pytest.raises(ValueError, match=r"^map (must be (4x)?3x3|has non-finite)"):
         fractional_linear(sp, u, np.zeros((2, 1)))
+
+
+def test_mobius_norm_takes_the_center_norm_once(monkeypatch):
+    # ||A|| comes from the boundary check; the only other norm is ||M_A||
+    sp = build_space(5, 395)
+    a = random_ball_point(sp, np.random.default_rng(15), 0.5)
+    shapes = []
+    monkeypatch.setattr(ball_module, "operator_norm", lambda m: shapes.append(m.shape) or operator_norm(m))
+    bounds = mobius_norm(sp, a)
+    assert shapes == [(395, 5), (400, 400)]
+    assert bounds.lower_bound <= bounds.norm <= bounds.upper_bound * (1 + 1e-12)

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from kreinkit import GroupRep, build_space, cyclic, named_group, rep_validate
+import kreinkit.ball as ball_module
+import kreinkit.cli as cli_module
+from kreinkit import GroupRep, build_space, cyclic, mobius_norm, named_group, operator_norm, rep_validate
 from kreinkit.cli import _load_rep, main
 from kreinkit.fixtures import (
     random_ball_point,
@@ -341,6 +343,24 @@ class TestBallCommand:
         assert report["j_unitarity_defect"] <= 1e-10
         assert report["norm"] == pytest.approx(2.0, abs=1e-10)
 
+    def test_matrix_takes_the_center_norm_once(self, tmp_path, monkeypatch):
+        # the bounds reuse the boundary check's ||A||; ||M_A|| and the defect take the others
+        sp = build_space(5, 395)
+        a = random_ball_point(sp, np.random.default_rng(16), 0.5)
+        ca = write(tmp_path / "a.json", matrix_to_json(a))
+        shapes = []
+        for module in (ball_module, cli_module):
+            monkeypatch.setattr(module, "operator_norm",
+                                lambda m: shapes.append(m.shape) or operator_norm(m))
+        out = tmp_path / "m.json"
+        assert main(["ball", "matrix", "--center", ca, "--out", str(out)]) == 0
+        assert shapes == [(395, 5), (400, 400), (400, 400)]
+        monkeypatch.undo()
+        bounds = mobius_norm(sp, matrix_from_json(load(tmp_path / "a.json")))
+        report = load(out)
+        assert (report["norm"], report["lower_bound"], report["upper_bound"]) == (
+            bounds.norm, bounds.lower_bound, bounds.upper_bound)
+
     def test_boundary_rejected_exit_two(self, tmp_path):
         ca = write(tmp_path / "a.json", matrix_to_json(np.array([[1.0]])))
         zero = write(tmp_path / "z.json", matrix_to_json(np.zeros((1, 1))))
@@ -556,6 +576,21 @@ class TestGenCommand:
             "qpd", "decompose", "--group", str(tmp_path / "q.group.json"),
             "--values", str(tmp_path / "q.values.json"),
         ]) == 0
+
+    def test_gen_qpd_k_zero_is_positive_definite_and_negative_k_exits_two(self, tmp_path, capsys):
+        prefix = tmp_path / "q"
+        assert main(["gen", "qpd", "--group", "S3", "--k", "0", "--out", str(prefix)]) == 0
+        out = tmp_path / "c.json"
+        assert main(["qpd", "classify", "--group", str(tmp_path / "q.group.json"),
+                     "--values", str(tmp_path / "q.values.json"), "--out", str(out)]) == 0
+        assert load(out)["negative_squares"] == 0
+        assert main(["gen", "qpd", "--group", "S3", "--k", "-1", "--out", str(tmp_path / "n")]) == 2
+        assert "k must be at least 0, got -1" in capsys.readouterr().err
+
+    def test_gen_negative_norm_exits_two(self, tmp_path, capsys):
+        assert main(["gen", "conjugated-rep", "--norm", "-0.5", "--out", str(tmp_path / "fx")]) == 2
+        assert "norm must be at least 0, got -0.5" in capsys.readouterr().err
+        assert not (tmp_path / "fx.group.json").exists()
 
     def test_gen_group_above_the_order_cap_exits_two(self, tmp_path, capsys):
         # the cap fires before Z60000's 29 GB table is allocated

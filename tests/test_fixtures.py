@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kreinkit import GroupFunction, build_space, cyclic, named_group
+from kreinkit import GroupFunction, build_space, cyclic, named_group, negative_squares, operator_norm
 from kreinkit.fixtures import (
     fixture_conjugated_rep,
     random_ball_point,
@@ -121,3 +121,22 @@ def test_draw_memory_is_quadratic_in_the_order():
         tracemalloc.stop()
     assert phi.values.shape == (512,)
     assert peak < 8 * 16 * group.order**2
+
+
+@pytest.mark.parametrize("name", ["Z4", "S3", "S5"])
+def test_qpd_draw_takes_k_as_the_rank_bound(name):
+    # k = 0 leaves no finite-type part; a negative k is no rank bound at all
+    group = named_group(name)
+    phi, pd, ft = random_qpd_function(group, np.random.default_rng(0), k=0)
+    assert not ft.values.any()
+    assert np.array_equal(phi.values, pd.values)
+    assert negative_squares(phi) == 0
+    with pytest.raises(ValueError, match="^k must be at least 0, got -1"):
+        random_qpd_function(group, np.random.default_rng(0), k=-1)
+
+
+def test_ball_point_rejects_a_negative_norm():
+    space = build_space(2, 3)
+    with pytest.raises(ValueError, match="^a ball point's norm must be at least 0, got -0.5"):
+        random_ball_point(space, np.random.default_rng(0), norm=-0.5)
+    assert operator_norm(random_ball_point(space, np.random.default_rng(0), norm=0.0)) == 0.0

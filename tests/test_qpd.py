@@ -1,3 +1,4 @@
+import json
 import sys
 
 import numpy as np
@@ -22,7 +23,9 @@ from kreinkit import (
     symmetric,
     verify_decomposition,
 )
+from kreinkit.cli import main as cli_main
 from kreinkit.fixtures import random_complex, random_qpd_function
+from kreinkit.serialization import group_function_to_json, group_to_json
 
 
 DENSE_EIGH = np.linalg.eigh
@@ -468,8 +471,7 @@ def dense_reference(phi):
 
 @pytest.fixture
 def square_eigensolves(monkeypatch):
-    """Every order takes the block path; records the shape of each m x m eigensolve in qpd."""
-    monkeypatch.setattr(qpd_module, "_BLOCK_MIN_ORDER", 1)
+    """Records the shape of each m x m eigensolve in qpd; a stack of blocks is not one."""
     calls = []
     for name in ("eigh", "eigvalsh"):
         solver = getattr(np.linalg, name)
@@ -486,9 +488,14 @@ def square_eigensolves(monkeypatch):
 class TestBlockSpectrum:
     """Gram spectra through the group's invariant basis agree with a dense eigh."""
 
-    @pytest.mark.parametrize("name", list(BLOCK_GROUPS))
-    def test_matches_the_dense_eigh(self, name, square_eigensolves):
-        group = BLOCK_GROUPS[name]()
+    @pytest.mark.parametrize("name", list(BLOCK_GROUPS) + ["Z1", "Z2", "S3", "Q8", "S4"])
+    def test_matches_the_dense_eigh(self, name, square_eigensolves, monkeypatch):
+        # the named groups lie below the crossover and keep the identity as one block;
+        # the others take the invariant basis at every order
+        blocks = name in BLOCK_GROUPS
+        if blocks:
+            monkeypatch.setattr(qpd_module, "_BLOCK_MIN_ORDER", 1)
+        group = BLOCK_GROUPS[name]() if blocks else named_group(name)
         rng = np.random.default_rng(53)
         for k in (1, 3):
             _, pd, ft = random_qpd_function(group, rng, k=k)
@@ -497,9 +504,9 @@ class TestBlockSpectrum:
                     phi = GroupFunction(group, eps * pd.values - c * ft.values)
                     ref_eigs, ref1, ref2 = dense_reference(phi)
                     tol = 1e-13 * np.max(np.abs(ref_eigs))
-                    eigs, _ = qpd_module._gram_spectrum(phi)
+                    eigs, _, _ = qpd_module._gram_spectrum(phi)
                     assert np.max(np.abs(eigs - ref_eigs)) <= tol
-                    assert np.max(np.abs(qpd_module._gram_eigs(phi)[0] - ref_eigs)) <= tol
+                    assert np.max(np.abs(qpd_module._gram_spectrum(phi, vectors=True)[0] - ref_eigs)) <= tol
                     phi1, phi2, cert = decompose(phi)
                     assert np.max(np.abs(phi1.values - ref1)) <= 1e-12 * phi.max_abs
                     assert np.max(np.abs(phi2.values - ref2)) <= 1e-12 * phi.max_abs
@@ -509,10 +516,10 @@ class TestBlockSpectrum:
                     (neg1, _), (neg2, rank2) = eigh_counts(phi1), eigh_counts(phi2)
                     assert (cert.phi1_negative_squares, cert.phi2_negative_squares) == (neg1, neg2)
                     assert cert.phi2_rank == (rank2 if neg2 == 0 else None)
-        # the one m x m eigensolve is the basis
-        assert square_eigensolves == [(group.order, group.order)]
+        # the one m x m eigensolve is the basis; the identity takes none
+        assert square_eigensolves == ([(group.order, group.order)] if blocks else [])
 
-    def test_corrupted_basis_falls_back_to_the_dense_solver(self, square_eigensolves):
+    def test_corrupted_basis_falls_back_to_one_block(self, square_eigensolves):
         group = named_group("S5")
         phi, _, _ = random_qpd_function(group, np.random.default_rng(54), k=3)
         basis, layout = qpd_module._invariant_basis(group)
@@ -522,14 +529,33 @@ class TestBlockSpectrum:
         bad[:, i], bad[:, j] = (basis[:, i] + basis[:, j]) / np.sqrt(2), (basis[:, i] - basis[:, j]) / np.sqrt(2)
         object.__setattr__(group, "_invariant_basis", (bad, layout))
         square_eigensolves.clear()
-        gram = gram_matrix(phi)
-        eigs, _ = qpd_module._gram_spectrum(phi)
-        assert square_eigensolves == [(120, 120)]
-        assert np.array_equal(eigs, np.linalg.eigvalsh((gram + gram.conj().T) / 2.0))
+        assert [ub.shape for ub, _, _ in qpd_module._gram_blocks(phi, vectors=False)] == [(1, 120, 120)]
+        ref_eigs = dense_reference(phi)[0]
+        eigs, _, _ = qpd_module._gram_spectrum(phi)
+        assert np.max(np.abs(eigs - ref_eigs)) <= 1e-13 * np.max(np.abs(ref_eigs))
         assert negative_squares(phi) == eigh_counts(phi)[0] > 0
         phi1, phi2, cert = decompose(phi)
         assert cert.ok(scale=phi.max_abs)
         assert cert == verify_decomposition(phi, phi1, phi2)
+        # U as one 120 x 120 block is a stack of one, not a dense eigensolve of Phi
+        assert square_eigensolves == []
+
+    def test_non_orthogonal_basis_raises(self, tmp_path, monkeypatch):
+        # one block cannot absorb a U that is off orthogonal: the spectrum is not certified
+        group = named_group("S5")
+        phi, _, _ = random_qpd_function(group, np.random.default_rng(54), k=3)
+        basis, layout = qpd_module._invariant_basis(group)
+        object.__setattr__(group, "_invariant_basis", (1.01 * basis, layout))
+        for call in (negative_squares, decompose, gns_construct):
+            with pytest.raises(RuntimeError, match="not orthogonal"):
+                call(phi)
+        # the CLI reads a RuntimeError as uncertified, exit 1
+        monkeypatch.setattr(qpd_module, "_invariant_basis", lambda g: (1.01 * basis, layout))
+        args = []
+        for name, obj in (("group", group_to_json(group)), ("values", group_function_to_json(phi))):
+            (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+            args += [f"--{name}", str(tmp_path / f"{name}.json")]
+        assert cli_main(["qpd", "classify", *args]) == 1
 
     def test_basis_eigh_runs_once_per_group_object(self, square_eigensolves):
         for _ in range(2):
@@ -543,19 +569,16 @@ class TestBlockSpectrum:
                 finite_type_rank(phi2)
         assert square_eigensolves == [(120, 120)] * 2
 
-    def test_dense_below_the_crossover(self, monkeypatch):
-        # small groups keep the dense solver's exact results: -2 I gives exact zeros
-        monkeypatch.setattr(qpd_module, "_invariant_basis", _forbidden_basis)
+    def test_dense_below_the_crossover(self):
+        # small groups take the identity as one block, the dense solve: -2 I gives exact zeros
         group = named_group("S4")
         assert group.order < qpd_module._BLOCK_MIN_ORDER
         phi = GroupFunction(group, -delta_at_identity(group, 2.0).values)
         phi1, phi2, cert = decompose(phi)
+        basis, layout = qpd_module._invariant_basis(group)
+        assert np.array_equal(basis, np.eye(24)) and layout == [(0, 24, 24)]
         assert abs(phi1.values).max() == 0.0
         assert cert.negative_squares == 24
-
-
-def _forbidden_basis(group):
-    raise AssertionError("a group below the crossover built the invariant basis")
 
 
 @pytest.mark.parametrize("bad", ["shape", "nan", "inf"])
