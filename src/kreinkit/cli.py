@@ -37,7 +37,13 @@ from .serialization import (
     space_from_json,
     space_to_json,
 )
-from .spaces import IndefiniteSpace, _stack_frobenius_norm, _unitarity_gap, operator_norm
+from .spaces import (
+    IndefiniteSpace,
+    _checked_tol,
+    _stack_frobenius_norm,
+    _unitarity_gap,
+    operator_norm,
+)
 
 EXIT_CERTIFIED = 0
 EXIT_UNCERTIFIED = 1
@@ -87,12 +93,9 @@ def _parse_pair(text: str, what: str) -> tuple[int, int]:
 def _positive_tol(text: str) -> float:
     """``--tol``: a finite multiplier above 0; inf would pass every residual test, nan or 0 none."""
     try:
-        value = float(text)
+        return _checked_tol(float(text), "--tol")
     except ValueError:
-        value = float("nan")
-    if not (np.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text!r}") from None
 
 
 def _parse_signature(text: str) -> IndefiniteSpace:

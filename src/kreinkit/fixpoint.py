@@ -28,6 +28,7 @@ from .spaces import (
     IndefiniteSpace,
     Subspace,
     _checked,
+    _checked_tol,
     _j_conjugate,
     _stack_frobenius_norm,
     _stack_norm,
@@ -239,6 +240,7 @@ def _pencil_negative_basis(space: IndefiniteSpace, b: np.ndarray) -> np.ndarray:
 
 def common_fixed_point(rep: GroupRep, cert_tol: float = CERT_TOL) -> FixedPointReport:
     """Common fixed point of all phi_{pi(g)}: the pencil of :func:`group_average_metric`."""
+    _checked_tol(cert_tol, "cert_tol")
     space = rep.space
     if space.n_minus == 0 or space.n_plus == 0:
         k = np.zeros((space.n_plus, space.n_minus), dtype=complex)
@@ -284,6 +286,7 @@ def unitarize(
     the group bound ``2 ||pi||^2 + 1``.  The unitarity defect is a Frobenius
     bound of the spectral one (see :class:`UnitarizationReport`).
     """
+    _checked_tol(cert_tol, "cert_tol")
     if report is None:
         report = common_fixed_point(rep, cert_tol=cert_tol)
     space = rep.space

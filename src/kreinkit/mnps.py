@@ -9,11 +9,16 @@ the closed ball into itself.  Its eigenvalues outside the unit circle are
 the images of those of A in the open lower half-plane, so iterating it from
 ``W = 0`` is subspace iteration in graph coordinates towards that spectral
 subspace, the MNPS; for strictly J-dissipative A it converges
-(Earle--Hamilton).  It costs one block LU of ``A + i mu`` without pivoting
-between blocks (``n^3 / 3`` multiply-adds), and ``O(n^2 n_minus)`` work per
-step.  No pivoting is needed: the shift keeps the Hermitian part of ``(A +
-i mu) / (i mu)``, ``I + Im(A) / mu``, positive definite, and so that of
-every pivot block and Schur complement.
+(Earle--Hamilton).  ``A + i mu`` is solved by block elimination with the
+H+ block first: one block LU of ``A22 + i mu`` without pivoting between
+blocks (``n_plus^3 / 3`` multiply-adds) and an ``n_minus x n_minus``
+Schur complement inverted with pivoting, then ``O(n^2 n_minus)`` work per
+step.  No pivoting is needed in the H+ block: the Hermitian part of ``(A22
++ i mu) / (i mu)`` is ``I + Im(A22) / mu``, and ``Im(A22)`` is the H+
+block of the dissipativity form, which the solver proves to be at least
+``-PREDICATE_TOL * nu``; so every shift ``mu >= 4 PREDICATE_TOL nu`` keeps
+it at least ``0.75 I``, and so that of every pivot block and Schur
+complement.
 
 No step takes an SVD of A.  Its scale is ``nu <= ||A||``, a lower bound
 from a few seeded block-power steps (``spaces._norm_lower_bound``, within
@@ -21,29 +26,23 @@ a few percent of ||A||; above ``0.95 ||A||`` on every draw measured).
 Every tolerance is relative to nu, so it is at least as strict as the same
 tolerance relative to ||A||.
 
-The shift is ``mu = min(1.25 nu, max(1.25 theta, rho))``, from the
-``n_minus`` rows of A in ``O(n n_minus^2)`` work.  For every ``mu > 0``,
-``|c(lambda)| = |lambda - i mu| / |lambda + i mu|`` exceeds 1 exactly when
-``Im lambda < 0``, so the fixed point does not depend on mu; mu sets the
-speed and keeps the LU stable.  ``theta >= -lambda_min(Im A)`` is certified
-by the Pontryagin structure: ``Im A`` is the dissipativity form, which the
-solver proves positive semidefinite, plus a Hermitian matrix of rank at
-most ``2 n_minus`` whose spectrum is that of a ``2 n_minus x 2 n_minus``
-matrix.  So ``mu >= 1.25 theta`` keeps ``I + Im(A) / mu >= 0.2 I``, and the
-cap ``1.25 nu > ||A||`` (``nu > 0.8 ||A||``) keeps it positive definite too.
-For a lower eigenvalue ``a - i beta``, ``|c|^2 = (a^2 + (mu + beta)^2) /
-(a^2 + (mu - beta)^2)`` falls as mu grows past ``|lambda|``; ``rho = ||A11||
-+ ||A12|| >= |lambda|`` for each of them, so ``mu >= rho`` maps every lower
-eigenvalue at least as far outside the unit circle as ``mu = 1.25 nu``
-does.  The upper ones have no such guarantee: where mu falls far below
-their moduli, as when the H- block of A is much smaller than the rest,
-their images move towards the unit circle and the iteration can reach its
-step cap.  On strongly
-J-dissipative draws with ``n_minus << n`` the shift is 0.7 to 0.8 nu, and
-the iteration takes 35--47% fewer steps than at 1.25 nu.  A shift too
-small is caught all the same: a singular pivot block of ``A + i mu``, the
-stall check, the ``cond(Y-)`` check and the certificate all send the solve
-to the fallback.
+For every ``mu > 0``, ``|c(lambda)| = |lambda - i mu| / |lambda + i mu|``
+exceeds 1 exactly when ``Im lambda < 0``, so the fixed point does not
+depend on mu; mu sets the speed.  It is aimed at the lower eigenvalues:
+for lower eigenvalues ``-i beta`` with beta in ``[b1, b2]``, the smallest
+expansion ``(beta + mu) / |beta - mu|`` is largest at ``mu = sqrt(b1
+b2)``.  So mu is the geometric mean of the moduli of the ``n_minus``
+Ritz values in the open lower half-plane, from block Arnoldi on A started
+at H- over at most four blocks (three block products), clamped to ``[4
+PREDICATE_TOL nu, 1.25 nu]``.  On strongly J-dissipative draws with
+``n_minus << n`` it is about 0.4 nu, and the iteration takes 13 to 19
+steps at n = 400 and 1000.  When the Ritz values in the
+lower half-plane are not ``n_minus``, or the Schur complement is singular
+or worse conditioned than ``GRAPH_COND_LIMIT``, the solve runs at the cap
+``mu = 1.25 nu``, above ``||A||`` (``nu > 0.8 ||A||``), where ``A + i mu``
+is invertible.  A shift too small is caught all the same: the stall
+check, the ``cond(Y-)`` check and the certificate send the solve to the
+fallback.
 
 When the iteration stalls or its graph does not certify, the solver falls
 back to the finite-dimensional route: the spectral subspace of ``A + itJ``
@@ -72,6 +71,7 @@ from .spaces import (
     PREDICATE_TOL,
     Subspace,
     _checked,
+    _checked_tol,
     _inertia,
     _invariance_residual,
     _norm_lower_bound,
@@ -111,8 +111,7 @@ W_NORM_SLACK = 1e-8
 
 #: Cayley shift factor.  The shift is at most ``CAYLEY_SHIFT * nu``, above
 #: ||A|| for ``nu > 0.8 ||A||`` (at ``mu = ||A||``, A + i mu is singular for
-#: A = iJ), and below that cap at least ``CAYLEY_SHIFT * theta``, which keeps
-#: the Hermitian part of ``(A + i mu) / (i mu)`` at least ``0.2 I``.
+#: A = iJ); the solve falls back to this cap when the Ritz shift fails.
 CAYLEY_SHIFT = 1.25
 
 #: Step cap of the Cayley fixed-point iteration.
@@ -317,33 +316,31 @@ def _lu_solve(lu: np.ndarray, z: np.ndarray) -> np.ndarray:
     return x
 
 
-def _shift_bounds(space: IndefiniteSpace, m: np.ndarray, scale: float) -> tuple[float, float]:
-    """``(theta, rho)``: bounds on ``-lambda_min(Im m)`` and on the lower spectrum of m.
+def _cayley_shift(space: IndefiniteSpace, m: np.ndarray, scale: float) -> float:
+    """Shift of the Cayley solve: the geometric mean of the lower Ritz values' moduli.
 
-    Reads only the first ``n_minus`` rows of m: ``O(n n_minus^2)`` work and no
-    ``n x n`` array.  ``Im m = H + E`` with H the dissipativity form, ``H >=
-    -PREDICATE_TOL * nu`` by the test in :func:`mnps`, and ``E = [[2 Im A11,
-    -i A12], [i A12^H, 0]]`` of rank at most ``2 n_minus``.  With ``(-i
-    A12)^H = Q R``, E is unitarily similar to ``[[2 Im A11, R^H], [R, 0]]``
-    plus zeros, so ``theta = PREDICATE_TOL * nu - lambda_min(E)`` bounds
-    ``-lambda_min(Im m)``, and ``theta >= PREDICATE_TOL * nu > 0`` because E
-    has a zero block.  ``rho = ||A11|| + ||A12||`` bounds ``|lambda|`` for
-    every eigenvalue in the open lower half-plane: each is one of ``A11 + A12
-    W*``, with ``||W*|| <= 1`` the MNPS graph.
+    The Ritz values come from block Arnoldi on m from ``[I; 0]`` (H-) over
+    ``p = min(4, n // n_minus)`` blocks: the first product is m's first
+    ``n_minus`` columns, so the estimate costs ``p - 1`` block products.  The
+    mean is clamped to ``[4 PREDICATE_TOL nu, CAYLEY_SHIFT nu]``; it is the
+    cap when the Ritz values in the open lower half-plane are not ``n_minus``.
     """
     k = space.n_minus
-    a11 = m[:k, :k]
-    r = np.linalg.qr(1j * m[:k, k:].conj().T, mode="r")  # (-i A12)^H = Q R
-    e = np.block([[(a11 - a11.conj().T) / 1j, r.conj().T], [r, np.zeros((r.shape[0],) * 2)]])
-    theta = PREDICATE_TOL * scale - float(np.linalg.eigvalsh(e)[0])
-    rho = float(np.linalg.svd(a11, compute_uv=False)[0] + np.linalg.svd(r, compute_uv=False)[0])
-    return theta, rho
-
-
-def _cayley_shift(space: IndefiniteSpace, m: np.ndarray, scale: float) -> float:
-    """Shift ``mu = min(CAYLEY_SHIFT * nu, max(CAYLEY_SHIFT * theta, rho))`` of the Cayley solve."""
-    theta, rho = _shift_bounds(space, m, scale)
-    return min(CAYLEY_SHIFT * scale, max(CAYLEY_SHIFT * theta, rho))
+    v, av = np.eye(space.n, k, dtype=complex), m[:, :k]
+    for _ in range(1, min(4, space.n // k)):
+        w = av[:, -k:]
+        for _ in range(2):  # Gram--Schmidt twice keeps the basis orthonormal
+            w = w - v @ (v.conj().T @ w)
+        if not np.any(w):  # the Krylov space is invariant: its Ritz values are exact
+            break
+        q = np.linalg.qr(w)[0]
+        v, av = np.hstack([v, q]), np.hstack([av, m @ q])
+    ritz = np.linalg.eigvals(v.conj().T @ av)
+    lower = np.abs(ritz[ritz.imag < 0.0])
+    if lower.size != k:
+        return CAYLEY_SHIFT * scale
+    mu = float(np.exp(np.mean(np.log(lower))))
+    return min(max(mu, 4.0 * PREDICATE_TOL * scale), CAYLEY_SHIFT * scale)
 
 
 def _cayley_graph(space: IndefiniteSpace, m: np.ndarray, scale: float) -> np.ndarray | None:
@@ -351,41 +348,54 @@ def _cayley_graph(space: IndefiniteSpace, m: np.ndarray, scale: float) -> np.nda
 
     ``C = (m + i mu)^{-1} (m - i mu) = I - 2i mu (m + i mu)^{-1}`` with mu
     from :func:`_cayley_shift`, so one step maps the basis ``Z = [I; W]``
-    of the graph to ``Y = C Z`` with one block LU solve against
-    ``n x n_minus`` right-hand sides, and the next W is ``Y+ Y-^{-1}``.
-    Neither C nor ``(m + i mu)^{-1}`` is formed: ``m + i mu`` is factored
-    once by :func:`_block_lu` (``n^3 / 3`` multiply-adds), and each step costs
-    ``O(n^2 n_minus)``.
+    of the graph to ``Y = C Z``, and the next W is ``Y+ Y-^{-1}``.  Neither
+    C nor ``(m + i mu)^{-1}`` is formed.  ``m + i mu`` is solved by block
+    elimination with the H+ block first: :func:`_block_lu` factors ``m22 +
+    i mu`` (``n_plus^3 / 3`` multiply-adds), ``F = (m22 + i mu)^{-1} m21``
+    and the ``n_minus x n_minus`` Schur complement ``S = m11 + i mu - m12
+    F`` are formed once, and each step costs ``O(n^2 n_minus)``: ``g =
+    (m22 + i mu)^{-1} Z+``, ``X- = S^{-1} (Z- - m12 g)``, ``X+ = g - F X-``.
 
-    The LU needs no pivoting between blocks.  The Hermitian part of
-    ``(m + i mu) / (i mu)`` is ``I + Im(m) / mu``.  Either ``mu >= 1.25
-    theta >= -1.25 lambda_min(Im m)``, and then it is at least ``0.2 I``, or
-    the cap ``mu = 1.25 nu`` binds, which is above ``||m||`` since ``nu >
-    0.8 ||m||``, and then it is at least ``(1 - ||m|| / mu) I``.  Either way
-    every pivot block and every Schur complement has positive definite
-    Hermitian part, hence a bounded inverse, and the factorization is stable
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
-    ch. 10).
+    The LU of ``m22 + i mu`` needs no pivoting between blocks.  The
+    Hermitian part of ``(m22 + i mu) / (i mu)`` is ``I + Im(m22) / mu``,
+    and ``Im(m22)`` is the H+ block of the dissipativity form, which
+    :func:`mnps` proves to be at least ``-PREDICATE_TOL * nu``; so for ``mu
+    >= 4 PREDICATE_TOL nu`` it is at least ``0.75 I``, every pivot block and
+    Schur complement has positive definite Hermitian part, hence a bounded
+    inverse, and the factorization is stable (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., ch. 10).  S is inverted
+    with pivoting.  When S is singular or worse conditioned than
+    ``GRAPH_COND_LIMIT``, the solve is set up once more at ``mu =
+    CAYLEY_SHIFT * nu``, above ``||m||``, where ``m + i mu`` is invertible.
 
     With ``q`` the larger of the last two increment ratios, the iteration
     returns W once the geometric tail bound ``step * q / (1 - q)`` on its
     distance to the fixed point is at most ``CAYLEY_TAIL``.  It is None when
-    a pivot block of ``m + i mu`` is singular, when the increment stops
+    no shift gives a usable factorization, when the increment stops
     shrinking above ``CAYLEY_ROUNDOFF``, when the step cap is hit, or when
     ``Y-`` is worse conditioned than ``GRAPH_COND_LIMIT``.
     """
     k = space.n_minus
-    mu = _cayley_shift(space, m, scale)
-    try:
-        lu = _block_lu(_plus_diagonal(m, 1j * mu))
-    except np.linalg.LinAlgError:  # a singular pivot block: the shift is too small
+    for mu in dict.fromkeys((_cayley_shift(space, m, scale), CAYLEY_SHIFT * scale)):
+        try:
+            lu = _block_lu(_plus_diagonal(m[k:, k:], 1j * mu))
+            f = _lu_solve(lu, m[k:, :k])
+            s = _plus_diagonal(m[:k, :k], 1j * mu) - m[:k, k:] @ f
+            s_inv = np.linalg.inv(s)
+        except np.linalg.LinAlgError:  # a singular pivot block or S
+            continue
+        if np.linalg.cond(s) <= GRAPH_COND_LIMIT:
+            break
+    else:
         return None
     z = np.eye(space.n, k, dtype=complex)  # [I; W] with W = 0
     prev = prev_ratio = np.inf
     for _ in range(CAYLEY_MAX_STEPS):
-        y = z - 2j * mu * _lu_solve(lu, z)
+        g = _lu_solve(lu, z[k:])
+        x_minus = s_inv @ (z[:k] - m[:k, k:] @ g)
+        y_minus = z[:k] - 2j * mu * x_minus
         try:
-            w = y[k:] @ np.linalg.inv(y[:k])
+            w = (z[k:] - 2j * mu * (g - f @ x_minus)) @ np.linalg.inv(y_minus)
         except np.linalg.LinAlgError:  # Y- exactly singular
             return None
         step = float(np.linalg.norm(w - z[k:]))
@@ -398,7 +408,7 @@ def _cayley_graph(space: IndefiniteSpace, m: np.ndarray, scale: float) -> np.nda
                 continue
         elif step > CAYLEY_ROUNDOFF:  # stopped contracting above roundoff
             return None
-        if np.linalg.cond(y[:k]) > GRAPH_COND_LIMIT:
+        if np.linalg.cond(y_minus) > GRAPH_COND_LIMIT:
             return None
         return w
     return None
@@ -432,12 +442,14 @@ def mnps(space: IndefiniteSpace, a, tol_res: float = DEFAULT_TOL_RES) -> MnpsRep
     the certified level with the smallest residual is returned.
     ``iterations`` counts the Schur levels tried.  When none certifies, the
     level with the smallest residual is returned flagged uncertified.
+    ``tol_res`` must be finite and above 0 (``ValueError`` otherwise).
 
     ``nu <= ||A||`` is the seeded lower bound of the module docstring; it
     also scales the dissipativity slack, the Cayley shift, the schedule and
     the Schur fallback's axis strip.
     """
     m = _checked(a, (space.n, space.n), "operator")
+    _checked_tol(tol_res, "tol_res")
     zero = np.zeros((space.n_plus, space.n_minus), dtype=complex)
     if not np.any(m):  # A = 0: every MNPS is invariant
         return _report_for(space, m, zero, 0.0, 0, tol_res, 0.0)
@@ -497,8 +509,13 @@ def approximation_ladder(
     must be the full problem.
     """
     m = _checked(a, (space.n, space.n), "operator")
-    levels = [(km, kp) for km, kp in levels]
-    if not all(_is_integer(k) for level in levels for k in level):
+    _checked_tol(tol_res, "tol_res")
+    try:
+        levels = [(km, kp) for km, kp in levels]
+        pairs = all(_is_integer(k) for level in levels for k in level)
+    except (TypeError, ValueError):  # a level that does not unpack into two
+        pairs = False
+    if not pairs:
         raise ValueError(f"ladder levels must be pairs of integers, got {levels}")
     levels = [(int(km), int(kp)) for km, kp in levels]
     if not levels:
@@ -544,6 +561,7 @@ def verify_mnps(space: IndefiniteSpace, a, w, tol: float = 1e-8) -> VerifyReport
     """
     m = _checked(a, (space.n, space.n), "operator")
     w = _checked(w, (space.n_plus, space.n_minus), "graph operator")
+    _checked_tol(tol, "tol")
     res, inertia, _, invariant, maximal = _certificate(space, m, w, tol, _norm_lower_bound(m))
     return VerifyReport(
         maximal_nonpositive=maximal,

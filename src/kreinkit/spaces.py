@@ -123,6 +123,13 @@ def _checked(a, shape: tuple, name: str) -> np.ndarray:
     return m
 
 
+def _checked_tol(tol, name: str):
+    """``tol`` if it is finite and above 0: inf would pass every residual test, nan or 0 none."""
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"{name} must be a finite number above 0, got {tol!r}")
+    return tol
+
+
 @functools.lru_cache(maxsize=64)
 def _j_signs(n_minus: int, n_plus: int) -> np.ndarray:
     signs = np.r_[-np.ones(n_minus), np.ones(n_plus)]

@@ -621,6 +621,15 @@ class TestPencilAndDualPair:
         assert reads  # the counter sees the reads the full report makes
 
 
+@pytest.mark.parametrize("solve", [common_fixed_point, unitarize], ids=["fixpoint", "unitarize"])
+@pytest.mark.parametrize("tol", [0.0, -1e-9, np.nan, np.inf])
+def test_certificate_tolerance_must_be_finite_and_positive(solve, tol):
+    # inf would certify any fixed point, and 0 or nan none
+    rep = block_unitary_rep(cyclic(4), build_space(1, 2), np.random.default_rng(18))
+    with pytest.raises(ValueError, match="cert_tol must be a finite number above 0"):
+        solve(rep, cert_tol=tol)
+
+
 class TestUnitarize:
     def test_already_unitary(self):
         rng = np.random.default_rng(18)
