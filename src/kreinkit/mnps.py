@@ -331,9 +331,9 @@ def _cayley_shift(space: IndefiniteSpace, m: np.ndarray, scale: float) -> float:
         w = av[:, -k:]
         for _ in range(2):  # Gram--Schmidt twice keeps the basis orthonormal
             w = w - v @ (v.conj().T @ w)
-        if not np.any(w):  # the Krylov space is invariant: its Ritz values are exact
-            break
-        q = np.linalg.qr(w)[0]
+        q, r = np.linalg.qr(w)
+        if not np.all(np.diagonal(r)):  # a zero pivot: q would repeat a column of v, so
+            break  # stop at the Krylov space so far (exact when it is invariant, w = 0)
         v, av = np.hstack([v, q]), np.hstack([av, m @ q])
     ritz = np.linalg.eigvals(v.conj().T @ av)
     lower = np.abs(ritz[ritz.imag < 0.0])
@@ -509,7 +509,6 @@ def approximation_ladder(
     must be the full problem.
     """
     m = _checked(a, (space.n, space.n), "operator")
-    _checked_tol(tol_res, "tol_res")
     try:
         levels = [(km, kp) for km, kp in levels]
         pairs = all(_is_integer(k) for level in levels for k in level)
