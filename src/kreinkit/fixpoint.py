@@ -106,6 +106,7 @@ class RepDiagnostics:
     j_unitarity_defect: float
 
     def ok(self, tol: float) -> bool:
+        _checked_tol(tol, "tol")
         return (
             self.homomorphism_defect <= tol
             and self.identity_defect <= tol

@@ -1,4 +1,15 @@
-"""Finite groups as validated Cayley tables, plus the standard small groups."""
+"""Finite groups as validated Cayley tables, plus the standard small groups.
+
+Each named group's table comes from its own arithmetic, with no search for
+products, and lists its elements in a fixed order:
+
+* ``cyclic(n)``: ``0, 1, ..., n-1``;
+* ``symmetric(n)``: the permutations of ``0..n-1`` in lexicographic order;
+* ``dihedral(n)``: the rotations ``r^0, ..., r^(n-1)``, then the reflections
+  ``r^0 s, ..., r^(n-1) s``, each labelled by its permutation of the vertices;
+* ``quaternion()``: ``1, -1, i, -i, j, -j, k, -k``;
+* ``direct_product(g, h)``: the pairs ``(a, b)``, with ``b`` running fastest.
+"""
 
 from __future__ import annotations
 
@@ -53,29 +64,34 @@ class FiniteGroup:
             raise GroupStructureError(f"table must be {m}x{m}, got {t.shape}")
         if m == 0:
             raise GroupStructureError("group must be non-empty")
+        if len(set(labels)) != m:
+            raise GroupStructureError("element labels must be distinct")
         if t.min() < 0 or t.max() >= m:
             raise GroupStructureError("table entries out of range")
+        # row i (column j) is a permutation iff it hits every value 0..m-1
         full = np.arange(m)
-        for i in range(m):
-            if not np.array_equal(np.sort(t[i]), full):
-                raise GroupStructureError(f"row {i} is not a permutation")
-            if not np.array_equal(np.sort(t[:, i]), full):
-                raise GroupStructureError(f"column {i} is not a permutation")
+        row_hits = np.zeros((m, m), dtype=bool)
+        row_hits[full[:, None], t] = True
+        col_hits = np.zeros((m, m), dtype=bool)
+        col_hits[t, full] = True
+        rows_ok, cols_ok = row_hits.all(axis=1), col_hits.all(axis=0)
+        if not (rows_ok.all() and cols_ok.all()):
+            i = int(np.argmin(rows_ok & cols_ok))
+            kind = "row" if not rows_ok[i] else "column"
+            raise GroupStructureError(f"{kind} {i} is not a permutation")
 
-        identity = None
-        for e in range(m):
-            if np.array_equal(t[e], full) and np.array_equal(t[:, e], full):
-                identity = e
-                break
-        if identity is None:
+        is_identity = (t == full).all(axis=1) & (t == full[:, None]).all(axis=0)
+        if not is_identity.any():
             raise GroupStructureError("no identity element found")
+        identity = int(np.argmax(is_identity))
 
-        inverses = np.empty(m, dtype=int)
-        for g in range(m):
-            hits = np.where(t[g] == identity)[0]
-            if hits.size != 1 or t[hits[0], g] != identity:
-                raise GroupStructureError(f"element {g} has no two-sided inverse")
-            inverses[g] = hits[0]
+        # each row is a permutation, so it holds the identity exactly once
+        inverses = np.argmax(t == identity, axis=1)
+        one_sided = t[inverses, full] != identity
+        if one_sided.any():
+            raise GroupStructureError(
+                f"element {int(np.argmax(one_sided))} has no two-sided inverse"
+            )
 
         if m <= EXHAUSTIVE_ORDER:
             # table[table[i, j], k] vs table[i, table[j, k]] over all triples
@@ -89,7 +105,7 @@ class FiniteGroup:
 
         t.setflags(write=False)
         inverses.setflags(write=False)
-        return cls(elements=labels, table=t, identity=int(identity), inverses=inverses)
+        return cls(elements=labels, table=t, identity=identity, inverses=inverses)
 
     @property
     def order(self) -> int:
@@ -109,45 +125,16 @@ class FiniteGroup:
         return p
 
 
-def _closure(generators, mul, key, label):
-    """Generic closure of a generator set under an associative product."""
-    elems = []
-    index = {}
-
-    def add(x):
-        k = key(x)
-        if k not in index:
-            index[k] = len(elems)
-            elems.append(x)
-        return index[k]
-
-    pending = [add(g) for g in generators]
-    frontier = list(range(len(elems)))
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in range(len(elems)):
-                for prod in (mul(elems[i], elems[j]), mul(elems[j], elems[i])):
-                    before = len(elems)
-                    add(prod)
-                    if len(elems) > before:
-                        nxt.append(len(elems) - 1)
-            if len(elems) > MAX_ORDER:
-                raise GroupStructureError("generator closure did not terminate")
-        frontier = nxt
-    m = len(elems)
-    table = np.empty((m, m), dtype=int)
-    for i in range(m):
-        for j in range(m):
-            table[i, j] = index[key(mul(elems[i], elems[j]))]
-    return FiniteGroup.from_table([label(x) for x in elems], table)
-
-
 def _capped(order: int) -> int:
     """``order``, checked against :data:`MAX_ORDER` before any table is built."""
     if order > MAX_ORDER:
         raise ValueError(f"group order {order} exceeds MAX_ORDER = {MAX_ORDER}")
     return order
+
+
+def _perm_labels(perms: np.ndarray) -> list[str]:
+    """Each permutation written as the string of its images of 0, 1, 2, ..."""
+    return ["".join(map(str, p)) for p in perms.tolist()]
 
 
 def cyclic(n: int) -> FiniteGroup:
@@ -159,31 +146,35 @@ def cyclic(n: int) -> FiniteGroup:
     return FiniteGroup.from_table([str(i) for i in range(n)], table)
 
 
-def _perm_group(perms) -> FiniteGroup:
-    perms = [tuple(p) for p in perms]
-    return _closure(
-        perms,
-        mul=lambda p, q: tuple(p[q[i]] for i in range(len(p))),
-        key=lambda p: p,
-        label=lambda p: "".join(str(i) for i in p),
-    )
-
-
 def symmetric(n: int) -> FiniteGroup:
-    """S_n as permutations of 0..n-1 (n <= 5 is plenty for fixtures)."""
+    """S_n as permutations of 0..n-1 in lexicographic order (n <= 5 is plenty for fixtures).
+
+    ``p * q`` is the composition ``x -> p(q(x))``.
+    """
     if n < 1 or n > 5:
         raise ValueError("symmetric group supported for 1 <= n <= 5")
-    return _perm_group(itertools.permutations(range(n)))
+    perms = np.array(list(itertools.permutations(range(n))))
+    # base-n codes increase in lexicographic order, so searchsorted indexes them
+    codes = perms @ n ** np.arange(n - 1, -1, -1)
+    table = np.searchsorted(codes, perms[:, perms] @ n ** np.arange(n - 1, -1, -1))
+    return FiniteGroup.from_table(_perm_labels(perms), table)
 
 
 def dihedral(n: int) -> FiniteGroup:
-    """D_n of order 2n, acting on the vertices of the n-gon."""
+    """D_n of order 2n, acting on the vertices of the n-gon.
+
+    Element ``k`` is the rotation ``r^k: x -> x + k`` and element ``n + k`` the
+    reflection ``r^k s: x -> k - x`` (mod n), each labelled by its permutation;
+    ``r^a s^e * r^b s^f = r^(a + (-1)^e b) s^(e + f)``.
+    """
     if n < 3:
         raise ValueError("dihedral group needs n >= 3 (use Z2 x Z2 for order 4)")
-    _capped(2 * n)
-    rotation = tuple((i + 1) % n for i in range(n))
-    reflection = tuple((n - i) % n for i in range(n))
-    return _perm_group([rotation, reflection])
+    idx = np.arange(_capped(2 * n))
+    a, e = idx % n, idx // n
+    sign = 1 - 2 * e
+    table = (a[:, None] + sign[:, None] * a) % n + n * ((e[:, None] + e) % 2)
+    perms = (a[:, None] + sign[:, None] * np.arange(n)) % n
+    return FiniteGroup.from_table(_perm_labels(perms), table)
 
 
 _QUATERNION_UNITS = {
@@ -199,31 +190,24 @@ _QUATERNION_UNITS = {
 
 
 def quaternion() -> FiniteGroup:
-    """The quaternion group Q_8 = {+-1, +-i, +-j, +-k}."""
+    """The quaternion group Q_8 = {+-1, +-i, +-j, +-k}, in that order.
 
-    def key(mat):
-        return tuple(np.round(mat, 9).reshape(-1).view(float))
-
-    names = {key(mat): name for name, mat in _QUATERNION_UNITS.items()}
-    return _closure(
-        [_QUATERNION_UNITS["i"], _QUATERNION_UNITS["j"]],
-        mul=lambda a, b: a @ b,
-        key=key,
-        label=lambda mat: names[key(mat)],
-    )
+    Its elements are 2x2 matrices with entries in {0, +-1, +-i}, so their
+    products are exact and each equals one unit entry for entry.
+    """
+    units = np.array(list(_QUATERNION_UNITS.values()))
+    products = units[:, None] @ units[None, :]
+    table = np.argmax((products[:, :, None] == units).all(axis=(-2, -1)), axis=-1)
+    return FiniteGroup.from_table(list(_QUATERNION_UNITS), table)
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
-    """G x H with componentwise multiplication."""
+    """G x H with componentwise multiplication; ``(a, b)`` has index ``a * |H| + b``."""
     mg, mh = g.order, h.order
     _capped(mg * mh)
-    labels = [f"({g.elements[i]},{h.elements[j]})" for i in range(mg) for j in range(mh)]
-    table = np.empty((mg * mh, mg * mh), dtype=int)
-    for i1 in range(mg):
-        for j1 in range(mh):
-            row = i1 * mh + j1
-            table[row] = (g.table[i1][:, None] * mh + h.table[j1][None, :]).reshape(-1)
-    return FiniteGroup.from_table(labels, table)
+    labels = [f"({a},{b})" for a in g.elements for b in h.elements]
+    table = g.table[:, None, :, None] * mh + h.table[None, :, None, :]
+    return FiniteGroup.from_table(labels, table.reshape(mg * mh, mg * mh))
 
 
 def named_group(name: str) -> FiniteGroup:

@@ -58,7 +58,7 @@ import numpy as np
 from .fixpoint import GroupRep
 from .groups import FiniteGroup
 from .serialization import report_to_json
-from .spaces import IndefiniteSpace, Inertia, _checked, _inertia, _plus_diagonal
+from .spaces import IndefiniteSpace, Inertia, _checked, _checked_tol, _inertia, _plus_diagonal
 
 __all__ = [
     "GroupFunction",
@@ -316,6 +316,10 @@ class DecompositionCertificate:
         return self.phi2_rank is not None and self.negative_squares <= self.phi2_rank
 
     def ok(self, scale: float, tol: float = RECONSTRUCTION_RTOL) -> bool:
+        """All four clauses, with the reconstruction error at most ``tol * scale``."""
+        if not (np.isfinite(scale) and scale >= 0.0):
+            raise ValueError(f"scale must be a finite number >= 0, got {scale!r}")
+        _checked_tol(tol, "tol")
         return (
             self.reconstruction_error <= tol * scale
             and self.parts_positive_definite

@@ -44,7 +44,7 @@ __all__ = [
 #: Relative threshold below which eigenvalues / singular values count as zero.
 RANK_RTOL = 1e-9
 
-#: Default tolerance for the operator-class predicates.
+#: Tolerance of the operator-class predicates, relative to a lower bound on ||A||.
 PREDICATE_TOL = 1e-9
 
 #: Condition-number guard for solving against the H- block of a basis.
@@ -299,17 +299,16 @@ def _unitarity_gap(space: IndefiniteSpace, m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2) @ (space.j_signs[:, None] * m) - space.j
 
 
-def classify_operator(space: IndefiniteSpace, a, tol: float | None = None) -> OperatorClasses:
+def classify_operator(space: IndefiniteSpace, a) -> OperatorClasses:
     """Test J-selfadjointness, (strong) J-dissipativity, J-unitarity, J-expansion.
 
-    ``tol`` defaults to ``PREDICATE_TOL * nu``, where ``nu <= ||A||`` is the
+    The tolerance is ``PREDICATE_TOL * nu``, where ``nu <= ||A||`` is the
     lower bound of :func:`_norm_lower_bound`: relative with no floor, so the
     predicates are scale-invariant, and the same scale as the dissipativity
     test of :func:`kreinkit.mnps.mnps`, so the two agree.
     """
     m = _checked(a, (space.n, space.n), "operator")
-    if tol is None:
-        tol = PREDICATE_TOL * _norm_lower_bound(m)
+    tol = PREDICATE_TOL * _norm_lower_bound(m)
 
     sa_defect = operator_norm(m - j_adjoint(space, m))
     form = dissipativity_form(space, m)
@@ -362,11 +361,12 @@ def graph_from_subspace(space: IndefiniteSpace, z) -> np.ndarray:
 def subspace_signature(space: IndefiniteSpace, z, tol: float | None = None) -> Inertia:
     """Inertia of the Gram matrix Z^H J Z; eigenvalues within tol count as null."""
     zb = _checked(getattr(z, "basis", z), (space.n, None), "basis")
+    tol = RANK_RTOL if tol is None else _checked_tol(tol, "tol")
     gram = (zb.conj().T * space.j_signs) @ zb  # Z^H J Z with no n x n read
     gram = (gram + gram.conj().T) / 2.0
     if gram.shape[0] == 0:
         return Inertia(0, 0, 0)
-    return _inertia(np.linalg.eigvalsh(gram), RANK_RTOL if tol is None else tol)
+    return _inertia(np.linalg.eigvalsh(gram), tol)
 
 
 def invariance_residual(space: IndefiniteSpace, a, w) -> float:

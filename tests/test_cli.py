@@ -424,6 +424,14 @@ class TestFixpointCommands:
         assert main(["unitarize", "--group", gpath, "--rep", rpath]) == 2
         assert "elements must be a list" in capsys.readouterr().err
 
+    def test_repeated_group_labels_exit_two(self, tmp_path, capsys):
+        gpath, rpath = self.make_rep_files(tmp_path, group_name="Z2", sig=(1, 1))
+        obj = load(tmp_path / "group.json")
+        obj["elements"] = ["a", "a"]
+        write(tmp_path / "group.json", obj)
+        assert main(["unitarize", "--group", gpath, "--rep", rpath]) == 2
+        assert "element labels must be distinct" in capsys.readouterr().err
+
     def test_non_rep_matrices_exit_two(self, tmp_path):
         gpath, rpath = self.make_rep_files(tmp_path)
         obj = load(tmp_path / "rep.json")

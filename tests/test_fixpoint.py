@@ -86,6 +86,13 @@ class TestRepValidate:
         diag = rep_validate(rep)
         assert diag.ok(1e-10)
 
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1.0])
+    def test_ok_rejects_a_bad_tolerance(self, tol):
+        # inf would pass any defect, nan or 0 none
+        rep = block_unitary_rep(cyclic(4), build_space(1, 2), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="tol must be a finite number above 0"):
+            rep_validate(rep).ok(tol)
+
     def test_corrupted_assignment_flagged(self):
         rng = np.random.default_rng(2)
         rep = block_unitary_rep(cyclic(4), build_space(1, 2), rng)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from kreinkit import (
     quaternion,
     symmetric,
 )
-from kreinkit.groups import MAX_ORDER
+from kreinkit.groups import EXHAUSTIVE_ORDER, MAX_ORDER
+from kreinkit.serialization import group_from_json
 
 
 @pytest.mark.parametrize(
@@ -56,29 +59,75 @@ def test_left_translation_is_regular_rep():
             assert np.array_equal(pa @ pb, g.left_translation(g.mult(a, b)))
 
 
+# a Latin square with two-sided identity that fails associativity; each element is its own inverse
+NON_ASSOCIATIVE_LOOP = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
+@pytest.mark.parametrize(
+    "table,message",
+    [
+        ([[0, 1, 2], [1, 1, 0], [2, 0, 1]], "row 1 is not a permutation"),
+        ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], "column 1 is not a permutation"),
+        # row 1 is bad too, but column 0 comes first
+        ([[0, 1], [0, 0]], "column 0 is not a permutation"),
+        ([[0, 2, 1], [2, 1, 0], [1, 0, 2]], "no identity element found"),
+        # x * y = y - x (mod 3): 0 is a left identity only
+        ([[0, 1, 2], [2, 0, 1], [1, 2, 0]], "no identity element found"),
+        # 2 * 3 = 0 but 3 * 2 = 1
+        (
+            [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]],
+            "element 2 has no two-sided inverse",
+        ),
+        ([[0, 1], [1, 5]], "table entries out of range"),
+        ([[0, -1], [1, 0]], "table entries out of range"),
+        ([[0, 1], [1, 0], [0, 1]], "table must be 2x2, got \\(3, 2\\)"),
+        (NON_ASSOCIATIVE_LOOP, "multiplication is not associative"),
+    ],
+    ids=["row", "column", "first-index", "no-identity", "left-identity", "one-sided-inverse",
+         "above-range", "below-range", "shape", "non-associative"],
+)
+def test_corrupted_tables_rejected(table, message):
+    with pytest.raises(GroupStructureError, match=f"^{message}$"):
+        FiniteGroup.from_table([f"g{i}" for i in range(len(table[0]))], table)
+
+
 def test_corrupted_table_rejected():
     t = cyclic(4).table.copy()
     t[1, 2] = 0  # duplicate in row 1
-    with pytest.raises(GroupStructureError):
+    with pytest.raises(GroupStructureError, match="row 1 is not a permutation"):
         FiniteGroup.from_table(["0", "1", "2", "3"], t)
 
 
 def test_non_associative_latin_square_rejected():
-    # a Latin square with two-sided identity that fails associativity
-    table = [
-        [0, 1, 2, 3, 4],
-        [1, 0, 3, 4, 2],
-        [2, 4, 0, 1, 3],
-        [3, 2, 4, 0, 1],
-        [4, 3, 1, 2, 0],
-    ]
-    with pytest.raises(GroupStructureError):
-        FiniteGroup.from_table(list("abcde"), table)
+    with pytest.raises(GroupStructureError, match="multiplication is not associative"):
+        FiniteGroup.from_table(list("abcde"), NON_ASSOCIATIVE_LOOP)
+
+
+def test_non_associative_above_the_exhaustive_order():
+    # loop x Z13 has order 65 > EXHAUSTIVE_ORDER, so only sampled triples are checked
+    loop, z13 = np.array(NON_ASSOCIATIVE_LOOP), cyclic(13).table
+    table = (loop[:, None, :, None] * 13 + z13[None, :, None, :]).reshape(65, 65)
+    assert table.shape[0] > EXHAUSTIVE_ORDER
+    with pytest.raises(GroupStructureError, match="multiplication is not associative"):
+        FiniteGroup.from_table([str(i) for i in range(65)], table)
 
 
 def test_out_of_range_entries_rejected():
     with pytest.raises(GroupStructureError):
         FiniteGroup.from_table(["e", "s"], [[0, 1], [1, 5]])
+
+
+def test_repeated_labels_rejected():
+    with pytest.raises(GroupStructureError, match="element labels must be distinct"):
+        FiniteGroup.from_table(["a", "a"], [[0, 1], [1, 0]])
+    with pytest.raises(GroupStructureError, match="element labels must be distinct"):
+        group_from_json({"elements": ["a", "a"], "table": [[0, 1], [1, 0]]})
 
 
 def test_named_group_resolution():
@@ -101,3 +150,107 @@ def test_order_cap_fires_before_the_table_is_built(build):
     assert MAX_ORDER == 4096
     with pytest.raises(ValueError, match="exceeds MAX_ORDER = 4096"):
         build()
+
+
+def _perm_label(p) -> str:
+    return "".join(map(str, p))
+
+
+def _check_perm_table(group, perms):
+    """table[i, j] is the element x -> p_i(p_j(x)), found through the labels."""
+    by_label = {_perm_label(p): tuple(p) for p in perms}
+    assert sorted(group.elements) == sorted(by_label)
+    index = {label: i for i, label in enumerate(group.elements)}
+    for i, a in enumerate(group.elements):
+        p = by_label[a]
+        for j, b in enumerate(group.elements):
+            q = by_label[b]
+            assert group.table[i, j] == index[_perm_label(p[x] for x in q)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_symmetric_composes_permutations(n):
+    _check_perm_table(symmetric(n), itertools.permutations(range(n)))
+
+
+@pytest.mark.parametrize("n", [*range(3, 13), 100])
+def test_dihedral_composes_symmetries_of_the_polygon(n):
+    group = dihedral(n)
+    rotations = [[(k + x) % n for x in range(n)] for k in range(n)]
+    reflections = [[(k - x) % n for x in range(n)] for k in range(n)]
+    _check_perm_table(group, rotations + reflections)
+    assert group.identity == 0 and group.elements[0] == _perm_label(range(n))
+
+
+def test_quaternion_multiplies_matrices():
+    one = np.eye(2, dtype=complex)
+    i = np.array([[1j, 0], [0, -1j]])
+    j = np.array([[0, 1], [-1, 0]], dtype=complex)
+    units = {"1": one, "i": i, "j": j, "k": i @ j}
+    units.update({f"-{name}": -u for name, u in list(units.items())})
+    q8 = quaternion()
+    assert sorted(q8.elements) == sorted(units)
+    for a, x in enumerate(q8.elements):
+        for b, y in enumerate(q8.elements):
+            assert np.array_equal(units[q8.elements[q8.mult(a, b)]], units[x] @ units[y])
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_cyclic_adds_mod_n(n):
+    group = cyclic(n)
+    for a, x in enumerate(group.elements):
+        for b, y in enumerate(group.elements):
+            assert group.elements[group.mult(a, b)] == str((int(x) + int(y)) % n)
+
+
+@pytest.mark.parametrize(
+    "g,h", [(symmetric(3), cyclic(4)), (cyclic(2), cyclic(2))], ids=["S3xZ4", "Z2xZ2"]
+)
+def test_direct_product_multiplies_componentwise(g, h):
+    group = direct_product(g, h)
+    pairs = {f"({x},{y})": (a, b) for a, x in enumerate(g.elements) for b, y in enumerate(h.elements)}
+    assert sorted(group.elements) == sorted(pairs)
+    for i, u in enumerate(group.elements):
+        for j, v in enumerate(group.elements):
+            (a1, b1), (a2, b2) = pairs[u], pairs[v]
+            w = group.elements[group.mult(i, j)]
+            assert pairs[w] == (g.mult(a1, a2), h.mult(b1, b2))
+
+
+def _brute_force(labels, mul):
+    index = {label: i for i, label in enumerate(labels)}
+    return [[index[mul(x, y)] for y in labels] for x in labels]
+
+
+@pytest.mark.parametrize(
+    "build,labels,mul",
+    [
+        *[
+            (
+                lambda n=n: symmetric(n),
+                [_perm_label(p) for p in itertools.permutations(range(n))],
+                lambda p, q: _perm_label(p[int(x)] for x in q),
+            )
+            for n in range(1, 6)
+        ],
+        (lambda: cyclic(7), [str(i) for i in range(7)], lambda x, y: str((int(x) + int(y)) % 7)),
+        (
+            lambda: direct_product(cyclic(2), cyclic(3)),
+            [f"({a},{b})" for a in range(2) for b in range(3)],
+            lambda x, y: f"({(int(x[1]) + int(y[1])) % 2},{(int(x[3]) + int(y[3])) % 3})",
+        ),
+    ],
+    ids=["S1", "S2", "S3", "S4", "S5", "Z7", "Z2xZ3"],
+)
+def test_element_order_and_table_match_brute_force(build, labels, mul):
+    # S_n lists its permutations in lexicographic order, Z_n counts up, and
+    # a product lists (g, h) with h running fastest
+    group = build()
+    assert group.elements == tuple(labels)
+    assert np.array_equal(group.table, _brute_force(labels, mul))
+
+
+def test_large_dihedral_builds():
+    group = dihedral(1024)
+    assert group.order == 2048 and group.identity == 0
+    assert group.mult(1, 1023) == 0 and group.mult(1024, 1024) == 0  # r * r^-1 and s * s

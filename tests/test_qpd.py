@@ -339,6 +339,33 @@ class TestVerifyDecomposition:
         assert cert.parts_positive_definite
         assert not cert.ok(scale=1e-6)
 
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"scale": np.inf}, "scale must be a finite number >= 0"),
+            ({"scale": np.nan}, "scale must be a finite number >= 0"),
+            ({"scale": -1.0}, "scale must be a finite number >= 0"),
+            ({"scale": 1.0, "tol": np.inf}, "tol must be a finite number above 0"),
+            ({"scale": 1.0, "tol": np.nan}, "tol must be a finite number above 0"),
+            ({"scale": 1.0, "tol": 0.0}, "tol must be a finite number above 0"),
+        ],
+        ids=["scale-inf", "scale-nan", "scale-negative", "tol-inf", "tol-nan", "tol-zero"],
+    )
+    def test_ok_rejects_a_bad_scale_or_tolerance(self, kwargs, message):
+        # scale = inf would pass any reconstruction error
+        g = cyclic(3)
+        phi = GroupFunction(g, np.ones(3))
+        zero = GroupFunction(g, np.zeros(3))
+        cert = verify_decomposition(phi, zero, zero)  # reconstruction error 1
+        with pytest.raises(ValueError, match=message):
+            cert.ok(**kwargs)
+        assert not cert.ok(scale=1.0)
+
+    def test_ok_accepts_a_zero_scale(self):
+        g = cyclic(3)
+        zero = GroupFunction(g, np.zeros(3))
+        assert verify_decomposition(zero, zero, zero).ok(scale=0.0)
+
     def test_runs_on_eigenvalues_alone(self, monkeypatch):
         # the certificate counts signs from eigvalsh; only decompose needs vectors
         rng = np.random.default_rng(12)

@@ -120,6 +120,17 @@ def test_classify_tolerance_is_relative_like_mnps():
     assert mnps(sp, good).certified
 
 
+def test_classify_takes_no_tolerance():
+    # the tolerance is PREDICATE_TOL * nu: an infinite one would call a
+    # J-dissipative diagonal J-selfadjoint and J-unitary
+    sp = build_space(1, 2)
+    a = np.diag([1j, 2.0, 3.0 + 5j])
+    with pytest.raises(TypeError):
+        classify_operator(sp, a, tol=np.inf)
+    cls = classify_operator(sp, a)
+    assert not cls.j_selfadjoint and not cls.j_unitary
+
+
 def _bound_input(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
     if kind == "random":
         return random_complex(rng, (n, n))
@@ -250,6 +261,15 @@ def test_subspace_signature_labels():
     assert sig.n_null == 1
     h_plus = np.vstack([np.zeros((2, 3)), np.eye(3)])
     assert subspace_signature(sp, h_plus).n_pos == 3
+
+
+@pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1e-9])
+def test_subspace_signature_rejects_a_bad_tolerance(tol):
+    # inf or nan would count every direction of a definite basis as null
+    sp = build_space(1, 2)
+    with pytest.raises(ValueError, match="tol must be a finite number above 0"):
+        subspace_signature(sp, np.eye(3), tol=tol)
+    assert subspace_signature(sp, np.eye(3), tol=1e-9) == subspace_signature(sp, np.eye(3))
 
 
 @given(st.integers(0, 2**32 - 1))
