@@ -335,7 +335,12 @@ def _cayley_shift(space: IndefiniteSpace, m: np.ndarray, scale: float) -> float:
         if not np.all(np.diagonal(r)):  # a zero pivot: q would repeat a column of v, so
             break  # stop at the Krylov space so far (exact when it is invariant, w = 0)
         v, av = np.hstack([v, q]), np.hstack([av, m @ q])
-    ritz = np.linalg.eigvals(v.conj().T @ av)
+    # eigvals of h and of 2h round differently (square roots), far above rounding when
+    # the Ritz values are ill-conditioned; dividing h by the power of 2 of its largest
+    # entry first makes the shift scale with A to the last bits
+    h = v.conj().T @ av
+    binade = 2.0 ** np.frexp(np.max(np.abs(h.view(float))))[1]
+    ritz = binade * np.linalg.eigvals(h / binade)
     lower = np.abs(ritz[ritz.imag < 0.0])
     if lower.size != k:
         return CAYLEY_SHIFT * scale
