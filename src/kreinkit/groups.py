@@ -155,8 +155,8 @@ def symmetric(n: int) -> FiniteGroup:
         raise ValueError("symmetric group supported for 1 <= n <= 5")
     perms = np.array(list(itertools.permutations(range(n))))
     # base-n codes increase in lexicographic order, so searchsorted indexes them
-    codes = perms @ n ** np.arange(n - 1, -1, -1)
-    table = np.searchsorted(codes, perms[:, perms] @ n ** np.arange(n - 1, -1, -1))
+    place = n ** np.arange(n - 1, -1, -1)
+    table = np.searchsorted(perms @ place, perms[:, perms] @ place)
     return FiniteGroup.from_table(_perm_labels(perms), table)
 
 

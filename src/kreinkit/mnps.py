@@ -59,6 +59,7 @@ and ``||W|| <= 1 + W_NORM_SLACK``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -339,7 +340,7 @@ def _cayley_shift(space: IndefiniteSpace, m: np.ndarray, scale: float) -> float:
     # the Ritz values are ill-conditioned; dividing h by the power of 2 of its largest
     # entry first makes the shift scale with A to the last bits
     h = v.conj().T @ av
-    binade = 2.0 ** np.frexp(np.max(np.abs(h.view(float))))[1]
+    binade = math.ldexp(1.0, math.frexp(np.abs(h.view(float)).max())[1])
     ritz = binade * np.linalg.eigvals(h / binade)
     lower = np.abs(ritz[ritz.imag < 0.0])
     if lower.size != k:
