@@ -134,7 +134,7 @@ def _capped(order: int) -> int:
 
 def _perm_labels(perms: np.ndarray) -> list[str]:
     """Each permutation written as the string of its images of 0, 1, 2, ..."""
-    return ["".join(map(str, p)) for p in perms.tolist()]
+    return ["".join(map(str, p.tolist())) for p in perms]
 
 
 def cyclic(n: int) -> FiniteGroup:
@@ -172,7 +172,9 @@ def dihedral(n: int) -> FiniteGroup:
     idx = np.arange(_capped(2 * n))
     a, e = idx % n, idx // n
     sign = 1 - 2 * e
-    table = (a[:, None] + sign[:, None] * a) % n + n * ((e[:, None] + e) % 2)
+    table = (a[:, None] + sign[:, None] * a) % n
+    table[:n, n:] += n  # a product is a reflection exactly when one factor is
+    table[n:, :n] += n
     perms = (a[:, None] + sign[:, None] * np.arange(n)) % n
     return FiniteGroup.from_table(_perm_labels(perms), table)
 
