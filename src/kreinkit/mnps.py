@@ -336,9 +336,9 @@ def _cayley_shift(space: IndefiniteSpace, m: np.ndarray, scale: float) -> float:
         if not np.all(np.diagonal(r)):  # a zero pivot: q would repeat a column of v, so
             break  # stop at the Krylov space so far (exact when it is invariant, w = 0)
         v, av = np.hstack([v, q]), np.hstack([av, m @ q])
-    # eigvals of h and of 2h round differently (square roots), far above rounding when
-    # the Ritz values are ill-conditioned; dividing h by the power of 2 of its largest
-    # entry first makes the shift scale with A to the last bits
+    # eigvals(2h) is not exactly 2 eigvals(h) (its square roots round), and for
+    # ill-conditioned Ritz values the gap reaches 1e-10 relative; dividing h by the
+    # power of 2 at its largest entry first makes the shift scale with A to the last bits
     h = v.conj().T @ av
     binade = math.ldexp(1.0, math.frexp(np.abs(h.view(float)).max())[1])
     ritz = binade * np.linalg.eigvals(h / binade)
