@@ -147,10 +147,7 @@ def cyclic(n: int) -> FiniteGroup:
 
 
 def symmetric(n: int) -> FiniteGroup:
-    """S_n as permutations of 0..n-1 in lexicographic order (n <= 5 is plenty for fixtures).
-
-    ``p * q`` is the composition ``x -> p(q(x))``.
-    """
+    """S_n, n <= 5 (plenty for fixtures); ``p * q`` is the composition ``x -> p(q(x))``."""
     if n < 1 or n > 5:
         raise ValueError("symmetric group supported for 1 <= n <= 5")
     perms = np.array(list(itertools.permutations(range(n))))
@@ -163,9 +160,8 @@ def symmetric(n: int) -> FiniteGroup:
 def dihedral(n: int) -> FiniteGroup:
     """D_n of order 2n, acting on the vertices of the n-gon.
 
-    Element ``k`` is the rotation ``r^k: x -> x + k`` and element ``n + k`` the
-    reflection ``r^k s: x -> k - x`` (mod n), each labelled by its permutation;
-    ``r^a s^e * r^b s^f = r^(a + (-1)^e b) s^(e + f)``.
+    Element ``k`` is ``r^k: x -> x + k`` and element ``n + k`` is ``r^k s: x -> k - x``
+    (mod n), and ``r^a s^e * r^b s^f = r^(a + (-1)^e b) s^(e + f)``.
     """
     if n < 3:
         raise ValueError("dihedral group needs n >= 3 (use Z2 x Z2 for order 4)")
@@ -192,10 +188,9 @@ _QUATERNION_UNITS = {
 
 
 def quaternion() -> FiniteGroup:
-    """The quaternion group Q_8 = {+-1, +-i, +-j, +-k}, in that order.
+    """The quaternion group Q_8 = {+-1, +-i, +-j, +-k}.
 
-    Its elements are 2x2 matrices with entries in {0, +-1, +-i}, so their
-    products are exact and each equals one unit entry for entry.
+    Its 2x2 matrices have entries in {0, +-1, +-i}, so each product is exactly one unit.
     """
     units = np.array(list(_QUATERNION_UNITS.values()))
     products = units[:, None] @ units[None, :]
