@@ -17,7 +17,7 @@ batched call over the ``(order, n, n)`` element stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -27,8 +27,10 @@ from .serialization import report_to_json
 from .spaces import (
     IndefiniteSpace,
     Subspace,
+    _Clause,
     _checked,
     _checked_tol,
+    _first_failed,
     _j_conjugate,
     _stack_frobenius_norm,
     _stack_norm,
@@ -107,11 +109,7 @@ class RepDiagnostics:
 
     def ok(self, tol: float) -> bool:
         _checked_tol(tol, "tol")
-        return (
-            self.homomorphism_defect <= tol
-            and self.identity_defect <= tol
-            and self.j_unitarity_defect <= tol
-        )
+        return not _first_failed(_Clause(f.name, getattr(self, f.name), tol) for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -125,6 +123,7 @@ class FixedPointReport:
     radius_bound: float
     rep_norm: float
     certified: bool
+    failed_clause: str = ""
 
     def as_dict(self) -> dict:
         return report_to_json(self)
@@ -147,6 +146,7 @@ class UnitarizationReport:
     sharp_bound: float
     bound: float
     certified: bool
+    failed_clause: str = ""
 
     def as_dict(self) -> dict:
         return report_to_json(self)
@@ -240,7 +240,10 @@ def _pencil_negative_basis(space: IndefiniteSpace, b: np.ndarray) -> np.ndarray:
 
 
 def common_fixed_point(rep: GroupRep, cert_tol: float = CERT_TOL) -> FixedPointReport:
-    """Common fixed point of all phi_{pi(g)}: the pencil of :func:`group_average_metric`."""
+    """Common fixed point of all phi_{pi(g)}: the pencil of :func:`group_average_metric`.
+
+    Clauses: ``map_residual <= cert_tol`` and ``k_norm <= radius_bound + CERT_TOL``.
+    """
     _checked_tol(cert_tol, "cert_tol")
     space = rep.space
     if space.n_minus == 0 or space.n_plus == 0:
@@ -251,6 +254,8 @@ def common_fixed_point(rep: GroupRep, cert_tol: float = CERT_TOL) -> FixedPointR
     rep_norm = max(rep.norm, 1.0)
     bound = radius_from_norm(rep_norm)
     k_norm = operator_norm(k)
+    failed = _first_failed((_Clause("map_residual", residual, cert_tol),
+                            _Clause("k_norm", k_norm, bound + CERT_TOL)))
     return FixedPointReport(
         k=k,
         k_norm=k_norm,
@@ -258,7 +263,8 @@ def common_fixed_point(rep: GroupRep, cert_tol: float = CERT_TOL) -> FixedPointR
         orbit_radius=orbit_radius(rep),
         radius_bound=bound,
         rep_norm=rep_norm,
-        certified=residual <= cert_tol and k_norm <= bound + CERT_TOL,
+        certified=not failed,
+        failed_clause=failed,
     )
 
 
@@ -285,7 +291,8 @@ def unitarize(
     M_K`` is built once and ``V = J V^{-1} J``, so the condition number
     ``||V^{-1}||^2`` is exactly (1+||K||)/(1-||K||); it is certified against
     the group bound ``2 ||pi||^2 + 1``.  The unitarity defect is a Frobenius
-    bound of the spectral one (see :class:`UnitarizationReport`).
+    bound of the spectral one (see :class:`UnitarizationReport`).  Clauses: ``fixed_point``
+    (``report`` certified), ``unitarity_defect <= cert_tol``, ``cond_sharp`` and ``cond_bound``.
     """
     _checked_tol(cert_tol, "cert_tol")
     if report is None:
@@ -299,12 +306,10 @@ def unitarize(
     cond = operator_norm(v_inv) ** 2
     sharp = (1.0 + r) / (1.0 - r)
     bound = 2.0 * rep.norm**2 + 1.0
-    certified = (
-        report.certified
-        and defect <= cert_tol
-        and cond <= sharp + CERT_TOL
-        and cond <= bound + CERT_TOL
-    )
+    failed = _first_failed((_Clause("fixed_point", float(not report.certified), 0.0),
+                            _Clause("unitarity_defect", defect, cert_tol),
+                            _Clause("cond_sharp", cond, sharp + CERT_TOL),
+                            _Clause("cond_bound", cond, bound + CERT_TOL)))
     return UnitarizationReport(
         v=v,
         v_inv=v_inv,
@@ -313,5 +318,6 @@ def unitarize(
         cond=cond,
         sharp_bound=sharp,
         bound=bound,
-        certified=certified,
+        certified=not failed,
+        failed_clause=failed,
     )

@@ -158,6 +158,20 @@ def corner_decay_fixture(
     return a
 
 
+def _known_answer(sp, rng, c_norm, eps):
+    """``A = M_c D M_c^{-1}`` with ``D = diag(r + i eps j)``, and its MNPS graph c.
+
+    M_c is J-unitary, so the dissipativity form of A is congruent to eps I and
+    A is strictly J-dissipative; its lower half-plane eigenvectors span
+    ``M_c H- = graph(c)``.  With ``|c|`` near 1 and eps small the spectrum
+    hugs the real axis while ``||A||`` grows with ``cond(M_c)``.
+    """
+    c = random_ball_point(sp, rng, c_norm)
+    m_c = mobius_matrix(sp, c)
+    d = rng.standard_normal(sp.n) + 1j * eps * sp.j_signs
+    return (m_c * d) @ mobius_matrix(sp, -c), c
+
+
 def _invariant_clusters(group: FiniteGroup, rng: np.random.Generator) -> list[np.ndarray]:
     """Orthonormal bases of invariant subspaces of the regular representation.
 

@@ -6,7 +6,8 @@ products, and lists its elements in a fixed order:
 * ``cyclic(n)``: ``0, 1, ..., n-1``;
 * ``symmetric(n)``: the permutations of ``0..n-1`` in lexicographic order;
 * ``dihedral(n)``: the rotations ``r^0, ..., r^(n-1)``, then the reflections
-  ``r^0 s, ..., r^(n-1) s``, each labelled by its permutation of the vertices;
+  ``r^0 s, ..., r^(n-1) s``, each labelled by its permutation of the vertices
+  (comma-separated from n = 11 on);
 * ``quaternion()``: ``1, -1, i, -i, j, -j, k, -k``;
 * ``direct_product(g, h)``: the pairs ``(a, b)``, with ``b`` running fastest.
 """
@@ -57,6 +58,12 @@ class FiniteGroup:
 
     @classmethod
     def from_table(cls, elements, table) -> "FiniteGroup":
+        """The validated group; it keeps a read-only copy, so the caller's table stays writable."""
+        return cls._adopt(elements, np.array(table, dtype=int))
+
+    @classmethod
+    def _adopt(cls, elements, table) -> "FiniteGroup":
+        """:meth:`from_table` for a table no caller keeps: an int array is frozen and kept, not copied."""
         labels = tuple(str(e) for e in elements)
         t = np.asarray(table, dtype=int)
         m = len(labels)
@@ -133,8 +140,13 @@ def _capped(order: int) -> int:
 
 
 def _perm_labels(perms: np.ndarray) -> list[str]:
-    """Each permutation written as the string of its images of 0, 1, 2, ..."""
-    return ["".join(map(str, p.tolist())) for p in perms]
+    """Each permutation written as the string of its images of 0, 1, 2, ...
+
+    From 11 points on the images are separated by commas: ``1,11,0`` and
+    ``11,1,0`` would otherwise both read ``1110``.
+    """
+    sep = "," if perms.shape[1] >= 11 else ""
+    return [sep.join(map(str, p.tolist())) for p in perms]
 
 
 def cyclic(n: int) -> FiniteGroup:
@@ -143,7 +155,7 @@ def cyclic(n: int) -> FiniteGroup:
         raise ValueError("cyclic group order must be positive")
     idx = np.arange(_capped(n))
     table = (idx[:, None] + idx[None, :]) % n
-    return FiniteGroup.from_table([str(i) for i in range(n)], table)
+    return FiniteGroup._adopt([str(i) for i in range(n)], table)
 
 
 def symmetric(n: int) -> FiniteGroup:
@@ -154,7 +166,7 @@ def symmetric(n: int) -> FiniteGroup:
     # base-n codes increase in lexicographic order, so searchsorted indexes them
     place = n ** np.arange(n - 1, -1, -1)
     table = np.searchsorted(perms @ place, perms[:, perms] @ place)
-    return FiniteGroup.from_table(_perm_labels(perms), table)
+    return FiniteGroup._adopt(_perm_labels(perms), table)
 
 
 def dihedral(n: int) -> FiniteGroup:
@@ -172,7 +184,7 @@ def dihedral(n: int) -> FiniteGroup:
     table[:n, n:] += n  # a product is a reflection exactly when one factor is
     table[n:, :n] += n
     perms = (a[:, None] + sign[:, None] * np.arange(n)) % n
-    return FiniteGroup.from_table(_perm_labels(perms), table)
+    return FiniteGroup._adopt(_perm_labels(perms), table)
 
 
 _QUATERNION_UNITS = {
@@ -195,7 +207,7 @@ def quaternion() -> FiniteGroup:
     units = np.array(list(_QUATERNION_UNITS.values()))
     products = units[:, None] @ units[None, :]
     table = np.argmax((products[:, :, None] == units).all(axis=(-2, -1)), axis=-1)
-    return FiniteGroup.from_table(list(_QUATERNION_UNITS), table)
+    return FiniteGroup._adopt(list(_QUATERNION_UNITS), table)
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
@@ -204,7 +216,7 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     _capped(mg * mh)
     labels = [f"({a},{b})" for a in g.elements for b in h.elements]
     table = g.table[:, None, :, None] * mh + h.table[None, :, None, :]
-    return FiniteGroup.from_table(labels, table.reshape(mg * mh, mg * mh))
+    return FiniteGroup._adopt(labels, table.reshape(mg * mh, mg * mh))
 
 
 def named_group(name: str) -> FiniteGroup:

@@ -53,8 +53,8 @@ SHRINK**j`` for ``j < LADDER_LEVELS``.  Once a level certifies against the
 *original* matrix, t shrinks while the residual falls, and the certified
 level with the smallest residual wins: the MNPS of ``A + itJ`` moves away
 from that of A as t grows.  Either way the certificate -- not the sequence
-of iterates -- is the contract: the residual is at most ``tol_res * nu``
-and ``||W|| <= 1 + W_NORM_SLACK``.
+of iterates -- is the contract: its clause ``invariance_residual`` is the residual
+at most ``tol_res * nu``, its clause ``w_norm`` is ``||W|| <= 1 + W_NORM_SLACK``.
 """
 
 from __future__ import annotations
@@ -71,8 +71,10 @@ from .spaces import (
     NotAGraphError,
     PREDICATE_TOL,
     Subspace,
+    _Clause,
     _checked,
     _checked_tol,
+    _first_failed,
     _inertia,
     _invariance_residual,
     _norm_lower_bound,
@@ -151,7 +153,8 @@ class SpectrumOnAxisError(RuntimeError):
 class MnpsReport:
     """Certificate for one invariant-MNPS computation.
 
-    ``residual`` is always measured against the original input matrix.
+    ``residual`` is always measured against the original input matrix.  An
+    uncertified report names its first failed clause in ``failed_clause``.
     """
 
     w: np.ndarray
@@ -162,6 +165,7 @@ class MnpsReport:
     iterations: int
     certified: bool
     message: str = ""
+    failed_clause: str = ""
 
     def as_dict(self) -> dict:
         return report_to_json(self)
@@ -243,26 +247,28 @@ def spectral_split(space: IndefiniteSpace, a) -> tuple[Subspace, Subspace]:
 
 
 def _certificate(space: IndefiniteSpace, m: np.ndarray, w: np.ndarray, tol: float, scale: float):
-    """Residual, graph inertia and ``||W||`` of W, and whether it is invariant and maximal.
+    """Residual, graph inertia and ``||W||`` of W, and its two certificate clauses.
 
-    The one test behind :func:`mnps` and :func:`verify_mnps`: invariant when the
-    residual is at most ``tol * scale``, maximal non-positive when ``||W|| <= 1 +
-    W_NORM_SLACK``.  One singular-value call on W gives ``||W||`` and the inertia:
-    the Gram matrix of ``[I; W]`` is ``W^H W - I``, with eigenvalues ``s_i^2 - 1``
-    and ``-1`` on the rest of H-.  The solver's ``tol_res`` defaults to 1e-9 and
-    the verifier's ``tol`` to 1e-8, so every W the solver certifies verifies.
+    The one test behind :func:`mnps` and :func:`verify_mnps`: ``invariance_residual``
+    passes when the residual is at most ``tol * scale``, ``w_norm`` (maximal
+    non-positive) when ``||W|| <= 1 + W_NORM_SLACK``.  One singular-value call on W
+    gives ``||W||`` and the inertia: the Gram matrix of ``[I; W]`` is ``W^H W - I``,
+    with eigenvalues ``s_i^2 - 1`` and ``-1`` on the rest of H-.  The solver's ``tol_res``
+    defaults to 1e-9 and the verifier's ``tol`` to 1e-8, so every certified W verifies.
     """
     res = _invariance_residual(space, m, w)
     s = np.linalg.svd(w, compute_uv=False)
     w_norm = float(s[0]) if s.size else 0.0
     gram_eigs = np.concatenate([s**2 - 1.0, -np.ones(space.n_minus - s.size)])
-    return res, _inertia(gram_eigs), w_norm, res <= tol * scale, w_norm <= 1.0 + W_NORM_SLACK
+    clauses = _Clause("invariance_residual", res, tol * scale), _Clause("w_norm", w_norm, 1.0 + W_NORM_SLACK)
+    return res, _inertia(gram_eigs), w_norm, clauses
 
 
 def _report_for(
     space: IndefiniteSpace, m: np.ndarray, w, t, iterations, tol_res, scale
 ) -> MnpsReport:
-    res, inertia, w_norm, invariant, maximal = _certificate(space, m, w, tol_res, scale)
+    res, inertia, w_norm, clauses = _certificate(space, m, w, tol_res, scale)
+    failed = _first_failed(clauses)
     return MnpsReport(
         w=w,
         residual=res,
@@ -270,7 +276,9 @@ def _report_for(
         subspace_inertia=inertia,
         regularization_t=t,
         iterations=iterations,
-        certified=invariant and maximal,
+        certified=not failed,
+        message=failed and f"failed to certify: {failed}",
+        failed_clause=failed,
     )
 
 
@@ -447,7 +455,7 @@ def mnps(space: IndefiniteSpace, a, tol_res: float = DEFAULT_TOL_RES) -> MnpsRep
     after the first one, t keeps shrinking while the residual falls, and
     the certified level with the smallest residual is returned.
     ``iterations`` counts the Schur levels tried.  When none certifies, the
-    level with the smallest residual is returned flagged uncertified.
+    level with the smallest residual is returned naming its failed clause.
     ``tol_res`` must be finite and above 0 (``ValueError`` otherwise).
 
     ``nu <= ||A||`` is the seeded lower bound of the module docstring; it
@@ -494,10 +502,7 @@ def mnps(space: IndefiniteSpace, a, tol_res: float = DEFAULT_TOL_RES) -> MnpsRep
             break  # the residual stopped falling past a certified level
     if best is None:
         best = _report_for(space, m, zero, schedule[-1], tried, tol_res, scale)
-    if best.certified:
-        return replace(best, iterations=tried)
-    failed = "failed to certify; spectrum may be degenerate near real axis"
-    return replace(best, iterations=tried, message=failed)
+    return replace(best, iterations=tried)
 
 
 def approximation_ladder(
@@ -567,10 +572,6 @@ def verify_mnps(space: IndefiniteSpace, a, w, tol: float = 1e-8) -> VerifyReport
     m = _checked(a, (space.n, space.n), "operator")
     w = _checked(w, (space.n_plus, space.n_minus), "graph operator")
     _checked_tol(tol, "tol")
-    res, inertia, _, invariant, maximal = _certificate(space, m, w, tol, _norm_lower_bound(m))
-    return VerifyReport(
-        maximal_nonpositive=maximal,
-        invariant=invariant,
-        residual=res,
-        inertia=inertia,
-    )
+    res, inertia, _, (invariant, maximal) = _certificate(space, m, w, tol, _norm_lower_bound(m))
+    return VerifyReport(maximal_nonpositive=not _first_failed([maximal]),
+                        invariant=not _first_failed([invariant]), residual=res, inertia=inertia)

@@ -51,14 +51,15 @@ one product ``U_b (X c)`` per stack (:func:`_cyclic_parts`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .fixpoint import GroupRep
 from .groups import FiniteGroup
 from .serialization import report_to_json
-from .spaces import IndefiniteSpace, Inertia, _checked, _checked_tol, _inertia, _plus_diagonal
+from .spaces import (IndefiniteSpace, Inertia, _Clause, _checked, _checked_tol, _first_failed, _inertia,
+                     _plus_diagonal)
 
 __all__ = [
     "GroupFunction",
@@ -297,35 +298,31 @@ def gns_construct(phi: GroupFunction) -> GnsResult:
 
 @dataclass(frozen=True)
 class DecompositionCertificate:
+    """Five clauses, read by :meth:`ok`; ``failed_clause`` is the first to fail at scale ``max|phi|``."""
+
     reconstruction_error: float
     phi1_negative_squares: int
     phi2_negative_squares: int
     phi2_rank: int | None
     negative_squares: int
+    failed_clause: str = ""
 
-    @property
-    def parts_positive_definite(self) -> bool:
-        return self.phi1_negative_squares == 0 and self.phi2_negative_squares == 0
-
-    @property
-    def rank_bounded_by_k(self) -> bool:
-        return self.phi2_rank is not None and self.phi2_rank <= self.negative_squares
-
-    @property
-    def k_bounded_by_rank(self) -> bool:
-        return self.phi2_rank is not None and self.negative_squares <= self.phi2_rank
+    def _clauses(self, scale: float, tol: float) -> tuple:
+        rank = np.nan if self.phi2_rank is None else self.phi2_rank  # None fails both rank clauses
+        return (
+            _Clause("reconstruction_error", self.reconstruction_error, tol * scale),
+            _Clause("phi1_negative_squares", self.phi1_negative_squares, 0),
+            _Clause("phi2_negative_squares", self.phi2_negative_squares, 0),
+            _Clause("rank_bounded_by_k", rank, self.negative_squares),
+            _Clause("k_bounded_by_rank", self.negative_squares, rank),
+        )
 
     def ok(self, scale: float, tol: float = RECONSTRUCTION_RTOL) -> bool:
-        """All four clauses, with the reconstruction error at most ``tol * scale``."""
+        """All five clauses, with the reconstruction error at most ``tol * scale``."""
         if not (np.isfinite(scale) and scale >= 0.0):
             raise ValueError(f"scale must be a finite number >= 0, got {scale!r}")
         _checked_tol(tol, "tol")
-        return (
-            self.reconstruction_error <= tol * scale
-            and self.parts_positive_definite
-            and self.rank_bounded_by_k
-            and self.k_bounded_by_rank
-        )
+        return not _first_failed(self._clauses(scale, tol))
 
     def as_dict(self) -> dict:
         return report_to_json(self)
@@ -345,9 +342,9 @@ def decompose(
     ``f = Phi_+^{1/2} delta_e`` or ``Phi_-^{1/2} delta_e``, the cyclic vector
     split by sign, so each part's Gram matrix is a Gram matrix of vectors,
     positive semidefinite to roundoff at every scale; no translation
-    ``U(g)`` is built.  The returned certificate carries the
+    ``U(g)`` is built.  The returned certificate's clauses check the
     reconstruction error, positivity of both parts, and
-    rank(phi2) = negative_squares(phi), all checked against phi; its count
+    rank(phi2) = negative_squares(phi), all against phi; its count
     of phi's negative squares is the one this eigendecomposition gives.
     """
     group = phi.group
@@ -380,13 +377,14 @@ def _certificate(
     """The certificate of phi = phi1 - phi2, given phi's negative-square count."""
     err = float(np.max(np.abs(phi.values - phi1.values + phi2.values)))
     inertia2 = _gram_spectrum(phi2)[2]
-    return DecompositionCertificate(
+    cert = DecompositionCertificate(
         reconstruction_error=err,
         phi1_negative_squares=_pd_negative_squares(phi1),
         phi2_negative_squares=inertia2.n_neg,
         phi2_rank=None if inertia2.n_neg else inertia2.n_pos,
         negative_squares=n_neg,
     )
+    return replace(cert, failed_clause=_first_failed(cert._clauses(phi.max_abs, RECONSTRUCTION_RTOL)))
 
 
 def _pd_negative_squares(phi: GroupFunction) -> int:

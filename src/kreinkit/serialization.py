@@ -43,13 +43,14 @@ def report_to_json(report) -> dict:
 
     Arrays become matrix objects, nested dataclasses nested objects and
     tuples lists.  A field whose metadata maps ``"json"`` to None is left
-    out; a string there renames the field's key.
+    out; a string there renames the field's key.  An empty ``failed_clause``
+    is left out too, so only an uncertified report carries that key.
     """
     out = {}
     for field in dataclasses.fields(report):
-        key = field.metadata.get("json", field.name)
-        if key is not None:
-            out[key] = _json_value(getattr(report, field.name))
+        key, value = field.metadata.get("json", field.name), getattr(report, field.name)
+        if key is not None and (key != "failed_clause" or value):
+            out[key] = _json_value(value)
     return out
 
 

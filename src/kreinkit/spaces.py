@@ -19,6 +19,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import collections
 import functools
 from dataclasses import dataclass
 
@@ -128,6 +129,15 @@ def _checked_tol(tol, name: str):
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError(f"{name} must be a finite number above 0, got {tol!r}")
     return tol
+
+
+#: One condition of a certificate; it passes when ``value <= bound``, so a NaN fails.
+_Clause = collections.namedtuple("_Clause", "name value bound")
+
+
+def _first_failed(clauses) -> str:
+    """The name of the first clause that fails, ``""`` when all pass: every certificate's one rule."""
+    return next((c.name for c in clauses if not c.value <= c.bound), "")
 
 
 @functools.lru_cache(maxsize=64)

@@ -13,7 +13,7 @@ from kreinkit import (
     quaternion,
     symmetric,
 )
-from kreinkit.groups import EXHAUSTIVE_ORDER, MAX_ORDER
+from kreinkit.groups import EXHAUSTIVE_ORDER, MAX_ORDER, _perm_labels
 from kreinkit.serialization import group_from_json
 
 
@@ -194,7 +194,8 @@ def test_order_cap_fires_before_the_table_is_built(build):
 
 
 def _perm_label(p) -> str:
-    return "".join(map(str, p))
+    p = list(p)
+    return ("," if len(p) >= 11 else "").join(map(str, p))
 
 
 def _check_perm_table(group, perms):
@@ -266,3 +267,34 @@ def test_large_dihedral_builds():
     group = dihedral(1024)
     assert group.order == 2048 and group.identity == 0
     assert group.mult(1, 1023) == 0 and group.mult(1024, 1024) == 0  # r * r^-1 and s * s
+
+
+def test_from_table_copies_the_callers_table():
+    t = np.array([[0, 1], [1, 0]])
+    group = FiniteGroup.from_table(["e", "s"], t)
+    assert group.table is not t and t.flags.writeable and not group.table.flags.writeable
+    t[0, 0] = 1
+    assert group.table.tolist() == [[0, 1], [1, 0]]
+
+
+def test_permutation_labels_are_unambiguous_from_eleven_points():
+    # without a separator both would read 11102345678910
+    a, b = [1, 11, 0, *range(2, 11)], [11, 1, 0, *range(2, 11)]
+    assert _perm_labels(np.array([a, b])) == ["1,11,0,2,3,4,5,6,7,8,9,10", "11,1,0,2,3,4,5,6,7,8,9,10"]
+
+
+@pytest.mark.parametrize("n", [11, 100])
+def test_dihedral_labels_parse_back_to_their_permutations(n):
+    rotations = [[(k + x) % n for x in range(n)] for k in range(n)]
+    reflections = [[(k - x) % n for x in range(n)] for k in range(n)]
+    labels = dihedral(n).elements
+    assert [[int(x) for x in label.split(",")] for label in labels] == rotations + reflections
+
+
+def test_labels_below_eleven_points_are_digit_strings():
+    # S4 and S5 label the group-certify and cli-cold inputs; D3..D10 keep theirs too
+    assert symmetric(3).elements == ("012", "021", "102", "120", "201", "210")
+    for n in range(3, 11):
+        labels = dihedral(n).elements
+        assert labels[n + 1] == "".join(str((1 - x) % n) for x in range(n))
+        assert all(len(label) == n for label in labels)

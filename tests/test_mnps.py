@@ -25,13 +25,14 @@ from kreinkit import (
     verify_mnps,
 )
 from kreinkit.fixtures import (
+    _known_answer,
     corner_decay_fixture,
     random_ball_point,
     random_complex,
     random_j_dissipative,
     random_strongly_j_dissipative,
 )
-from kreinkit.spaces import PREDICATE_TOL, _norm_lower_bound, dissipativity_form
+from kreinkit.spaces import PREDICATE_TOL, _first_failed, _norm_lower_bound, dissipativity_form
 
 # ``kreinkit.mnps`` is the solver function; the module is reached by its import path
 MNPS_MODULE = importlib.import_module("kreinkit.mnps")
@@ -397,11 +398,11 @@ class TestMnpsStrong:
         w = mnps(sp, a).w
         tracemalloc.start()
         try:
-            res, _, _, invariant, _ = MNPS_MODULE._certificate(sp, a, w, 1e-9, _norm_lower_bound(a))
+            res, _, _, clauses = MNPS_MODULE._certificate(sp, a, w, 1e-9, _norm_lower_bound(a))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert invariant
+        assert _first_failed(clauses) == ""
         assert res == invariance_residual(sp, a, w)
         assert peak < a.nbytes / 16
 
@@ -740,20 +741,6 @@ def test_certificate_batch_over_mixed_signatures():
     assert count == 200
 
 
-def _known_answer(sp, rng, c_norm, eps):
-    """``A = M_c D M_c^{-1}`` with ``D = diag(r + i eps j)``, and its MNPS graph c.
-
-    M_c is J-unitary, so the dissipativity form of A is congruent to eps I and
-    A is strictly J-dissipative; its lower half-plane eigenvectors span
-    ``M_c H- = graph(c)``.  With ``|c|`` near 1 and eps small the spectrum
-    hugs the real axis while ``||A||`` grows with ``cond(M_c)``.
-    """
-    c = random_ball_point(sp, rng, c_norm)
-    m_c = mobius_matrix(sp, c)
-    d = rng.standard_normal(sp.n) + 1j * eps * sp.j_signs
-    return (m_c * d) @ mobius_matrix(sp, -c), c
-
-
 def _near_axis_draw(sp, rng, delta):
     """Lower eigenvalues near ``+-0.9 - i delta`` behind a small ``A12``.
 
@@ -893,7 +880,7 @@ def test_certificate_matches_graph_signature_and_norm(data, n_minus, n_plus, see
     sp = build_space(n_minus, n_plus)
     w = _ball_operator(data, n_plus, n_minus, seed)
     a = 1j * np.asarray(sp.j)
-    _, inertia, w_norm, _, maximal = MNPS_MODULE._certificate(sp, a, w, 1e-9, 1.0)
+    _, inertia, w_norm, (_, maximal) = MNPS_MODULE._certificate(sp, a, w, 1e-9, 1.0)
     assert inertia == subspace_signature(sp, graph_of(sp, w))
     assert w_norm == pytest.approx(operator_norm(w), rel=1e-14, abs=0.0)
-    assert maximal == (operator_norm(w) <= 1.0 + MNPS_MODULE.W_NORM_SLACK)
+    assert (_first_failed([maximal]) == "") == (operator_norm(w) <= 1.0 + MNPS_MODULE.W_NORM_SLACK)
