@@ -79,6 +79,7 @@ from .spaces import (
     _invariance_residual,
     _norm_lower_bound,
     _plus_diagonal,
+    _positive_definite,
     dissipativity_form,
     graph_from_subspace,
     operator_norm,
@@ -179,6 +180,7 @@ class LadderLevel:
     residual: float
     certified: bool
     delta_to_previous: float | None
+    failed_clause: str = ""
 
 
 @dataclass(frozen=True)
@@ -428,21 +430,6 @@ def _cayley_graph(space: IndefiniteSpace, m: np.ndarray, scale: float) -> np.nda
     return None
 
 
-def _form_positive_definite(space: IndefiniteSpace, m: np.ndarray, shift: float) -> bool:
-    """Whether the dissipativity form of m plus ``shift * I`` is positive definite.
-
-    The form is built, shifted in place and dropped here, so no ``n x n``
-    array outlives the Cholesky test.
-    """
-    h = dissipativity_form(space, m)
-    h.flat[:: space.n + 1] += shift
-    try:
-        np.linalg.cholesky(h)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def mnps(space: IndefiniteSpace, a, tol_res: float = DEFAULT_TOL_RES) -> MnpsReport:
     """Invariant MNPS of a J-dissipative matrix, certified against the input.
 
@@ -468,7 +455,7 @@ def mnps(space: IndefiniteSpace, a, tol_res: float = DEFAULT_TOL_RES) -> MnpsRep
     if not np.any(m):  # A = 0: every MNPS is invariant
         return _report_for(space, m, zero, 0.0, 0, tol_res, 0.0)
     scale = _norm_lower_bound(m)
-    if not _form_positive_definite(space, m, PREDICATE_TOL * scale):
+    if not _positive_definite(dissipativity_form(space, m), PREDICATE_TOL * scale):
         margin = float(np.min(np.linalg.eigvalsh(dissipativity_form(space, m))))
         if margin < -PREDICATE_TOL * scale:
             raise NotDissipativeError(
@@ -555,6 +542,7 @@ def approximation_ladder(
                 residual=rep.residual,
                 certified=rep.certified,
                 delta_to_previous=delta,
+                failed_clause=rep.failed_clause,
             )
         )
         prev_w = w_full

@@ -59,7 +59,7 @@ from .fixpoint import GroupRep
 from .groups import FiniteGroup
 from .serialization import report_to_json
 from .spaces import (IndefiniteSpace, Inertia, _Clause, _checked, _checked_tol, _first_failed, _inertia,
-                     _plus_diagonal)
+                     _positive_definite)
 
 __all__ = [
     "GroupFunction",
@@ -394,8 +394,4 @@ def _pd_negative_squares(phi: GroupFunction) -> int:
     the mean eigenvalue, so its other half covers the factor's roundoff.
     """
     shift = GRAM_KERNEL_RTOL / 2.0 * float(phi.values[phi.group.identity].real)
-    try:
-        np.linalg.cholesky(_plus_diagonal(_hermitian_gram(phi), shift))
-        return 0
-    except np.linalg.LinAlgError:
-        return negative_squares(phi)
+    return 0 if _positive_definite(_hermitian_gram(phi), shift) else negative_squares(phi)

@@ -10,7 +10,6 @@ import dataclasses
 import itertools
 import json
 import numbers
-import re
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -64,66 +63,65 @@ def _json_value(value):
     return value
 
 
-#: Stands in for a pair list while the rest of an object is indented.
-_PAIRS_MARK = "\x00kreinkit-pairs-"
-_PAIRS_MARK_JSON = json.dumps(_PAIRS_MARK)[1:-1]
-_PAIRS_LINE = re.compile(r'^( *)(.*)"' + re.escape(_PAIRS_MARK_JSON) + r'(\d+)"', re.M)
-
-
 def json_text(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``, with pair lists encoded in C.
+    """``json.dumps(obj, indent=2, sort_keys=True)``, written in one recursive pass.
 
-    Python runs its C encoder only without ``indent``; the pure-Python one
-    takes about twice as long over a matrix.  So every non-empty list of two-item lists of scalars (matrix ``data``) is
-    swapped for a marker string, the stdlib indents what is left, and each
-    pair list is encoded by one C-encoder call whose item separator is the
-    indented line break, then spliced in at its marker's indentation.  The
-    text is the same character for character.
+    Python runs its C encoder only without ``indent``, and the pure-Python
+    one takes about twice as long over a matrix.  So each non-empty list of
+    non-empty scalar lists (matrix ``data``, a group's ``table``) is one
+    C-encoder call, and the text is the same character for character.
     """
-    pairs: list[list] = []
-    text = json.dumps(_mark_pairs(obj, pairs), indent=2, sort_keys=True)
-    if not pairs:
-        return text
-    if text.count(_PAIRS_MARK_JSON) != len(pairs):  # a string of obj holds the marker
-        return json.dumps(obj, indent=2, sort_keys=True)
-    return _PAIRS_LINE.sub(
-        lambda m: m[1] + m[2] + _pairs_text(pairs[int(m[3])], m[1]), text
-    )
+    parts: list[str] = []
+    _write(obj, "\n", parts)
+    return "".join(parts)
 
 
-def _mark_pairs(value, pairs: list):
-    """A copy of the containers of value with each pair list replaced by a marker."""
-    if isinstance(value, dict):
-        return {k: _mark_pairs(v, pairs) for k, v in value.items()}
-    if type(value) is list and _is_pair_list(value):
-        pairs.append(value)
-        return f"{_PAIRS_MARK}{len(pairs) - 1}"
-    if isinstance(value, (list, tuple)):
-        return [_mark_pairs(v, pairs) for v in value]
-    return value
+def _write(value, newline: str, parts: list) -> None:
+    """Append the text of value to parts; ``newline`` breaks a line at value's indentation."""
+    if isinstance(value, dict) and value:
+        items, brackets = [(_key_text(k) + ": ", v) for k, v in sorted(value.items())], "{}"
+    elif isinstance(value, (list, tuple)) and value:
+        if _is_row_list(value):
+            parts.append(_rows_text(value, newline))
+            return
+        items, brackets = [("", v) for v in value], "[]"
+    else:
+        parts.append(json.dumps(value))
+        return
+    inner, sep = newline + "  ", brackets[0]
+    for key, item in items:
+        parts += (sep, inner, key)
+        _write(item, inner, parts)
+        sep = ","
+    parts.append(newline + brackets[1])
 
 
-def _is_pair_list(value: list) -> bool:
-    if not value or set(map(type, value)) != {list} or set(map(len, value)) != {2}:
+def _key_text(key) -> str:
+    """A dict key as ``json.dumps`` writes it: numbers, booleans and None become strings."""
+    if isinstance(key, str):
+        return json.dumps(key)
+    if isinstance(key, (int, float)) or key is None:  # bool is an int
+        return '"' + json.dumps(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _is_row_list(value) -> bool:
+    if set(map(type, value)) != {list} or not all(value):
         return False
     kinds = set(map(type, itertools.chain.from_iterable(value)))
     return not any(issubclass(t, (dict, list, tuple)) for t in kinds)
 
 
-def _pairs_text(pairs: list, indent: str) -> str:
-    """The indented text of a pair list whose opening line is indented by ``indent``.
+def _rows_text(rows, newline: str) -> str:
+    """The text of a row list, as :func:`_write` would append it.
 
     A scalar's token holds no line break and never starts with ``[`` or ends
-    with ``]``, so ``],<separator>[`` occurs only between two pairs.
+    with ``]``, so ``],<separator>[`` occurs only between two rows.
     """
-    inner = indent + "    "
-    flat = json.dumps(pairs, separators=(",\n" + inner, ": "))
-    between = "\n" + indent + "  ],\n" + indent + "  [\n" + inner
-    return (
-        "[\n" + indent + "  [\n" + inner
-        + flat[2:-2].replace("],\n" + inner + "[", between)
-        + "\n" + indent + "  ]\n" + indent + "]"
-    )
+    row, item = newline + "  ", newline + "    "
+    flat = json.dumps(rows, separators=("," + item, ": "))[2:-2]
+    flat = flat.replace("]," + item + "[", row + "]," + row + "[" + item)
+    return "[" + row + "[" + item + flat + row + "]" + newline + "]"
 
 
 def _pairs_to_json(values: np.ndarray) -> list:

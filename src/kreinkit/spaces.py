@@ -104,6 +104,20 @@ def _plus_diagonal(h: np.ndarray, c) -> np.ndarray:
     return out
 
 
+def _positive_definite(h: np.ndarray, shift) -> bool:
+    """Whether ``h + shift I`` has a Cholesky factor.
+
+    The shift is added to h in place, so h must be an array built for this
+    test, and no second ``n x n`` array is made.
+    """
+    h.flat[:: h.shape[1] + 1] += shift
+    try:
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _mat(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
 

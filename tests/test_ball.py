@@ -71,6 +71,8 @@ def test_mobius_matrix_rejects_boundary():
         mobius_matrix(sp, [[1.0]])
     with pytest.raises(BoundaryError):
         mobius_apply(sp, [[1.0 - 1e-12]], [[0.0]])
+    with pytest.raises(BoundaryError, match="^argument has norm 1;"):
+        mobius_apply(sp, [[0.0]], [[1.0]])
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 4), st.integers(0, 6),

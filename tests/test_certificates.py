@@ -96,6 +96,7 @@ class TestMnps:
         sp, a, _ = self._solve(1e-9)
         ladder = approximation_ladder(sp, a, [(1, 3), (2, 6)], tol_res=1e-30)
         assert not ladder.all_certified
+        assert [lv.failed_clause for lv in ladder.levels] == ["invariance_residual"] * 2
         assert ladder.final_report.failed_clause == "invariance_residual"
         assert ladder.as_dict()["final"]["failed_clause"] == "invariance_residual"
 
@@ -199,6 +200,17 @@ class TestCli:
         got, report = self._run(tmp_path, tol, "mnps", "--input", inp)
         assert got == code
         assert report.get("failed_clause") == (None if code == 0 else "invariance_residual")
+
+    @pytest.mark.parametrize("tol,code", [("1", 0), ("1e-30", 1)])
+    def test_ladder_names_the_clause_of_each_level(self, tmp_path, tol, code):
+        sp = build_space(2, 6)
+        a = random_strongly_j_dissipative(sp, np.random.default_rng(3))
+        inp = _write(tmp_path / "a.json", {"space": {"n_minus": 2, "n_plus": 6}, "matrix": matrix_to_json(a)})
+        got, report = self._run(tmp_path, tol, "ladder", "--input", inp, "--levels", "1,3", "2,6")
+        assert got == code
+        expected = None if code == 0 else "invariance_residual"
+        assert [level.get("failed_clause") for level in report["levels"]] == [expected] * 2
+        assert report["final"].get("failed_clause") == expected
 
     @pytest.mark.parametrize("command", ["fixpoint", "unitarize"])
     @pytest.mark.parametrize("tol,code", [("1", 0), ("1e-12", 1)])

@@ -47,9 +47,13 @@ SCALAR = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS), st.integers(), 
                    st.none(), TEXT)
 PAIRS = st.lists(st.lists(SCALAR, min_size=2, max_size=2), max_size=5)
 RAGGED = st.lists(st.lists(SCALAR, max_size=3), max_size=4)
+# json.dumps writes number, boolean and null keys as strings; one kind of key
+# per dict, since sort_keys cannot order strings against numbers
+KEYS = (TEXT, st.one_of(st.integers(), st.floats(), st.booleans()), st.none())
 JSON_TREE = st.recursive(
     st.one_of(PAIRS, RAGGED, SCALAR),
-    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(TEXT, inner, max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            *(st.dictionaries(key, inner, max_size=4) for key in KEYS)),
     max_leaves=12,
 )
 
@@ -169,14 +173,43 @@ class TestSerialization:
         m = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
         m[0, 0], m[1, 1] = complex(-0.0, 5e-324), complex(1e308, -0.0)
         for obj in (matrix_to_json(m), {"levels": [{"w": matrix_to_json(m)}, []], "norm": 2.0},
-                    [matrix_to_json(m[:1, :1])], matrix_to_json(m)["data"]):
+                    [matrix_to_json(m[:1, :1])], matrix_to_json(m)["data"], group_to_json(named_group("S3")),
+                    group_to_json(cyclic(1))):
             assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("obj", [{(1, 2): 0}, {b"k": [[1, 2]]}, {"a": 0, 1: 0}, [{"d": {1j: None}}]])
+    def test_json_text_rejects_keys_as_stdlib_does(self, obj):
+        with pytest.raises(TypeError):
+            json.dumps(obj, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            json_text(obj)
 
     def test_rep_round_trip(self):
         rng = np.random.default_rng(1)
         rep, _ = random_conjugated_rep(cyclic(4), build_space(1, 2), rng)
         rep2 = rep_from_json(rep.group, rep_to_json(rep))
         assert_allclose(rep2.matrices, rep.matrices)
+
+    @pytest.mark.parametrize(
+        "read,obj,what",
+        [
+            (space_from_json, {"n_minus": 1}, "space"),
+            (group_from_json, {"elements": ["0"]}, "group"),
+            (lambda obj: rep_from_json(cyclic(1), obj), {"space": {"n_minus": 0, "n_plus": 1}},
+             "representation"),
+            (lambda obj: group_function_from_json(cyclic(1), obj), {"value": [[1.0, 0.0]]},
+             "group-function"),
+        ],
+        ids=["space", "group", "representation", "group-function"],
+    )
+    def test_missing_keys_are_malformed(self, read, obj, what):
+        with pytest.raises(ValueError, match=f"^malformed {what} JSON: "):
+            read(obj)
+
+    def test_rep_must_carry_one_matrix_per_element(self):
+        obj = {"space": {"n_minus": 0, "n_plus": 1}, "matrices": [matrix_to_json(np.eye(1))]}
+        with pytest.raises(ValueError, match="^representation carries 1 matrices for a group of order 2$"):
+            rep_from_json(cyclic(2), obj)
 
     def test_group_function_round_trip(self):
         rng = np.random.default_rng(2)
@@ -252,6 +285,11 @@ class TestMnpsCommand:
         obj = {"space": {"n_minus": 1.7, "n_plus": 2}, "matrix": matrix_to_json(sp.j)}
         inp = write(tmp_path / "a.json", obj)
         assert main(["mnps", "--input", inp, "--out", str(tmp_path / "r.json")]) == 2
+
+    def test_bare_matrix_without_signature_exits_two(self, tmp_path, capsys):
+        inp = write(tmp_path / "a.json", matrix_to_json(1j * build_space(1, 1).j))
+        assert main(["mnps", "--input", inp]) == 2
+        assert "bare matrix input needs --signature k,m" in capsys.readouterr().err
 
     def test_boolean_entry_exits_two(self, tmp_path):
         obj = matrix_to_json(1j * build_space(1, 1).j)

@@ -181,6 +181,18 @@ def test_named_group_resolution():
 
 
 @pytest.mark.parametrize(
+    "build,message",
+    [(lambda: cyclic(0), "cyclic group order must be positive"),
+     (lambda: symmetric(6), "symmetric group supported for 1 <= n <= 5"),
+     (lambda: dihedral(2), "dihedral group needs n >= 3")],
+    ids=["Z0", "S6", "D2"],
+)
+def test_builders_reject_orders_out_of_range(build, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        build()
+
+
+@pytest.mark.parametrize(
     "build",
     [lambda: named_group("Z4097"), lambda: named_group("D2049"),
      lambda: direct_product(cyclic(64), cyclic(65))],

@@ -608,6 +608,11 @@ class TestLadder:
             approximation_ladder(sp, a, [(1, 2)])
         with pytest.raises(ValueError):
             approximation_ladder(sp, a, [(2, 4), (2, 3)])
+        with pytest.raises(ValueError, match="^at least one ladder level is required$"):
+            approximation_ladder(sp, a, [])
+        for level in ((3, 3), (2, 4), (-1, 3), (0, 0)):
+            with pytest.raises(ValueError, match=r"^level \(.*\) is out of range for the space$"):
+                approximation_ladder(sp, a, [level])
         # levels are integers: neither truncated nor read from booleans
         sp = build_space(1, 2)
         for levels in ([(0.9, 1.5), (1.2, 2.7)], [(True, 2)], [(1, 2.0)]):

@@ -319,6 +319,12 @@ class TestVerifyDecomposition:
         cert = verify_decomposition(phi, phi, zero)
         assert cert.ok(scale=phi.max_abs)
 
+    def test_parts_must_live_on_the_same_group(self):
+        phi = GroupFunction(cyclic(3), np.ones(3))
+        assert verify_decomposition(phi, GroupFunction(cyclic(3), np.ones(3)), phi).negative_squares == 0
+        with pytest.raises(ValueError, match="^decomposition parts must live on the same group$"):
+            verify_decomposition(phi, phi, GroupFunction(named_group("S3"), np.zeros(6)))
+
     def test_sign_flipped_decomposition_fails(self):
         g = cyclic(3)
         phi = GroupFunction(g, np.ones(3))

@@ -254,6 +254,14 @@ def test_graph_from_subspace_rejects_h_plus():
         graph_from_subspace(sp, np.array([[0.0], [1.0]]))
 
 
+def test_blocks_and_graph_conversion_reject_the_wrong_size():
+    sp = build_space(1, 2)
+    with pytest.raises(ValueError, match=r"^expected a 3x3 matrix, got \(2, 2\)$"):
+        sp.blocks(np.eye(2))
+    with pytest.raises(ValueError, match="^graph conversion needs a subspace of dimension 1$"):
+        graph_from_subspace(sp, np.eye(3)[:, :2])
+
+
 def test_subspace_signature_labels():
     sp = build_space(2, 3)
     assert subspace_signature(sp, graph_of(sp, np.zeros((3, 2)))).is_negative
