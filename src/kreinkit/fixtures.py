@@ -2,20 +2,27 @@
 
 Generators are specified by certificate, not by formula: every draw is
 checked against the relevant predicate before it is returned.
+
+Each dissipativity acceptance test is one Cholesky factorization of the draw's own
+dissipativity form H shifted by ``sigma nu``, with ``nu <= ||A||`` the lower
+bound of :func:`kreinkit.spaces._norm_lower_bound`.  A factor of ``H + sigma nu
+I`` proves ``lambda_min(H) > -sigma nu`` up to the factorization's backward
+error (Higham 2002, ch. 10), which is all a threshold test needs, so no
+spectrum is computed: ``sigma = 1e-12`` certifies a J-dissipative draw,
+``sigma = -1e-9`` a strongly J-dissipative one, and ``sigma = -PREDICATE_TOL``
+the decay fixture, the strong test of :func:`kreinkit.spaces.classify_operator`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-import numpy.linalg as nla
-
 from .ball import mobius_matrix
 from .fixpoint import GroupRep
 from .groups import FiniteGroup
 from .qpd import GroupFunction
-from .spaces import (PREDICATE_TOL, IndefiniteSpace, _j_conjugate, _norm_lower_bound,
-                     classify_operator, dissipativity_form, operator_norm)
+from .spaces import (PREDICATE_TOL, IndefiniteSpace, _j_conjugate, _norm_lower_bound, _positive_definite,
+                     _unitarity_gap, dissipativity_form, operator_norm)
 
 __all__ = [
     "random_complex",
@@ -83,14 +90,14 @@ def _dissipative_draw(space: IndefiniteSpace, rng: np.random.Generator, margin: 
     if margin is not None:
         p = p + margin * np.eye(n)
     a = space.j_signs[:, None] * (s + 1j * p)
+    del s, c, p  # freed before the form and its Cholesky factor are allocated
     # accept only draws certified dissipative, and strongly so when strict
-    form_min = float(np.min(nla.eigvalsh(dissipativity_form(space, a))))
-    scale = _norm_lower_bound(a)
-    if form_min < -1e-12 * scale:
-        raise AssertionError("generator produced a non-dissipative matrix")
-    if strict and form_min <= 1e-9 * scale:
+    nu = _norm_lower_bound(a)
+    if _positive_definite(dissipativity_form(space, a), (-1e-9 if strict else 1e-12) * nu):
+        return a
+    if strict and _positive_definite(dissipativity_form(space, a), 1e-12 * nu):
         raise AssertionError("generator produced a non-strongly-dissipative matrix")
-    return a
+    raise AssertionError("generator produced a non-dissipative matrix")
 
 
 def random_ball_point(
@@ -118,7 +125,7 @@ def random_j_unitary(
         random_unitary(rng, space.n_plus),
     )
     u = mobius_matrix(space, a) @ block
-    if classify_operator(space, u).unitarity_defect > 1e-8:
+    if operator_norm(_unitarity_gap(space, u)) > 1e-8:
         raise AssertionError("generator produced a non-J-unitary matrix")
     return u
 
@@ -152,8 +159,7 @@ def corner_decay_fixture(
     p[k:, k:] = np.diag(margin * rng.uniform(1.0, 2.0, space.n_plus))
     a = space.j_signs[:, None] * (s + 1j * p)
     # classify_operator's strong-dissipativity test, without its other predicates
-    form_min = float(np.min(nla.eigvalsh(dissipativity_form(space, a))))
-    if not form_min > PREDICATE_TOL * _norm_lower_bound(a):
+    if not _positive_definite(dissipativity_form(space, a), -PREDICATE_TOL * _norm_lower_bound(a)):
         raise AssertionError("decay fixture lost strong dissipativity")
     return a
 

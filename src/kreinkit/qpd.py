@@ -35,8 +35,9 @@ one real ``eigh(L_y)`` per group gives an orthogonal U, kept on the group
 (``8 m^2`` bytes, the size of the table).  Eigenvalues closer than
 ``_MERGE_GAP max|eig|`` share a block (a sum of invariant subspaces is
 invariant; closer clusters leave U visibly off them).  Below it (the dense
-call wins at m = 24, ties at 48) U is the identity as one block, which is the
-dense eigensolve of ``Phi``.  Each call diagonalizes the blocks
+call wins at m = 24, ties at 48) U is the identity as one block, and the
+Hermitian ``Phi`` is that block as it stands: the dense eigensolve, with no
+product by U and no residual.  With any other U each call diagonalizes the blocks
 ``U_b^T Phi U_b``, stacked by size, if ``||Phi U - U (+)T||_F <=
 _BLOCK_RESIDUAL_RTOL ||Phi||_F``; otherwise it retries U as one block, whose
 residual is U's orthogonality error, and raises ``RuntimeError`` if that fails
@@ -138,19 +139,23 @@ def _gram_blocks(
     """
     gram, m = _hermitian_gram(phi), phi.group.order
     basis, layout = _invariant_basis(phi.group)
-    pu = _gram_times_basis(gram, basis)
-    limit = (_BLOCK_RESIDUAL_RTOL * float(np.linalg.norm(gram))) ** 2
-    for blocks in (layout, [(0, m, m)]):
-        stacks, res2 = [], 0.0
-        for start, stop, d in blocks:  # c blocks of size d, stacked as (c, m, d)
-            ub, pub = (a[:, start:stop].reshape(m, -1, d).transpose(1, 0, 2) for a in (basis, pu))
-            t = _real_left(ub.transpose(0, 2, 1), pub)
-            res2 += float(np.linalg.norm(pub - _real_left(ub, t))) ** 2
-            stacks.append((ub, t))
-        if res2 <= limit:
-            return [(ub, *(np.linalg.eigh(t) if vectors else (np.linalg.eigvalsh(t), None)))
-                    for ub, t in stacks]
-    raise RuntimeError(f"the invariant basis of the order-{m} group is not orthogonal")
+    if layout == [(0, m, m)] and np.array_equal(basis, np.eye(m)):
+        stacks = [(basis[None], gram[None])]  # U = I: Phi is its one block, with a residual of exactly 0
+    else:
+        pu = _gram_times_basis(gram, basis)
+        limit = (_BLOCK_RESIDUAL_RTOL * float(np.linalg.norm(gram))) ** 2
+        for blocks in (layout, [(0, m, m)]):
+            stacks, res2 = [], 0.0
+            for start, stop, d in blocks:  # c blocks of size d, stacked as (c, m, d)
+                ub, pub = (a[:, start:stop].reshape(m, -1, d).transpose(1, 0, 2) for a in (basis, pu))
+                t = _real_left(ub.transpose(0, 2, 1), pub)
+                res2 += float(np.linalg.norm(pub - _real_left(ub, t))) ** 2
+                stacks.append((ub, t))
+            if res2 <= limit:
+                break
+        else:
+            raise RuntimeError(f"the invariant basis of the order-{m} group is not orthogonal")
+    return [(ub, *(np.linalg.eigh(t) if vectors else (np.linalg.eigvalsh(t), None))) for ub, t in stacks]
 
 
 def _gram_spectrum(

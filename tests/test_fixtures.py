@@ -1,21 +1,31 @@
-"""The fixtures' index-array formulas draw exactly what the dense permutation products drew."""
+"""The fixtures' index-array formulas draw exactly what the dense permutation products drew.
+
+The dissipativity and J-unitarity acceptance tests decide what the spectral rules they
+replaced decided, and take no dense spectrum.
+"""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from kreinkit import GroupFunction, build_space, cyclic, named_group, negative_squares, operator_norm
+import kreinkit.fixtures as fixtures_module
+from kreinkit import GroupFunction, build_space, classify_operator, cyclic, named_group, negative_squares, operator_norm
 from kreinkit.fixtures import (
+    corner_decay_fixture,
     fixture_conjugated_rep,
     random_ball_point,
     random_complex,
     random_conjugated_rep,
     random_hermitian,
+    random_j_dissipative,
+    random_j_unitary,
     random_qpd_function,
+    random_strongly_j_dissipative,
     random_unitary,
     random_unitary_rep,
 )
+from kreinkit.spaces import PREDICATE_TOL, _norm_lower_bound, dissipativity_form
 
 
 def dense_clusters(group, rng):
@@ -140,3 +150,115 @@ def test_ball_point_rejects_a_negative_norm():
     with pytest.raises(ValueError, match="^a ball point's norm must be at least 0, got -0.5"):
         random_ball_point(space, np.random.default_rng(0), norm=-0.5)
     assert operator_norm(random_ball_point(space, np.random.default_rng(0), norm=0.0)) == 0.0
+
+
+def spectral_rule(space, a, strict):
+    """The ``eigvalsh`` acceptance rule of the dissipative draws, kept as the oracle of the Cholesky tests."""
+    form_min = float(np.min(np.linalg.eigvalsh(dissipativity_form(space, a))))
+    scale = _norm_lower_bound(a)
+    if form_min < -1e-12 * scale:
+        return "generator produced a non-dissipative matrix"
+    if strict and form_min <= 1e-9 * scale:
+        return "generator produced a non-strongly-dissipative matrix"
+    return None
+
+
+def decay_rule(space, a):
+    """The decay fixture's ``eigvalsh`` rule: ``classify_operator``'s strong-dissipativity test."""
+    form_min = float(np.min(np.linalg.eigvalsh(dissipativity_form(space, a))))
+    return None if form_min > PREDICATE_TOL * _norm_lower_bound(a) else "decay fixture lost strong dissipativity"
+
+
+def unitary_rule(space, u):
+    return "generator produced a non-J-unitary matrix" if classify_operator(space, u).unitarity_defect > 1e-8 else None
+
+
+def drawn(name, draw):
+    """Run ``draw()``; return the matrix it passed to ``fixtures.<name>`` and its AssertionError message or None."""
+    seen, inner = [], getattr(fixtures_module, name)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fixtures_module, name, lambda space, a: seen.append(a) or inner(space, a))
+        try:
+            draw()
+        except AssertionError as err:
+            return seen[0], str(err)
+    return seen[0], None
+
+
+DISSIPATIVE_SIGNATURES = [(2, 10), (5, 60)]
+
+
+@pytest.mark.parametrize("sig", DISSIPATIVE_SIGNATURES)
+@pytest.mark.parametrize("strict, offset, expected", [
+    # margin -lambda_min + offset * nu puts the smallest form eigenvalue at offset * nu;
+    # a negative offset makes the margin negative
+    (False, -1e-3, "non-dissipative"),
+    (False, -1e-10, "non-dissipative"),
+    (False, 1e-10, None),
+    (False, 1e-3, None),
+    (True, -1e-6, "non-dissipative"),
+    (True, -1e-10, "non-dissipative"),
+    (True, 0.0, "non-strongly-dissipative"),  # the margin cancels the smallest eigenvalue
+    (True, 1e-10, "non-strongly-dissipative"),
+    (True, 1e-7, None),
+    (True, 1e-3, None),
+])
+def test_dissipative_draws_raise_exactly_when_the_spectrum_says(sig, strict, offset, expected):
+    space = build_space(*sig)
+    for seed in range(3):
+        reference = random_j_dissipative(space, np.random.default_rng(seed))  # the same stream, margin None
+        form_min = float(np.min(np.linalg.eigvalsh(dissipativity_form(space, reference))))
+        margin = -form_min + offset * _norm_lower_bound(reference)
+        generator = random_strongly_j_dissipative if strict else random_j_dissipative
+        a, message = drawn("dissipativity_form",
+                           lambda: generator(space, np.random.default_rng(seed), margin=margin))
+        # the margin lands where it was meant to, and the Cholesky tests agree with the spectrum
+        assert spectral_rule(space, a, strict) == (expected and f"generator produced a {expected} matrix")
+        assert message == spectral_rule(space, a, strict)
+
+
+@pytest.mark.parametrize("sig", DISSIPATIVE_SIGNATURES)
+@pytest.mark.parametrize("scaled, fails", [(0.0, True), (1e-11, True), (1e-7, False), (1.0, False)])
+def test_decay_fixture_raises_exactly_when_the_spectrum_says(sig, scaled, fails):
+    # margin = scaled * nu, with nu from the same stream at margin 1; margin 0 leaves H+ no margin at all
+    space = build_space(*sig)
+    for seed in range(3):
+        nu = _norm_lower_bound(corner_decay_fixture(space, np.random.default_rng(seed)))
+        a, message = drawn("dissipativity_form",
+                           lambda: corner_decay_fixture(space, np.random.default_rng(seed), margin=scaled * nu))
+        assert (decay_rule(space, a) is not None) == fails
+        assert message == decay_rule(space, a)
+
+
+@pytest.mark.parametrize("stretch, fails", [(0.0, False), (1e-12, False), (1e-6, True), (1e-3, True)])
+def test_j_unitary_draw_raises_exactly_when_the_spectrum_says(stretch, fails, monkeypatch):
+    # (1 + t) M_A makes the draw's unitarity gap ((1 + t)^2 - 1) J, of norm about 2t
+    mobius = fixtures_module.mobius_matrix
+    monkeypatch.setattr(fixtures_module, "mobius_matrix", lambda space, a: (1.0 + stretch) * mobius(space, a))
+    space = build_space(3, 7)
+    for seed in range(3):
+        u, message = drawn("_unitarity_gap",
+                           lambda: random_j_unitary(space, np.random.default_rng(seed)))
+        assert (unitary_rule(space, u) is not None) == fails
+        assert message == unitary_rule(space, u)
+
+
+def test_dissipative_draws_take_no_dense_spectrum(monkeypatch):
+    # each acceptance test is one n x n Cholesky; no eigvalsh or svd of an n x n matrix
+    space = build_space(5, 60)
+    n = space.n
+    calls = {name: [] for name in ("eigvalsh", "svd", "cholesky")}
+    for name, shapes in calls.items():
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda x, *args, _solver=solver, _shapes=shapes, **kwargs:
+                            _shapes.append(np.shape(x)) or _solver(x, *args, **kwargs))
+    rng = np.random.default_rng(7)
+    for draw in (lambda: random_strongly_j_dissipative(space, rng),
+                 lambda: random_j_dissipative(space, rng, rank_deficient=True),
+                 lambda: corner_decay_fixture(space, rng)):
+        for shapes in calls.values():
+            shapes.clear()
+        draw()
+        assert (n, n) not in calls["eigvalsh"] + calls["svd"]
+        assert calls["cholesky"] == [(n, n)]
