@@ -3,11 +3,12 @@
 Generators are specified by certificate, not by formula: every draw is
 checked against the relevant predicate before it is returned.
 
-Each dissipativity acceptance test is one Cholesky factorization of the draw's own
-dissipativity form H shifted by ``sigma nu``, with ``nu <= ||A||`` the lower
-bound of :func:`kreinkit.spaces._norm_lower_bound`.  A factor of ``H + sigma nu
-I`` proves ``lambda_min(H) > -sigma nu`` up to the factorization's backward
-error (Higham 2002, ch. 10), which is all a threshold test needs, so no
+Each dissipativity acceptance test is one Cholesky factorization of the
+draw's own dissipativity form H, shifted by ``sigma nu`` with ``nu <= ||A||``
+the lower bound of :func:`kreinkit.spaces._norm_lower_bound`.  A factor of
+``H + sigma nu I`` proves ``lambda_min(H) > -sigma nu`` up to the
+factorization's backward error (Higham, Accuracy and Stability of Numerical
+Algorithms, 2002, ch. 10), which is all a threshold test needs, so no
 spectrum is computed: ``sigma = 1e-12`` certifies a J-dissipative draw,
 ``sigma = -1e-9`` a strongly J-dissipative one, and ``sigma = -PREDICATE_TOL``
 the decay fixture, the strong test of :func:`kreinkit.spaces.classify_operator`.
