@@ -12,6 +12,16 @@ Algorithms, 2002, ch. 10), which is all a threshold test needs, so no
 spectrum is computed: ``sigma = 1e-12`` certifies a J-dissipative draw,
 ``sigma = -1e-9`` a strongly J-dissipative one, and ``sigma = -PREDICATE_TOL``
 the decay fixture, the strong test of :func:`kreinkit.spaces.classify_operator`.
+
+Draws are built in place.  :func:`random_complex` fills the real and imaginary
+parts of one complex array and scales it, :func:`random_hermitian` overwrites
+that array with its Hermitian part, and a dissipative draw overwrites S with
+``J (S + iP)``, forming ``P = c c^H / n`` one block of ``_BLOCK`` rows (the
+last one up to ``2 _BLOCK - 1``) at a time.  So a dissipative draw holds its
+result, c and one real ``n x n`` array of normals at most; c is freed before
+the acceptance test, which holds the result and its form, the one array that
+the test overwrites.  Every draw is the same, bit for bit, as the out-of-place
+formula ``J (S + iP)``.
 """
 
 from __future__ import annotations
@@ -22,8 +32,8 @@ from .ball import mobius_matrix
 from .fixpoint import GroupRep
 from .groups import FiniteGroup
 from .qpd import GroupFunction
-from .spaces import (PREDICATE_TOL, IndefiniteSpace, _j_conjugate, _norm_lower_bound, _positive_definite,
-                     _unitarity_gap, dissipativity_form, operator_norm)
+from .spaces import (PREDICATE_TOL, _BLOCK, IndefiniteSpace, _j_conjugate, _mirrored_blocks, _norm_lower_bound,
+                     _positive_definite, _unitarity_gap, dissipativity_form, operator_norm)
 
 __all__ = [
     "random_complex",
@@ -45,7 +55,12 @@ __all__ = [
 
 
 def random_complex(rng: np.random.Generator, shape) -> np.ndarray:
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    """Standard complex Gaussian entries, filled into one complex array and scaled in place."""
+    out = np.empty(shape, dtype=complex)
+    out.real = rng.standard_normal(shape)
+    out.imag = rng.standard_normal(shape)
+    out /= np.sqrt(2.0)
+    return out
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -57,8 +72,14 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``(G + G^H) / 2`` for a :func:`random_complex` G, symmetrized in place one pair of blocks at a time."""
     h = random_complex(rng, (n, n))
-    return (h + h.conj().T) / 2.0
+    for rows, cols in _mirrored_blocks(n):
+        upper, lower = h[rows, cols], h[cols, rows]
+        x, y = upper + lower.conj().T, lower + upper.conj().T
+        np.divide(x, 2.0, out=upper)
+        np.divide(y, 2.0, out=lower)
+    return h
 
 
 def random_j_dissipative(
@@ -85,13 +106,22 @@ def random_strongly_j_dissipative(
 def _dissipative_draw(space: IndefiniteSpace, rng: np.random.Generator, margin: float | None,
                       rank_deficient: bool, strict: bool) -> np.ndarray:
     n = space.n
-    s = random_hermitian(rng, n)
+    a = random_hermitian(rng, n)  # S, which becomes A = J (S + iP) in place
     c = random_complex(rng, (n, max(1, n - 2) if rank_deficient else n))
-    p = c @ c.conj().T / n
-    if margin is not None:
-        p = p + margin * np.eye(n)
-    a = space.j_signs[:, None] * (s + 1j * p)
-    del s, c, p  # freed before the form and its Cholesky factor are allocated
+    # rows i0:i1 of P = c c^H / n, bit for bit, with no n x n conj(c).  BLAS sums
+    # a product of a few rows in another order, so the last block takes the
+    # _BLOCK to 2 _BLOCK - 1 rows left rather than a thin remainder
+    starts = range(0, max(n - _BLOCK, 1), _BLOCK)
+    for i0, i1 in zip(starts, [*starts[1:], n]):
+        p = np.conj(c[i0:i1]) @ c.T
+        np.conjugate(p, out=p)
+        p /= n
+        if margin is not None:
+            p.flat[i0 :: n + 1] += margin  # the rows' entries on the diagonal of P
+        p *= 1j
+        a[i0:i1] += p
+    del c, p  # freed before the form is allocated
+    a *= space.j_signs[:, None]
     # accept only draws certified dissipative, and strongly so when strict
     nu = _norm_lower_bound(a)
     if _positive_definite(dissipativity_form(space, a), (-1e-9 if strict else 1e-12) * nu):
@@ -147,18 +177,18 @@ def corner_decay_fixture(
     margin at ``margin``.
     """
     k, n = space.n_minus, space.n
-    s = np.zeros((n, n), dtype=complex)
-    s[:k, :k] = random_hermitian(rng, k)
+    a = np.zeros((n, n), dtype=complex)  # S, which becomes A = J (S + iP) in place
+    a[:k, :k] = random_hermitian(rng, k)
     weights = decay ** np.arange(space.n_plus)
     corner = random_complex(rng, (k, space.n_plus)) * weights[None, :]
-    s[:k, k:] = corner
-    s[k:, :k] = corner.conj().T
-    s[k:, k:] = np.diag(rng.uniform(1.0, 3.0, space.n_plus))
+    a[:k, k:] = corner
+    a[k:, :k] = corner.conj().T
+    plus_diagonal = a.reshape(-1)[k * (n + 1) :: n + 1]  # a view of the H+ block's diagonal
+    plus_diagonal[:] = rng.uniform(1.0, 3.0, space.n_plus)
     c1 = random_complex(rng, (k, k))
-    p = np.zeros((n, n), dtype=complex)
-    p[:k, :k] = c1 @ c1.conj().T / max(1, k) + margin * np.eye(k)
-    p[k:, k:] = np.diag(margin * rng.uniform(1.0, 2.0, space.n_plus))
-    a = space.j_signs[:, None] * (s + 1j * p)
+    a[:k, :k] += 1j * (c1 @ c1.conj().T / max(1, k) + margin * np.eye(k))
+    plus_diagonal += 1j * (margin * rng.uniform(1.0, 2.0, space.n_plus))
+    a *= space.j_signs[:, None]
     # classify_operator's strong-dissipativity test, without its other predicates
     if not _positive_definite(dissipativity_form(space, a), -PREDICATE_TOL * _norm_lower_bound(a)):
         raise AssertionError("decay fixture lost strong dissipativity")

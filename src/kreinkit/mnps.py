@@ -55,6 +55,14 @@ level with the smallest residual wins: the MNPS of ``A + itJ`` moves away
 from that of A as t grows.  Either way the certificate -- not the sequence
 of iterates -- is the contract: its clause ``invariance_residual`` is the residual
 at most ``tol_res * nu``, its clause ``w_norm`` is ``||W|| <= 1 + W_NORM_SLACK``.
+
+Memory: up to the fallback, a solve holds at most one ``n x n`` array beside
+its input, which it never writes.  The dissipativity form is built fresh and
+overwritten by its own Cholesky test (``spaces._positive_definite``), and it
+is freed before the copy of ``A22 + i mu`` that :func:`_block_lu` overwrites
+with its factors; a retry at the cap shift frees the first factors before it
+makes the second.  The last level of :func:`approximation_ladder` solves A
+itself.  Each Schur level of the fallback works on a copy of ``A + itJ``.
 """
 
 from __future__ import annotations
@@ -393,6 +401,7 @@ def _cayley_graph(space: IndefiniteSpace, m: np.ndarray, scale: float) -> np.nda
     """
     k = space.n_minus
     for mu in dict.fromkeys((_cayley_shift(space, m, scale), CAYLEY_SHIFT * scale)):
+        lu = None  # the first shift's factors are freed before the second's are made
         try:
             lu = _block_lu(_plus_diagonal(m[k:, k:], 1j * mu))
             f = _lu_solve(lu, m[k:, :k])
@@ -474,7 +483,7 @@ def mnps(space: IndefiniteSpace, a, tol_res: float = DEFAULT_TOL_RES) -> MnpsRep
     best: MnpsReport | None = None
     for tried, t in enumerate(schedule, 1):
         try:
-            w = _lower_graph(space, m + 1j * t * space.j, AXIS_RTOL * scale)
+            w = _lower_graph(space, _plus_diagonal(m, 1j * t * space.j_signs), AXIS_RTOL * scale)
         except (SpectrumOnAxisError, NotAGraphError):
             report = None
         else:
@@ -529,8 +538,12 @@ def approximation_ladder(
     out: list[LadderLevel] = []
     prev_w: np.ndarray | None = None
     for km, kp in levels:
-        idx = np.r_[np.arange(km), space.n_minus + np.arange(kp)]
-        rep = mnps(IndefiniteSpace(km, kp), m[np.ix_(idx, idx)], tol_res=tol_res)
+        if (km, kp) == (space.n_minus, space.n_plus):  # the full problem: A itself, not a copy
+            sub = m
+        else:
+            idx = np.r_[np.arange(km), space.n_minus + np.arange(kp)]
+            sub = m[np.ix_(idx, idx)]
+        rep = mnps(IndefiniteSpace(km, kp), sub, tol_res=tol_res)
         w_full = np.zeros((space.n_plus, space.n_minus), dtype=complex)
         w_full[:kp, :km] = rep.w
         delta = None if prev_w is None else operator_norm(w_full - prev_w)

@@ -55,6 +55,11 @@ GRAPH_COND_LIMIT = 1e12
 NORM_BOUND_STEPS = 6
 NORM_BOUND_COLS = 4
 
+#: Block size of the in-place Cholesky test (one call factors orders up to twice
+#: this), of the block-pair builds of :func:`_mirrored_blocks` and of the rows
+#: of ``c c^H`` that a dissipative draw forms at a time.
+_BLOCK = 64
+
 
 class NotAGraphError(ValueError):
     """Raised when a subspace cannot be written as a graph over H-."""
@@ -104,15 +109,41 @@ def _plus_diagonal(h: np.ndarray, c) -> np.ndarray:
     return out
 
 
-def _positive_definite(h: np.ndarray, shift) -> bool:
-    """Whether ``h + shift I`` has a Cholesky factor.
+def _mirrored_blocks(n: int) -> list[tuple[slice, slice]]:
+    """Slices ``(I, J)`` of the ``_BLOCK``-sized blocks of an n x n array with ``I <= J``.
 
-    The shift is added to h in place, so h must be an array built for this
-    test, and no second ``n x n`` array is made.
+    Block ``[I, J]`` and its mirror ``[J, I]`` together cover every entry once,
+    so a Hermitian-like array can be built or symmetrized one pair at a time.
     """
-    h.flat[:: h.shape[1] + 1] += shift
+    starts = range(0, n, _BLOCK)
+    return [(slice(i, i + _BLOCK), slice(j, j + _BLOCK)) for i in starts for j in starts if i <= j]
+
+
+def _positive_definite(h: np.ndarray, shift) -> bool:
+    """Whether ``h + shift I`` has a Cholesky factor; h is overwritten.
+
+    h must be a Hermitian array built for this test: the shift is added to its
+    diagonal and its lower triangle is factored in place by a blocked
+    left-looking Cholesky (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., ch. 10).  Each block column is updated by one product
+    with the finished columns, its diagonal block is factored by
+    ``np.linalg.cholesky`` and the blocks below it are multiplied by
+    ``inv(L_jj)^H``; the test returns False at the first diagonal block that
+    has no factor.  Beside h it holds ``O(n * _BLOCK)`` entries and no
+    second ``n x n`` array.  Up to order ``2 * _BLOCK`` h is factored
+    by one ``np.linalg.cholesky`` call, which copies it.
+    """
+    n = h.shape[0]
+    h.flat[:: n + 1] += shift
+    size = n if n <= 2 * _BLOCK else _BLOCK
     try:
-        np.linalg.cholesky(h)
+        for j0 in range(0, n, size):
+            j1 = j0 + size
+            if j0:
+                h[j0:, j0:j1] -= h[j0:, :j0] @ h[j0:j1, :j0].conj().T
+            factor = np.linalg.cholesky(h[j0:j1, j0:j1])
+            if j1 < n:
+                h[j1:, j0:j1] = h[j1:, j0:j1] @ np.linalg.inv(factor).conj().T
     except np.linalg.LinAlgError:
         return False
     return True
@@ -161,13 +192,6 @@ def _j_signs(n_minus: int, n_plus: int) -> np.ndarray:
     return signs
 
 
-@functools.lru_cache(maxsize=64)
-def _j_matrix(n_minus: int, n_plus: int) -> np.ndarray:
-    j = np.diag(_j_signs(n_minus, n_plus)).astype(complex)
-    j.setflags(write=False)
-    return j
-
-
 @dataclass(frozen=True)
 class IndefiniteSpace:
     """Signature (n_minus, n_plus) plus the induced fundamental symmetry."""
@@ -187,8 +211,13 @@ class IndefiniteSpace:
 
     @property
     def j(self) -> np.ndarray:
-        """The fundamental symmetry as a dense (read-only) matrix."""
-        return _j_matrix(self.n_minus, self.n_plus)
+        """The fundamental symmetry as a dense (read-only) matrix, built on each call.
+
+        The package itself only ever uses :attr:`j_signs`.
+        """
+        j = np.diag(self.j_signs).astype(complex)
+        j.setflags(write=False)
+        return j
 
     @property
     def j_signs(self) -> np.ndarray:
@@ -298,13 +327,20 @@ def j_adjoint(space: IndefiniteSpace, a) -> np.ndarray:
 def dissipativity_form(space: IndefiniteSpace, a) -> np.ndarray:
     """The Hermitian matrix representing x -> Im[Ax, x].
 
-    Equals ``(JA - A^H J) / 2i``; A is J-dissipative iff this is PSD.
+    Equals ``(JA - A^H J) / 2i``; A is J-dissipative iff this is PSD.  It is
+    built into one fresh ``n x n`` array, one pair of mirrored blocks at a
+    time, so beside A and the result only a few ``_BLOCK x _BLOCK`` blocks
+    are live.
     """
-    # in place, so at most two n x n arrays are live.  h_ij and conj(h_ji)
-    # come from the same two entries by mirrored exact steps, so they are
-    # equal (the sign of a zero aside) and h needs no (h + h^H) / 2.
-    h = space.j_signs[:, None] * _mat(a)
-    h -= h.conj().T
+    # with G = JA, h[I, J] = G[I, J] - G[J, I]^H.  h_ij and conj(h_ji) come
+    # from the same two entries by mirrored exact steps, so they are equal
+    # (the sign of a zero aside) and h needs no (h + h^H) / 2.
+    m, signs = _mat(a), space.j_signs
+    h = np.empty_like(m)
+    for rows, cols in _mirrored_blocks(space.n):
+        upper, lower = signs[rows, None] * m[rows, cols], signs[cols, None] * m[cols, rows]
+        np.subtract(upper, lower.conj().T, out=h[rows, cols])
+        np.subtract(lower, upper.conj().T, out=h[cols, rows])
     h /= 2j
     return h
 
@@ -319,8 +355,14 @@ def _j_conjugate(space: IndefiniteSpace, m: np.ndarray) -> np.ndarray:
 
 
 def _unitarity_gap(space: IndefiniteSpace, m: np.ndarray) -> np.ndarray:
-    """A^H J A - J, which vanishes exactly when A is J-unitary; stacks too."""
-    return m.conj().swapaxes(-1, -2) @ (space.j_signs[:, None] * m) - space.j
+    """A^H J A - J, which vanishes exactly when A is J-unitary; stacks too.
+
+    J is subtracted from the diagonal only, with no dense J.
+    """
+    gap = m.conj().swapaxes(-1, -2) @ (space.j_signs[:, None] * m)
+    diagonal = np.arange(space.n)
+    gap[..., diagonal, diagonal] -= space.j_signs
+    return gap
 
 
 def classify_operator(space: IndefiniteSpace, a) -> OperatorClasses:

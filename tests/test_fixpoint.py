@@ -712,9 +712,17 @@ class TestFixtures:
         assert rep_validate(rep).ok(1e-10)
         assert rep.norm <= mobius_norm(sp, center).norm ** 2 + 1e-10
 
-    @pytest.mark.parametrize("sig", [(1, 3), (2, 5), (5, 60)])
+    @pytest.mark.parametrize("sig", [(1, 3), (2, 5), (5, 60), (5, 295), (2, 127)])
     def test_dissipative_draws_match_dense_formula(self, sig):
         # A = J (S + iP) with J as a dense matrix, drawn from the same stream
+        # by the out-of-place expressions the in-place draws replaced
+        def random_complex(rng, shape):
+            return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+        def random_hermitian(rng, n):
+            h = random_complex(rng, (n, n))
+            return (h + h.conj().T) / 2.0
+
         sp = build_space(*sig)
         n = sp.n
         for seed in range(3):

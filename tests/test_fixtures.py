@@ -244,10 +244,11 @@ def test_j_unitary_draw_raises_exactly_when_the_spectrum_says(stretch, fails, mo
 
 
 def test_dissipative_draws_take_no_dense_spectrum(monkeypatch):
-    # each acceptance test is one n x n Cholesky; no eigvalsh or svd of an n x n matrix
-    space = build_space(5, 60)
+    # each acceptance test is one in-place Cholesky in 64-column blocks: no
+    # eigvalsh, svd, Cholesky or inverse of an n x n matrix
+    space = build_space(5, 295)
     n = space.n
-    calls = {name: [] for name in ("eigvalsh", "svd", "cholesky")}
+    calls = {name: [] for name in ("eigvalsh", "svd", "cholesky", "inv")}
     for name, shapes in calls.items():
         solver = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name,
@@ -261,4 +262,26 @@ def test_dissipative_draws_take_no_dense_spectrum(monkeypatch):
             shapes.clear()
         draw()
         assert (n, n) not in calls["eigvalsh"] + calls["svd"]
-        assert calls["cholesky"] == [(n, n)]
+        assert calls["cholesky"] == [(64, 64)] * 4 + [(44, 44)]
+        assert calls["inv"] == [(64, 64)] * 4
+
+
+@pytest.mark.parametrize("draw", [
+    lambda space, rng: random_strongly_j_dissipative(space, rng),
+    lambda space, rng: random_j_dissipative(space, rng),
+    lambda space, rng: random_j_dissipative(space, rng, margin=0.3),
+    lambda space, rng: random_j_dissipative(space, rng, rank_deficient=True),
+    lambda space, rng: corner_decay_fixture(space, rng),
+], ids=["strongly", "dissipative", "margin", "rank-deficient", "corner-decay"])
+def test_dissipative_draws_are_built_in_place(draw):
+    # the draw, c and the form are the only n x n arrays, never all three at once;
+    # a small draw first, so that no first-call allocation is counted
+    draw(build_space(1, 2), np.random.default_rng(3))
+    space = build_space(5, 395)
+    tracemalloc.start()
+    try:
+        a = draw(space, np.random.default_rng(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * a.nbytes

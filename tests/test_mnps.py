@@ -327,8 +327,9 @@ class TestMnpsStrong:
         assert_allclose(rep.w, 0, atol=1e-14)
 
     def test_cayley_solve_inverts_no_n_by_n_array(self, monkeypatch, schur_calls):
-        # the H+ block of A + i mu is factored by the block LU: np.linalg.inv
-        # sees only its pivot blocks, the Schur complement S and Y-
+        # np.linalg.inv sees the diagonal blocks of the dissipativity test's
+        # Cholesky factor (not the last), then the pivot blocks of the H+
+        # block's LU, the Schur complement S and Y-
         rng = np.random.default_rng(21)
         sp = build_space(5, 295)
         a = random_strongly_j_dissipative(sp, rng)
@@ -343,7 +344,9 @@ class TestMnpsStrong:
         rep = mnps(sp, a)
         assert not schur_calls
         assert rep.certified
-        assert set(shapes) == {(128, 128), (39, 39), (sp.n_minus, sp.n_minus)}
+        k = sp.n_minus
+        assert shapes[:7] == [(64, 64)] * 4 + [(128, 128), (128, 128), (39, 39)]
+        assert set(shapes[7:]) == {(k, k)}
 
     def test_cayley_graph_holds_one_n_by_n_array(self):
         # the LU overwrites the copy A22 + i mu; no inverse sits beside it
@@ -360,9 +363,9 @@ class TestMnpsStrong:
         assert w is not None
         assert peak < 1.75 * a.nbytes
 
-    def test_solve_holds_two_n_by_n_arrays(self):
-        # the dissipativity form lives only inside its Cholesky test, so a
-        # Cayley solve peaks at that form beside its Cholesky factor
+    def test_solve_holds_one_n_by_n_array(self):
+        # the dissipativity form is factored in place and freed before the LU
+        # copy of A22 + i mu is made, so at most one n x n array sits beside A
         rng = np.random.default_rng(20)
         sp = build_space(5, 295)
         a = random_strongly_j_dissipative(sp, rng)
@@ -373,7 +376,7 @@ class TestMnpsStrong:
         finally:
             tracemalloc.stop()
         assert rep.certified
-        assert peak < 2.5 * a.nbytes
+        assert peak < 1.5 * a.nbytes
 
     def test_solve_gates_the_operator_once(self, monkeypatch):
         # the certificate's residual takes the already-checked operator
@@ -642,6 +645,16 @@ class TestLadder:
                 assert lv.residual == rep.residual
                 assert lv.certified == rep.certified
                 assert lv.certified == (tol_res == MNPS_MODULE.DEFAULT_TOL_RES)
+
+    def test_last_level_solves_the_input_itself(self, monkeypatch):
+        # the full signature is solved on A, not on an np.ix_ copy of it
+        sp = build_space(2, 20)
+        a = corner_decay_fixture(sp, np.random.default_rng(12), decay=0.8)
+        solve, inputs = MNPS_MODULE.mnps, []
+        monkeypatch.setattr(MNPS_MODULE, "mnps",
+                            lambda space, m, **kwargs: inputs.append(m) or solve(space, m, **kwargs))
+        approximation_ladder(sp, a, [(1, 5), (2, 20)])
+        assert len(inputs) == 2 and inputs[0] is not a and inputs[-1] is a
 
 
 class TestVerify:

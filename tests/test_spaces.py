@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,8 +19,9 @@ from kreinkit import (
     operator_norm,
     subspace_signature,
 )
-from kreinkit.fixtures import random_ball_point, random_complex, random_j_dissipative
-from kreinkit.mnps import CAYLEY_SHIFT
+import kreinkit.spaces as spaces_module
+from kreinkit.fixtures import random_ball_point, random_complex, random_j_dissipative, random_j_unitary
+from kreinkit.mnps import CAYLEY_SHIFT, mnps
 from kreinkit.spaces import _norm_lower_bound, dissipativity_form
 
 
@@ -323,6 +326,76 @@ def test_dissipativity_form_needs_no_symmetrization(seed, n_minus, n_plus):
     hb = dissipativity_form(sp, b)
     assert np.array_equal(hb, hb.conj().T)
     assert np.array_equal(hb, _two_pass_form(sp, b))
+
+
+ORDERS = [1, 63, 64, 65, 127, 128, 129, 300]
+
+
+def _order_space(n):
+    return build_space(n // 3, n - n // 3)
+
+
+@pytest.mark.parametrize("n", ORDERS)
+def test_dissipativity_form_matches_the_dense_formula(n):
+    # (J A - A^H J) / 2i with J as a dense matrix, across the row-block edges
+    sp = _order_space(n)
+    a = random_complex(np.random.default_rng(n), (n, n))
+    j = sp.j
+    assert np.array_equal(dissipativity_form(sp, a), (j @ a - a.conj().T @ j) / 2j)
+
+
+@pytest.mark.parametrize("n", ORDERS)
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_positive_definite_agrees_with_cholesky(n, where, monkeypatch):
+    # H is positive definite but for coordinate p, which is decoupled and
+    # carries lambda_min: a shift just short of -lambda_min fails at the
+    # diagonal block holding p and at no earlier one
+    rng = np.random.default_rng(n)
+    g = random_complex(rng, (n, n))
+    h = g @ g.conj().T / n + np.eye(n)
+    p = {"first": 0, "middle": n // 2, "last": n - 1}[where]
+    h[p, :] = h[:, p] = 0.0
+    h[p, p] = -1.0 - operator_norm(h)
+    lam = float(np.min(np.linalg.eigvalsh(h)))
+    cholesky, shapes = np.linalg.cholesky, []
+    monkeypatch.setattr(np.linalg, "cholesky", lambda x: shapes.append(x.shape) or cholesky(x))
+    block = spaces_module._BLOCK
+    size = n if n <= 2 * block else block
+    for sign in (1.0, -1.0):
+        shift = -lam + sign * 1e-6 * operator_norm(h)
+        try:
+            cholesky(h + shift * np.eye(n))
+            expected = True
+        except np.linalg.LinAlgError:
+            expected = False
+        shapes.clear()
+        assert spaces_module._positive_definite(h.copy(), shift) is expected is (sign > 0)
+        assert len(shapes) == (-(-n // size) if expected else p // size + 1)
+
+
+def test_positive_definite_makes_no_n_by_n_factor():
+    # the factor overwrites h: beside it sit a few n x 64 blocks
+    n = 1000
+    g = random_complex(np.random.default_rng(5), (n, n))
+    h = g @ g.conj().T / n
+    tracemalloc.start()
+    try:
+        ok = spaces_module._positive_definite(h, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert peak < h.nbytes / 4
+
+
+def test_package_reads_no_dense_j(monkeypatch):
+    # the unitarity gap and the Schur fallback's A + itJ shift the diagonal by j_signs
+    monkeypatch.setattr(IndefiniteSpace, "j", property(lambda self: pytest.fail("dense J read")))
+    sp = build_space(2, 5)
+    rng = np.random.default_rng(3)
+    assert classify_operator(sp, random_j_unitary(sp, rng)).j_unitary
+    a = np.diag(build_space(1, 1).j_signs) @ np.ones((2, 2))  # the Jordan-type fixture: Schur only
+    assert mnps(build_space(1, 1), a, tol_res=1e-8).certified
 
 
 def test_invariance_residual_trivial_cases():
