@@ -26,7 +26,6 @@ from .groups import FiniteGroup
 from .serialization import report_to_json
 from .spaces import (
     IndefiniteSpace,
-    Subspace,
     _Clause,
     _checked,
     _checked_tol,
@@ -36,7 +35,6 @@ from .spaces import (
     _stack_norm,
     _unitarity_gap,
     graph_from_subspace,
-    graph_of,
     operator_norm,
 )
 
@@ -46,10 +44,8 @@ __all__ = [
     "FixedPointReport",
     "UnitarizationReport",
     "rep_validate",
-    "orbit_radius",
     "group_average_metric",
     "common_fixed_point",
-    "invariant_dual_pair",
     "unitarize",
 ]
 
@@ -173,7 +169,7 @@ def _rep_defects(rep: GroupRep, norm) -> RepDiagnostics:
     return RepDiagnostics(hom, ident, junit)
 
 
-def orbit_radius(rep: GroupRep) -> float:
+def _orbit_radius(rep: GroupRep) -> float:
     """max_g ||phi_{pi(g)}(0)||, checked against the norm bound for J-unitaries."""
     zero = np.zeros((rep.space.n_plus, rep.space.n_minus), dtype=complex)
     radius = _stack_norm(fractional_linear(rep.space, rep.matrices, zero))
@@ -260,23 +256,12 @@ def common_fixed_point(rep: GroupRep, cert_tol: float = CERT_TOL) -> FixedPointR
         k=k,
         k_norm=k_norm,
         max_map_residual=residual,
-        orbit_radius=orbit_radius(rep),
+        orbit_radius=_orbit_radius(rep),
         radius_bound=bound,
         rep_norm=rep_norm,
         certified=not failed,
         failed_clause=failed,
     )
-
-
-def invariant_dual_pair(
-    rep: GroupRep, report: FixedPointReport | None = None
-) -> tuple[Subspace, Subspace]:
-    """Invariant (positive, negative) pair: ``{[K^H v; v]}``, J-orthogonal to ``graph(K)``."""
-    if report is None:
-        report = common_fixed_point(rep)
-    k = report.k
-    positive = Subspace(rep.space, np.vstack([k.conj().T, np.eye(rep.space.n_plus)]))
-    return positive, graph_of(rep.space, k)
 
 
 def unitarize(

@@ -11,7 +11,7 @@ factorization's backward error (Higham, Accuracy and Stability of Numerical
 Algorithms, 2002, ch. 10), which is all a threshold test needs, so no
 spectrum is computed: ``sigma = 1e-12`` certifies a J-dissipative draw,
 ``sigma = -1e-9`` a strongly J-dissipative one, and ``sigma = -PREDICATE_TOL``
-the decay fixture, the strong test of :func:`kreinkit.spaces.classify_operator`.
+the decay fixture, at the slack of the dissipativity test of :func:`kreinkit.mnps`.
 
 Draws are built in place.  :func:`random_complex` fills the real and imaginary
 parts of one complex array and scales it, :func:`random_hermitian` overwrites
@@ -189,7 +189,6 @@ def corner_decay_fixture(
     a[:k, :k] += 1j * (c1 @ c1.conj().T / max(1, k) + margin * np.eye(k))
     plus_diagonal += 1j * (margin * rng.uniform(1.0, 2.0, space.n_plus))
     a *= space.j_signs[:, None]
-    # classify_operator's strong-dissipativity test, without its other predicates
     if not _positive_definite(dissipativity_form(space, a), -PREDICATE_TOL * _norm_lower_bound(a)):
         raise AssertionError("decay fixture lost strong dissipativity")
     return a

@@ -452,7 +452,7 @@ def mnps(space: IndefiniteSpace, a, tol_res: float = DEFAULT_TOL_RES) -> MnpsRep
     the certified level with the smallest residual is returned.
     ``iterations`` counts the Schur levels tried.  When none certifies, the
     level with the smallest residual is returned naming its failed clause.
-    ``tol_res`` must be finite and above 0 (``ValueError`` otherwise).
+    ``tol_res`` must be finite and above 0, and nu normal (``ValueError`` otherwise).
 
     ``nu <= ||A||`` is the seeded lower bound of the module docstring; it
     also scales the dissipativity slack, the Cayley shift, the schedule and

@@ -59,14 +59,13 @@ import numpy as np
 from .fixpoint import GroupRep
 from .groups import FiniteGroup
 from .serialization import report_to_json
-from .spaces import (IndefiniteSpace, Inertia, _Clause, _checked, _checked_tol, _first_failed, _inertia,
-                     _positive_definite)
+from .spaces import (_SAFE_BINADE, IndefiniteSpace, Inertia, _Clause, _checked, _checked_tol, _first_failed,
+                     _inertia, _normal_scale, _positive_definite, _unit_scaled)
 
 __all__ = [
     "GroupFunction",
     "GnsResult",
     "DecompositionCertificate",
-    "gram_matrix",
     "negative_squares",
     "finite_type_rank",
     "gns_construct",
@@ -115,14 +114,8 @@ class GroupFunction:
         return float(np.max(np.abs(self.values)))
 
 
-def gram_matrix(phi: GroupFunction) -> np.ndarray:
-    """Hermitian matrix with entry (i, j) = phi(g_i^{-1} g_j)."""
-    group = phi.group
-    return phi.values[group.table[group.inverses]]
-
-
 def _hermitian_gram(phi: GroupFunction) -> np.ndarray:
-    """``(G + G^H) / 2`` bit for bit, indexed from the Hermitian part of the values."""
+    """``(G + G^H) / 2`` of ``G[i, j] = phi(g_i^{-1} g_j)`` bit for bit, indexed from the Hermitian part of phi."""
     v, inv = phi.values, phi.group.inverses
     return ((v + v[inv].conj()) / 2.0)[phi.group.table[inv]]
 
@@ -143,17 +136,19 @@ def _gram_blocks(
         stacks = [(basis[None], gram[None])]  # U = I: Phi is its one block, with a residual of exactly 0
     else:
         pu = _gram_times_basis(gram, basis)
-        limit = (_BLOCK_RESIDUAL_RTOL * float(np.linalg.norm(gram))) ** 2
+        band = _SAFE_BINADE // 2  # squares of the two norms are compared
+        limit = (_BLOCK_RESIDUAL_RTOL * float(np.linalg.norm(_unit_scaled(gram, phi.max_abs, band)))) ** 2
         for blocks in (layout, [(0, m, m)]):
             stacks, res2 = [], 0.0
             for start, stop, d in blocks:  # c blocks of size d, stacked as (c, m, d)
                 ub, pub = (a[:, start:stop].reshape(m, -1, d).transpose(1, 0, 2) for a in (basis, pu))
                 t = _real_left(ub.transpose(0, 2, 1), pub)
-                res2 += float(np.linalg.norm(pub - _real_left(ub, t))) ** 2
+                res2 += float(np.linalg.norm(_unit_scaled(pub - _real_left(ub, t), phi.max_abs, band))) ** 2
                 stacks.append((ub, t))
             if res2 <= limit:
                 break
         else:
+            _normal_scale(phi.max_abs, "values")  # a subnormal phi fails by its few bits, not by U
             raise RuntimeError(f"the invariant basis of the order-{m} group is not orthogonal")
     return [(ub, *(np.linalg.eigh(t) if vectors else (np.linalg.eigvalsh(t), None))) for ub, t in stacks]
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,12 +30,8 @@ __all__ = [
     "IndefiniteSpace",
     "Subspace",
     "Inertia",
-    "OperatorClasses",
     "NotAGraphError",
     "build_space",
-    "indefinite_product",
-    "j_adjoint",
-    "classify_operator",
     "graph_of",
     "graph_from_subspace",
     "subspace_signature",
@@ -45,7 +42,7 @@ __all__ = [
 #: Relative threshold below which eigenvalues / singular values count as zero.
 RANK_RTOL = 1e-9
 
-#: Tolerance of the operator-class predicates, relative to a lower bound on ||A||.
+#: Slack of the J-dissipativity tests of ``mnps`` and the decay fixture, relative to a lower bound on ||A||.
 PREDICATE_TOL = 1e-9
 
 #: Condition-number guard for solving against the H- block of a basis.
@@ -54,6 +51,9 @@ GRAPH_COND_LIMIT = 1e12
 #: Block-power steps and start columns of :func:`_norm_lower_bound`.
 NORM_BOUND_STEPS = 6
 NORM_BOUND_COLS = 4
+
+#: An array whose largest entry leaves ``[2^-_SAFE_BINADE, 2^_SAFE_BINADE]`` is brought to unit scale.
+_SAFE_BINADE = 500
 
 #: Block size of the in-place Cholesky test (one call factors orders up to twice
 #: this), of the block-pair builds of :func:`_mirrored_blocks` and of the rows
@@ -92,14 +92,33 @@ def _norm_lower_bound(m: np.ndarray) -> float:
     and allocates ``O(n k)``: ``A^H (A Q)`` is formed as ``((A Q)^H A)^H``,
     never through ``A^H``.  A tolerance relative to nu is stricter than the
     same tolerance relative to ||A||; never substitute an upper bound.
+
+    ``A Q`` goes to unit scale when its largest entry leaves the ``_SAFE_BINADE`` band,
+    where ``A^H (A Q)`` would overflow or underflow; a subnormal nu raises ``ValueError``.
     """
     n = m.shape[1]
     k = min(NORM_BOUND_COLS, n)
     rng = np.random.default_rng(0)
     q = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
     for _ in range(NORM_BOUND_STEPS):
-        q = np.linalg.qr(((m @ q).conj().T @ m).conj().T)[0]
-    return float(np.linalg.norm(m @ q, 2))
+        mq = m @ q
+        mq = _unit_scaled(mq, float(np.max(np.abs(mq.view(float)))))
+        q = np.linalg.qr((mq.conj().T @ m).conj().T)[0]
+    return _normal_scale(float(np.linalg.norm(m @ q, 2)), "operator")
+
+
+def _normal_scale(scale: float, name: str) -> float:
+    """``scale``, or ``ValueError`` if it is subnormal: such entries carry too few bits to judge."""
+    if 0.0 < scale < np.finfo(float).tiny:
+        raise ValueError(f"{name} scale {scale:.3e} is below the normal range ({np.finfo(float).tiny:.3e})")
+    return scale
+
+
+def _unit_scaled(a: np.ndarray, largest: float, band: int = _SAFE_BINADE) -> np.ndarray:
+    """a, or once ``largest`` leaves ``[2^-band, 2^band]`` the exact ``2^-e a`` with ``2^-e largest`` in [0.5, 1)."""
+    if not largest or 2.0**-band <= largest <= 2.0**band:
+        return a
+    return np.ldexp(a.view(float), -math.frexp(largest)[1]).view(a.dtype)
 
 
 def _plus_diagonal(h: np.ndarray, c) -> np.ndarray:
@@ -295,35 +314,6 @@ def _inertia(eigs: np.ndarray, rtol: float = RANK_RTOL) -> Inertia:
     return Inertia(n_pos, n_neg, eigs.size - n_pos - n_neg)
 
 
-@dataclass(frozen=True)
-class OperatorClasses:
-    """Membership flags for the standard operator classes of a J-space."""
-
-    j_selfadjoint: bool
-    j_dissipative: bool
-    strongly_j_dissipative: bool
-    j_unitary: bool
-    j_expanding: bool
-    selfadjoint_defect: float
-    dissipativity_margin: float
-    unitarity_defect: float
-    expanding_margin: float
-
-
-def indefinite_product(space: IndefiniteSpace, x, y) -> complex:
-    """The form [x, y] = (Jx, y), conjugate-linear in y."""
-    xv = _checked(np.reshape(x, -1), (space.n,), "x")
-    yv = _checked(np.reshape(y, -1), (space.n,), "y")
-    return complex(np.vdot(yv, space.j_signs * xv))
-
-
-def j_adjoint(space: IndefiniteSpace, a) -> np.ndarray:
-    """A^# = J A^H J, the unique B with [Ax, y] = [x, By]."""
-    m = _checked(a, (space.n, space.n), "operator")
-    signs = space.j_signs
-    return signs[:, None] * m.conj().T * signs[None, :]
-
-
 def dissipativity_form(space: IndefiniteSpace, a) -> np.ndarray:
     """The Hermitian matrix representing x -> Im[Ax, x].
 
@@ -363,37 +353,6 @@ def _unitarity_gap(space: IndefiniteSpace, m: np.ndarray) -> np.ndarray:
     diagonal = np.arange(space.n)
     gap[..., diagonal, diagonal] -= space.j_signs
     return gap
-
-
-def classify_operator(space: IndefiniteSpace, a) -> OperatorClasses:
-    """Test J-selfadjointness, (strong) J-dissipativity, J-unitarity, J-expansion.
-
-    The tolerance is ``PREDICATE_TOL * nu``, where ``nu <= ||A||`` is the
-    lower bound of :func:`_norm_lower_bound`: relative with no floor, so the
-    predicates are scale-invariant, and the same scale as the dissipativity
-    test of :func:`kreinkit.mnps.mnps`, so the two agree.
-    """
-    m = _checked(a, (space.n, space.n), "operator")
-    tol = PREDICATE_TOL * _norm_lower_bound(m)
-
-    sa_defect = operator_norm(m - j_adjoint(space, m))
-    form = dissipativity_form(space, m)
-    margin = float(np.min(np.linalg.eigvalsh(form)))
-    gram = _unitarity_gap(space, m)
-    unit_defect = operator_norm(gram)
-    exp_margin = float(np.min(np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)))
-
-    return OperatorClasses(
-        j_selfadjoint=sa_defect <= tol,
-        j_dissipative=margin >= -tol,
-        strongly_j_dissipative=margin > tol,
-        j_unitary=unit_defect <= tol,
-        j_expanding=exp_margin >= -tol,
-        selfadjoint_defect=sa_defect,
-        dissipativity_margin=margin,
-        unitarity_defect=unit_defect,
-        expanding_margin=exp_margin,
-    )
 
 
 def graph_of(space: IndefiniteSpace, w) -> Subspace:

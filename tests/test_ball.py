@@ -7,7 +7,6 @@ from kreinkit import (
     BoundaryError,
     MapUndefinedError,
     build_space,
-    classify_operator,
     fractional_linear,
     hyperbolic_distance,
     invariance_residual,
@@ -20,7 +19,7 @@ from kreinkit import (
 import kreinkit.ball as ball_module
 from kreinkit.ball import BOUNDARY_MARGIN
 from kreinkit.fixtures import random_ball_point, random_j_unitary
-from kreinkit.spaces import _j_conjugate
+from kreinkit.spaces import PREDICATE_TOL, _j_conjugate, _norm_lower_bound
 
 
 def test_mobius_of_zero_is_center():
@@ -260,12 +259,13 @@ def test_radius_from_norm_bounds_mobius_center():
         assert operator_norm(a) <= radius_from_norm(c) + 1e-9
 
 
-def test_j_unitary_generator_passes_classifier():
+def test_j_unitary_generator_draws_j_unitaries():
+    # ||U^H J U - J|| <= PREDICATE_TOL * nu, with a dense J
     rng = np.random.default_rng(14)
     sp = build_space(2, 3)
     for _ in range(10):
         u = random_j_unitary(sp, rng)
-        assert classify_operator(sp, u).j_unitary
+        assert operator_norm(u.conj().T @ sp.j @ u - sp.j) <= PREDICATE_TOL * _norm_lower_bound(u)
 
 
 @pytest.mark.parametrize("bad", ["shape", "nan", "inf"])

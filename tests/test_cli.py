@@ -262,6 +262,18 @@ class TestMnpsCommand:
         code = main(["mnps", "--input", inp, "--out", str(tmp_path / "r.json")])
         assert code == 0
 
+    @pytest.mark.parametrize("e, code", [(600, 0), (-1070, 2)])
+    def test_huge_input_certifies_and_subnormal_input_exits_two(self, tmp_path, capsys, e, code):
+        sp = build_space(2, 10)
+        a = np.ldexp(random_strongly_j_dissipative(sp, np.random.default_rng(3)).view(float), e).view(complex)
+        inp = write(tmp_path / "a.json", {"space": space_to_json(sp), "matrix": matrix_to_json(a)})
+        out = tmp_path / "r.json"
+        assert main(["mnps", "--input", inp, "--out", str(out)]) == code
+        if code == 0:
+            assert load(out)["certified"] is True
+        else:
+            assert "error: operator scale" in capsys.readouterr().err
+
     def test_malformed_json_exits_two(self, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")

@@ -9,22 +9,21 @@ from numpy.testing import assert_allclose
 
 from kreinkit import (
     GroupRep,
+    Subspace,
     build_space,
-    classify_operator,
     common_fixed_point,
     cyclic,
     decompose,
     fractional_linear,
     gns_construct,
     graph_from_subspace,
+    graph_of,
     group_average_metric,
     invariance_residual,
-    invariant_dual_pair,
     mobius_matrix,
     mobius_norm,
     named_group,
     operator_norm,
-    orbit_radius,
     radius_from_norm,
     rep_validate,
     subspace_signature,
@@ -51,7 +50,7 @@ from kreinkit.fixtures import (
     random_unitary_rep,
 )
 from kreinkit.serialization import report_to_json
-from kreinkit.spaces import _stack_frobenius_norm, _stack_norm
+from kreinkit.spaces import PREDICATE_TOL, _norm_lower_bound, _stack_frobenius_norm, _stack_norm, dissipativity_form
 
 
 def block_unitary_rep(group, space, rng):
@@ -106,14 +105,14 @@ class TestOrbitRadius:
     def test_block_unitary_rep_fixes_zero(self):
         rng = np.random.default_rng(3)
         rep = block_unitary_rep(cyclic(3), build_space(1, 2), rng)
-        assert orbit_radius(rep) <= 1e-12
+        assert fixpoint_module._orbit_radius(rep) <= 1e-12
 
     def test_conjugated_rep_orbit(self):
         rng = np.random.default_rng(4)
         group = cyclic(4)
         sp = build_space(1, 2)
         rep, center = random_conjugated_rep(group, sp, rng, center_norm=0.5)
-        r = orbit_radius(rep)
+        r = fixpoint_module._orbit_radius(rep)
         assert r <= radius_from_norm(rep.norm) + 1e-9
 
     def test_single_j_unitary_bound(self):
@@ -137,7 +136,7 @@ class TestOrbitRadius:
                 np.array([np.eye(1), -np.eye(1)]),
                 center,
             )
-            assert orbit_radius(rep) == pytest.approx(2 * a / (1 + a * a), abs=1e-12)
+            assert fixpoint_module._orbit_radius(rep) == pytest.approx(2 * a / (1 + a * a), abs=1e-12)
             assert rep.norm == pytest.approx((1 + a) / (1 - a), abs=1e-10)
             report = common_fixed_point(rep)
             assert_allclose(report.k, center, atol=1e-10)
@@ -523,11 +522,17 @@ class TestCommonFixedPoint:
             assert max(operator_norm(fractional_linear(sp, m, k) - k) for m in mats) <= 1e-9
 
 
+def dual_pair(rep):
+    """The invariant (positive, negative) pair ``[K^H; I]``, ``[I; K]`` of the common fixed point K."""
+    k, sp = common_fixed_point(rep).k, rep.space
+    return Subspace(sp, np.vstack([k.conj().T, np.eye(sp.n_plus)])), graph_of(sp, k)
+
+
 class TestInvariantDualPair:
     def test_zero_fixed_point_gives_coordinate_pair(self):
         rng = np.random.default_rng(15)
         rep = block_unitary_rep(cyclic(4), build_space(1, 2), rng)
-        positive, negative = invariant_dual_pair(rep)
+        positive, negative = dual_pair(rep)
         assert positive.dim == 2 and negative.dim == 1
         assert abs(negative.basis[1:, :]).max() <= 1e-10
         assert abs(positive.basis[:1, :]).max() <= 1e-10
@@ -535,7 +540,7 @@ class TestInvariantDualPair:
     def test_conjugated_pair_properties(self):
         rng = np.random.default_rng(16)
         rep, center = random_conjugated_rep(named_group("S3"), build_space(2, 3), rng)
-        positive, negative = invariant_dual_pair(rep)
+        positive, negative = dual_pair(rep)
         sp = rep.space
         assert subspace_signature(sp, positive).is_positive
         assert subspace_signature(sp, negative).is_negative
@@ -557,7 +562,7 @@ class TestInvariantDualPair:
         sp = build_space(1, 2)
         center = random_ball_point(sp, rng, 0.5)
         rep = fixture_conjugated_rep(group, u_minus, u_plus, center)
-        positive, negative = invariant_dual_pair(rep)
+        positive, negative = dual_pair(rep)
         m = mobius_matrix(sp, center)
         # negative part = M_A . H-; positive part = M_A . H+
         target_neg = m[:, :1]
@@ -592,7 +597,7 @@ class TestPencilAndDualPair:
         sp = build_space(*sig)
         for center_norm in (0.5, 0.999):
             rep, _ = random_conjugated_rep(named_group("S4"), sp, rng, center_norm=center_norm)
-            positive, negative = invariant_dual_pair(rep)
+            positive, negative = dual_pair(rep)
             assert positive.basis.shape == (sp.n, sp.n_plus)
             assert negative.basis.shape == (sp.n, sp.n_minus)
             cross = positive.basis.conj().T @ sp.j @ negative.basis
@@ -752,7 +757,8 @@ class TestFixtures:
                 p[:k, :k] = c1 @ c1.conj().T / max(1, k) + margin * np.eye(k)
                 p[k:, k:] = np.diag(margin * ref.uniform(1.0, 2.0, n_plus))
                 assert np.array_equal(a, sp.j @ (s + 1j * p))
-                assert classify_operator(sp, a).strongly_j_dissipative
+                form_min = float(np.min(np.linalg.eigvalsh(dissipativity_form(sp, a))))
+                assert form_min > PREDICATE_TOL * _norm_lower_bound(a)  # strongly J-dissipative
 
     def test_double_rep_form_matrix(self):
         form = doubled_form_matrix(2)

@@ -12,7 +12,6 @@ from kreinkit import (
     SpectrumOnAxisError,
     approximation_ladder,
     build_space,
-    classify_operator,
     fractional_linear,
     graph_from_subspace,
     graph_of,
@@ -50,6 +49,12 @@ def schur_calls(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "schur", counting)
     return calls
+
+
+def form_margin(sp, a):
+    """The smallest eigenvalue of A's dissipativity form, and the predicate tolerance ``PREDICATE_TOL * nu``."""
+    a = np.asarray(a, dtype=complex)
+    return float(np.min(np.linalg.eigvalsh(dissipativity_form(sp, a)))), PREDICATE_TOL * _norm_lower_bound(a)
 
 
 def principal_angle(z1, z2):
@@ -475,7 +480,7 @@ class TestMnps:
         sp = build_space(1, 1)
         h = np.array([[1.0, 1.0], [1.0, 1.0]])
         a = sp.j @ h
-        assert classify_operator(sp, a).j_selfadjoint
+        assert operator_norm(a - sp.j @ a.conj().T @ sp.j) <= PREDICATE_TOL * _norm_lower_bound(a)  # J-selfadjoint
         rep = mnps(sp, a, tol_res=1e-8)
         assert schur_calls  # the Cayley iteration stalls on the boundary
         assert rep.certified
@@ -520,7 +525,7 @@ class TestMnps:
         with pytest.raises(NotDissipativeError):
             mnps(sp, -1j * sp.j)
 
-    def test_classify_agrees_with_dissipativity_test(self):
+    def test_form_spectrum_agrees_with_dissipativity_test(self):
         # A + icJ raises the form margin by exactly c: place it within a few
         # percent of the threshold -PREDICATE_TOL * nu on either side; both
         # judge it against the same nu <= ||A||
@@ -538,7 +543,8 @@ class TestMnps:
                 accepted = False
             else:
                 accepted = True
-            assert classify_operator(sp, a).j_dissipative == accepted == (ratio < 1.0)
+            margin, tol = form_margin(sp, a)
+            assert (margin >= -tol) == accepted == (ratio < 1.0)
             outcomes.add(accepted)
         assert outcomes == {True, False}
 
@@ -564,6 +570,30 @@ class TestMnps:
         assert rep.certified
         assert operator_norm(rep.w - mnps(sp, a).w) <= 1e-10
 
+    @pytest.mark.parametrize("e", [-1000, 510, 600, 1000])
+    def test_every_entry_point_certifies_at_extreme_binades(self, e):
+        # from 2^510 on, A^H (A Q) in the norm bound overflowed and the solve raised LinAlgError
+        sp = build_space(2, 10)
+        a = random_strongly_j_dissipative(sp, np.random.default_rng(3))
+        scaled = np.ldexp(a.view(float), e).view(complex)
+        w = mnps(sp, a).w
+        rep = mnps(sp, scaled)
+        assert rep.certified and rep.iterations == 1  # the Cayley path
+        assert operator_norm(rep.w - w) <= 1e-12
+        check = verify_mnps(sp, scaled, rep.w)
+        assert check.invariant and check.maximal_nonpositive
+        ladder = approximation_ladder(sp, scaled, [(1, 5), (2, 10)])
+        assert ladder.all_certified
+        assert operator_norm(ladder.final_w - w) <= 1e-12
+
+    def test_subnormal_operator_is_rejected_by_its_scale(self):
+        sp = build_space(2, 10)
+        a = np.ldexp(random_strongly_j_dissipative(sp, np.random.default_rng(3)).view(float), -1070).view(complex)
+        for solve in (lambda: mnps(sp, a), lambda: verify_mnps(sp, a, np.zeros((10, 2))),
+                      lambda: approximation_ladder(sp, a, [(2, 10)])):
+            with pytest.raises(ValueError, match=r"^operator scale \S+ is below the normal range"):
+                solve()
+
 
 class TestLadder:
     def test_single_level_equals_full_solve(self):
@@ -586,7 +616,8 @@ class TestLadder:
         a[np.ix_(idx, idx)] = a_small
         a[1, 1] = -1j  # H- coordinate: dissipativity needs Im(lambda) <= 0 there
         a[np.ix_([4, 5], [4, 5])] = 1j * np.eye(2)
-        assert classify_operator(sp, a).strongly_j_dissipative
+        margin, tol = form_margin(sp, a)
+        assert margin > tol  # strongly J-dissipative
         ladder = approximation_ladder(sp, a, [(1, 2), (2, 3), (2, 4)])
         assert ladder.levels[1].delta_to_previous is not None
         assert ladder.levels[2].delta_to_previous == pytest.approx(0.0, abs=1e-10)

@@ -1,7 +1,9 @@
 import importlib
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import kreinkit
 
@@ -18,6 +20,41 @@ def test_all_is_the_union_of_module_exports():
     assert sorted(kreinkit.__all__) == sorted(exported)
     assert len(set(exported)) == len(exported)
     assert all(hasattr(kreinkit, name) for name in kreinkit.__all__)
+
+
+# the public surface: a name is added to or removed from kreinkit.__all__ only by editing this list
+PUBLIC_NAMES = [
+    "BoundaryError", "DecompositionCertificate", "DegeneratePencilError", "FiniteGroup", "FixedPointReport",
+    "GnsResult", "GroupFunction", "GroupRep", "GroupStructureError", "IndefiniteSpace", "Inertia", "LadderReport",
+    "MapUndefinedError", "MnpsReport", "MobiusNormBounds", "NotAGraphError", "NotDissipativeError",
+    "SpectrumOnAxisError", "Subspace", "UnitarizationReport", "VerifyReport", "approximation_ladder", "build_space",
+    "common_fixed_point", "cyclic", "decompose", "dihedral", "direct_product", "finite_type_rank",
+    "fractional_linear", "gns_construct", "graph_from_subspace", "graph_of", "group_average_metric",
+    "hyperbolic_distance", "invariance_residual", "mnps", "mobius_apply", "mobius_matrix", "mobius_norm",
+    "named_group", "negative_squares", "operator_norm", "quaternion", "radius_from_norm", "rep_validate",
+    "spectral_split", "subspace_signature", "symmetric", "unitarize", "verify_decomposition", "verify_mnps",
+]
+
+
+def test_public_names_are_pinned():
+    assert len(PUBLIC_NAMES) == 52
+    assert sorted(kreinkit.__all__) == PUBLIC_NAMES
+
+
+def test_readme_package_layout_names_only_exported_names():
+    # every backticked identifier in a re-exported module's row is in that module's __all__
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = {}
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        match = re.match(r"^\| `kreinkit\.(\w+)` \| (.*) \|$", line)
+        if match and match.group(1) in MODULES:
+            rows[match.group(1)] = match.group(2)
+    assert sorted(rows) == sorted(MODULES)
+    for module, text in rows.items():
+        names = [name for name in re.findall(r"`([^`]+)`", text) if name.isidentifier()]
+        assert names, module
+        exported = importlib.import_module(f"kreinkit.{module}").__all__
+        assert [name for name in names if name not in exported] == [], module
 
 
 def test_mnps_attribute_is_the_function_and_the_module_is_reached_by_path():
@@ -61,7 +98,7 @@ def test_group_and_qpd_paths_leave_scipy_unloaded():
         "    fp = kk.common_fixed_point(rep)\n"
         "    assert fp.certified and kk.unitarize(rep, fp).certified\n"
         "    assert kk.unitarize(rep).certified\n"
-        "    kk.invariant_dual_pair(rep)\n"
+        "    kk.Subspace(sp, np.vstack([fp.k.conj().T, np.eye(sp.n_plus)])), kk.graph_of(sp, fp.k)\n"
         "    phi = fixtures.random_qpd_function(group, rng, k=2)[0]\n"
         "    assert kk.decompose(phi)[2].ok(scale=phi.max_abs)\n"
         "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"

@@ -1,5 +1,6 @@
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -16,8 +17,6 @@ from kreinkit import (
     direct_product,
     finite_type_rank,
     gns_construct,
-    gram_matrix,
-    invariant_dual_pair,
     named_group,
     negative_squares,
     symmetric,
@@ -31,6 +30,11 @@ from kreinkit.spaces import _first_failed
 
 
 DENSE_EIGH = np.linalg.eigh
+
+
+def scaled_by_pow2(phi, e):
+    """``2^e phi``, exact in the normal range."""
+    return GroupFunction(phi.group, np.ldexp(phi.values.view(float), e).view(complex))
 
 
 def delta_at_identity(group, scale=1.0):
@@ -59,19 +63,21 @@ class TestGroupFunction:
 
 
 class TestGramMatrix:
+    """The Hermitian Gram matrix ``Phi[i, j] = phi(g_i^{-1} g_j)`` that every spectrum reads."""
+
     def test_delta_gives_identity(self):
         g = symmetric(3)
-        assert_allclose(gram_matrix(delta_at_identity(g)), np.eye(6))
+        assert_allclose(qpd_module._hermitian_gram(delta_at_identity(g)), np.eye(6))
 
     def test_z2_worked_values(self):
         g = cyclic(2)
         phi = GroupFunction(g, [1.0, 2.0])
-        assert_allclose(gram_matrix(phi), [[1.0, 2.0], [2.0, 1.0]])
+        assert_allclose(qpd_module._hermitian_gram(phi), [[1.0, 2.0], [2.0, 1.0]])
 
     def test_constant_function_rank_one(self):
         g = cyclic(5)
         phi = GroupFunction(g, np.ones(5))
-        gram = gram_matrix(phi)
+        gram = qpd_module._hermitian_gram(phi)
         assert_allclose(gram, np.ones((5, 5)))
         assert negative_squares(phi) == 0
         assert finite_type_rank(phi) == 1
@@ -80,7 +86,7 @@ class TestGramMatrix:
         rng = np.random.default_rng(0)
         g = named_group("D4")
         phi, _, _ = random_qpd_function(g, rng, k=2)
-        gram = gram_matrix(phi)
+        gram = qpd_module._hermitian_gram(phi)
         assert_allclose(gram, gram.conj().T)
 
     def test_translation_preserves_gram(self):
@@ -88,7 +94,7 @@ class TestGramMatrix:
         rng = np.random.default_rng(1)
         g = named_group("S3")
         phi, _, _ = random_qpd_function(g, rng, k=1)
-        gram = gram_matrix(phi)
+        gram = qpd_module._hermitian_gram(phi)
         for x in range(g.order):
             p = g.left_translation(x)
             assert_allclose(p.conj().T @ gram @ p, gram, atol=1e-12)
@@ -250,11 +256,12 @@ class TestDecompose:
 
 def dual_pair_parts(phi, gns, report):
     """phi1, phi2 from the fixed point's dual pair and a solve, kept as reference."""
-    positive, negative = invariant_dual_pair(gns.rep(phi.group), report)
-    coeff = np.linalg.solve(np.hstack([positive.basis, negative.basis]), gns.cyclic)
+    k, n_plus = report.k, report.k.shape[0]
+    positive, negative = np.vstack([k.conj().T, np.eye(n_plus)]), np.vstack([np.eye(k.shape[1]), k])
+    coeff = np.linalg.solve(np.hstack([positive, negative]), gns.cyclic)
     jn = gns.signs.astype(float)
     parts = []
-    for f in (positive.basis @ coeff[: positive.dim], negative.basis @ coeff[positive.dim :]):
+    for f in (positive @ coeff[:n_plus], negative @ coeff[n_plus:]):
         parts.append(np.array([np.vdot(jn * f, mat @ f) for mat in gns.matrices]))
     return parts[0], -parts[1]
 
@@ -407,7 +414,7 @@ def _forbidden_eigh(*args, **kwargs):
 
 def eigh_counts(phi):
     """(negative, nonzero) eigenvalue counts of the Gram matrix, from eigh."""
-    gram = gram_matrix(phi)
+    gram = phi.values[phi.group.table[phi.group.inverses]]  # phi(g_i^-1 g_j)
     eigs = np.linalg.eigh((gram + gram.conj().T) / 2.0)[0]
     thr = qpd_module.GRAM_KERNEL_RTOL * np.max(np.abs(eigs))
     return int(np.sum(eigs < -thr)), int(np.sum(np.abs(eigs) > thr))
@@ -498,7 +505,7 @@ BLOCK_GROUPS = {
 def dense_reference(phi):
     """Eigenvalues and parts phi1, phi2 of the spectral split, from one dense eigh."""
     group = phi.group
-    gram = gram_matrix(phi)
+    gram = phi.values[group.table[group.inverses]]  # phi(g_i^-1 g_j)
     eigs, vecs = DENSE_EIGH((gram + gram.conj().T) / 2.0)
     thr = qpd_module.GRAM_KERNEL_RTOL * np.max(np.abs(eigs))
     row = vecs[group.identity]
@@ -596,6 +603,33 @@ class TestBlockSpectrum:
             (tmp_path / f"{name}.json").write_text(json.dumps(obj))
             args += [f"--{name}", str(tmp_path / f"{name}.json")]
         assert cli_main(["qpd", "classify", *args]) == 1
+
+    @pytest.mark.parametrize("e", [-600, 0, 400, 600])
+    def test_corrupted_basis_raises_at_every_binade(self, e):
+        # ||Phi||_F overflowed from about 2^500 and underflowed below 2^-500: the
+        # squared limit was inf, or 0 beside a residual of 0, and passed any basis
+        group = named_group("S5")
+        phi, _, _ = random_qpd_function(group, np.random.default_rng(5), k=1)
+        basis, layout = qpd_module._invariant_basis(group)
+        bad = basis.copy()
+        bad[:, 5] += 1e-3 * basis[:, 7]
+        object.__setattr__(group, "_invariant_basis", (bad, layout))
+        with pytest.raises(RuntimeError, match="not orthogonal"):
+            decompose(scaled_by_pow2(phi, e))
+
+    @pytest.mark.parametrize("e", [-1000, -600, 600, 1000])
+    def test_true_basis_certifies_at_extreme_binades(self, e):
+        phi, _, _ = random_qpd_function(named_group("S5"), np.random.default_rng(5), k=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            phi1, phi2, cert = decompose(scaled_by_pow2(phi, e))
+        assert cert.failed_clause == ""
+        assert cert.negative_squares == negative_squares(phi) == 1
+
+    def test_subnormal_function_is_rejected_by_its_scale(self):
+        phi, _, _ = random_qpd_function(named_group("S5"), np.random.default_rng(5), k=1)
+        with pytest.raises(ValueError, match=r"^values scale \S+ is below the normal range"):
+            decompose(scaled_by_pow2(phi, -1070))
 
     def test_basis_eigh_runs_once_per_group_object(self, square_eigensolves):
         for _ in range(2):

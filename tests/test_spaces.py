@@ -10,19 +10,16 @@ from kreinkit import (
     NotAGraphError,
     Subspace,
     build_space,
-    classify_operator,
     graph_from_subspace,
     graph_of,
-    indefinite_product,
     invariance_residual,
-    j_adjoint,
     operator_norm,
     subspace_signature,
 )
 import kreinkit.spaces as spaces_module
 from kreinkit.fixtures import random_ball_point, random_complex, random_j_dissipative, random_j_unitary
 from kreinkit.mnps import CAYLEY_SHIFT, mnps
-from kreinkit.spaces import _norm_lower_bound, dissipativity_form
+from kreinkit.spaces import PREDICATE_TOL, _norm_lower_bound, dissipativity_form
 
 
 def test_build_space_small_signatures():
@@ -42,96 +39,21 @@ def test_build_space_rejects_zero_dimensions():
         build_space(-1, 2)
 
 
-def test_indefinite_product_signs():
-    sp = build_space(1, 1)
-    assert indefinite_product(sp, [1, 0], [1, 0]) == pytest.approx(-1)
-    assert indefinite_product(sp, [0, 1], [0, 1]) == pytest.approx(1)
-    assert indefinite_product(sp, [1, 1], [1, 1]) == pytest.approx(0)
-
-
-def test_indefinite_product_dimension_mismatch():
-    sp = build_space(1, 1)
-    with pytest.raises(ValueError):
-        indefinite_product(sp, [1, 0, 0], [1, 0])
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=25, deadline=None)
-def test_indefinite_product_self_is_real(seed):
-    rng = np.random.default_rng(seed)
-    sp = build_space(int(rng.integers(0, 4)), int(rng.integers(1, 5)))
-    x = random_complex(rng, sp.n)
-    val = indefinite_product(sp, x, x)
-    assert abs(val.imag) <= 1e-14 * np.linalg.norm(x) ** 2
-
-
-def test_j_adjoint_fixed_points():
-    sp = build_space(2, 3)
-    assert_allclose(j_adjoint(sp, sp.j), sp.j)
-    assert_allclose(j_adjoint(sp, np.eye(5)), np.eye(5))
-
-
-def test_j_adjoint_pairing_identity():
-    # [Ax, y] = [x, A^# y] over random vector pairs
-    rng = np.random.default_rng(11)
-    sp = build_space(2, 3)
-    a = random_complex(rng, (5, 5))
-    adj = j_adjoint(sp, a)
-    for _ in range(100):
-        x = random_complex(rng, 5)
-        y = random_complex(rng, 5)
-        lhs = indefinite_product(sp, a @ x, y)
-        rhs = indefinite_product(sp, x, adj @ y)
-        assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=25, deadline=None)
-def test_j_adjoint_is_involution(seed):
-    rng = np.random.default_rng(seed)
-    sp = build_space(int(rng.integers(1, 4)), int(rng.integers(1, 4)))
-    a = random_complex(rng, (sp.n, sp.n))
-    assert_allclose(j_adjoint(sp, j_adjoint(sp, a)), a, atol=0)
-
-
-def test_classify_j_itself():
-    sp = build_space(1, 1)
-    cls = classify_operator(sp, sp.j)
-    assert cls.j_selfadjoint and cls.j_unitary
-    assert cls.j_dissipative and not cls.strongly_j_dissipative
-
-
-def test_classify_i_times_j_strongly_dissipative():
-    sp = build_space(1, 1)
-    cls = classify_operator(sp, 1j * sp.j)
-    assert cls.strongly_j_dissipative
-    assert cls.dissipativity_margin == pytest.approx(1.0)
-
-
-def test_classify_tolerance_is_relative_like_mnps():
-    # the default tolerance has no max(1, ||A||) floor: a tiny operator is
-    # judged at its own scale, exactly as mnps judges it
-    from kreinkit import NotDissipativeError, mnps
+def test_mnps_tolerance_is_relative_with_no_floor():
+    # the dissipativity slack has no max(1, ||A||) floor: a tiny operator is
+    # judged at its own scale
+    from kreinkit import NotDissipativeError
 
     sp = build_space(1, 1)
-    bad = -1e-10j * sp.j
-    assert not classify_operator(sp, bad).j_dissipative
     with pytest.raises(NotDissipativeError):
-        mnps(sp, bad)
-    good = 1e-10j * sp.j
-    assert classify_operator(sp, good).strongly_j_dissipative
-    assert mnps(sp, good).certified
+        mnps(sp, -1e-10j * sp.j)
+    assert mnps(sp, 1e-10j * sp.j).certified
 
 
-def test_classify_takes_no_tolerance():
-    # the tolerance is PREDICATE_TOL * nu: an infinite one would call a
-    # J-dissipative diagonal J-selfadjoint and J-unitary
-    sp = build_space(1, 2)
-    a = np.diag([1j, 2.0, 3.0 + 5j])
-    with pytest.raises(TypeError):
-        classify_operator(sp, a, tol=np.inf)
-    cls = classify_operator(sp, a)
-    assert not cls.j_selfadjoint and not cls.j_unitary
+def is_j_unitary(sp, u):
+    """``||U^H J U - J|| <= PREDICATE_TOL * nu``, the J-unitarity predicate, with a dense J."""
+    u = np.asarray(u, dtype=complex)
+    return operator_norm(u.conj().T @ sp.j @ u - sp.j) <= PREDICATE_TOL * _norm_lower_bound(u)
 
 
 def _bound_input(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -170,21 +92,13 @@ def test_norm_lower_bound_is_certified_and_tight(kind, n, exponent, seed):
     assert _norm_lower_bound(a.copy()) == nu  # seeded: deterministic for a given A
 
 
-def test_classify_expanding():
-    sp = build_space(1, 1)
-    assert classify_operator(sp, sp.j).j_expanding  # J-unitaries expand with equality
-    sp_def = build_space(0, 2)
-    assert classify_operator(sp_def, 2.0 * np.eye(2)).j_expanding
-    assert not classify_operator(sp_def, 0.5 * np.eye(2)).j_expanding
-
-
-def test_classify_mobius_matrix_is_j_unitary():
+def test_mobius_matrix_is_j_unitary():
     from kreinkit import mobius_matrix
 
     rng = np.random.default_rng(5)
     sp = build_space(2, 3)
     m = mobius_matrix(sp, random_ball_point(sp, rng, 0.7))
-    assert classify_operator(sp, m).j_unitary
+    assert is_j_unitary(sp, m)
 
 
 def test_block_operator_blocks_reassemble():
@@ -393,7 +307,8 @@ def test_package_reads_no_dense_j(monkeypatch):
     monkeypatch.setattr(IndefiniteSpace, "j", property(lambda self: pytest.fail("dense J read")))
     sp = build_space(2, 5)
     rng = np.random.default_rng(3)
-    assert classify_operator(sp, random_j_unitary(sp, rng)).j_unitary
+    u = random_j_unitary(sp, rng)
+    assert operator_norm(spaces_module._unitarity_gap(sp, u)) <= PREDICATE_TOL * _norm_lower_bound(u)
     a = np.diag(build_space(1, 1).j_signs) @ np.ones((2, 2))  # the Jordan-type fixture: Schur only
     assert mnps(build_space(1, 1), a, tol_res=1e-8).certified
 
@@ -430,18 +345,13 @@ def test_subspace_rejects_rank_deficient_basis():
     "call,name,good",
     [
         (Subspace, "basis", np.eye(3)[:, :1]),
-        (lambda sp, v: indefinite_product(sp, v, np.ones(3)), "x", np.ones(3)),
-        (lambda sp, v: indefinite_product(sp, np.ones(3), v), "y", np.ones(3)),
-        (j_adjoint, "operator", np.eye(3)),
-        (classify_operator, "operator", np.eye(3)),
         (graph_of, "graph operator", np.zeros((2, 1))),
         (graph_from_subspace, "basis", np.eye(3)[:, :1]),
         (subspace_signature, "basis", np.eye(3)[:, :1]),
         (lambda sp, v: invariance_residual(sp, v, np.zeros((2, 1))), "operator", np.eye(3)),
         (lambda sp, v: invariance_residual(sp, np.eye(3), v), "graph operator", np.zeros((2, 1))),
     ],
-    ids=["Subspace", "product-x", "product-y", "j_adjoint", "classify_operator", "graph_of",
-         "graph_from_subspace", "subspace_signature", "residual-a", "residual-w"],
+    ids=["Subspace", "graph_of", "graph_from_subspace", "subspace_signature", "residual-a", "residual-w"],
 )
 def test_entry_points_reject_bad_input_by_name(call, name, good, bad):
     # the one input gate: a wrong shape or a non-finite entry is named
