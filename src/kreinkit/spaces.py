@@ -32,6 +32,8 @@ __all__ = [
     "Inertia",
     "NotAGraphError",
     "build_space",
+    "indefinite_product",
+    "j_adjoint",
     "graph_of",
     "graph_from_subspace",
     "subspace_signature",
@@ -312,6 +314,18 @@ def _inertia(eigs: np.ndarray, rtol: float = RANK_RTOL) -> Inertia:
     n_pos = int(np.count_nonzero(eigs > thr))
     n_neg = int(np.count_nonzero(eigs < -thr))
     return Inertia(n_pos, n_neg, eigs.size - n_pos - n_neg)
+
+
+def indefinite_product(space: IndefiniteSpace, x, y) -> complex:
+    """The form [x, y] = (Jx, y), conjugate-linear in y."""
+    xv = _checked(np.reshape(x, -1), (space.n,), "x")
+    yv = _checked(np.reshape(y, -1), (space.n,), "y")
+    return complex(np.vdot(yv, space.j_signs * xv))
+
+
+def j_adjoint(space: IndefiniteSpace, a) -> np.ndarray:
+    """A^# = J A^H J, the unique B with [Ax, y] = [x, By]."""
+    return _j_conjugate(space, _checked(a, (space.n, space.n), "operator").conj().T)
 
 
 def dissipativity_form(space: IndefiniteSpace, a) -> np.ndarray:

@@ -259,8 +259,8 @@ def test_radius_from_norm_bounds_mobius_center():
         assert operator_norm(a) <= radius_from_norm(c) + 1e-9
 
 
-def test_j_unitary_generator_draws_j_unitaries():
-    # ||U^H J U - J|| <= PREDICATE_TOL * nu, with a dense J
+def test_j_unitary_generator_passes_classifier():
+    # the J-unitarity predicate ||U^H J U - J|| <= PREDICATE_TOL * nu, with a dense J
     rng = np.random.default_rng(14)
     sp = build_space(2, 3)
     for _ in range(10):

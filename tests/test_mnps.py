@@ -525,7 +525,7 @@ class TestMnps:
         with pytest.raises(NotDissipativeError):
             mnps(sp, -1j * sp.j)
 
-    def test_form_spectrum_agrees_with_dissipativity_test(self):
+    def test_classify_agrees_with_dissipativity_test(self):
         # A + icJ raises the form margin by exactly c: place it within a few
         # percent of the threshold -PREDICATE_TOL * nu on either side; both
         # judge it against the same nu <= ||A||

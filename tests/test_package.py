@@ -30,14 +30,14 @@ PUBLIC_NAMES = [
     "SpectrumOnAxisError", "Subspace", "UnitarizationReport", "VerifyReport", "approximation_ladder", "build_space",
     "common_fixed_point", "cyclic", "decompose", "dihedral", "direct_product", "finite_type_rank",
     "fractional_linear", "gns_construct", "graph_from_subspace", "graph_of", "group_average_metric",
-    "hyperbolic_distance", "invariance_residual", "mnps", "mobius_apply", "mobius_matrix", "mobius_norm",
-    "named_group", "negative_squares", "operator_norm", "quaternion", "radius_from_norm", "rep_validate",
+    "hyperbolic_distance", "indefinite_product", "invariance_residual", "j_adjoint", "mnps", "mobius_apply",
+    "mobius_matrix", "mobius_norm", "named_group", "negative_squares", "operator_norm", "quaternion", "radius_from_norm", "rep_validate",
     "spectral_split", "subspace_signature", "symmetric", "unitarize", "verify_decomposition", "verify_mnps",
 ]
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 52
+    assert len(PUBLIC_NAMES) == 54
     assert sorted(kreinkit.__all__) == PUBLIC_NAMES
 
 

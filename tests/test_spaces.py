@@ -12,14 +12,16 @@ from kreinkit import (
     build_space,
     graph_from_subspace,
     graph_of,
+    indefinite_product,
     invariance_residual,
+    j_adjoint,
     operator_norm,
     subspace_signature,
 )
 import kreinkit.spaces as spaces_module
 from kreinkit.fixtures import random_ball_point, random_complex, random_j_dissipative, random_j_unitary
 from kreinkit.mnps import CAYLEY_SHIFT, mnps
-from kreinkit.spaces import PREDICATE_TOL, _norm_lower_bound, dissipativity_form
+from kreinkit.spaces import PREDICATE_TOL, _norm_lower_bound, _unitarity_gap, dissipativity_form
 
 
 def test_build_space_small_signatures():
@@ -39,15 +41,102 @@ def test_build_space_rejects_zero_dimensions():
         build_space(-1, 2)
 
 
-def test_mnps_tolerance_is_relative_with_no_floor():
-    # the dissipativity slack has no max(1, ||A||) floor: a tiny operator is
-    # judged at its own scale
+def test_indefinite_product_signs():
+    sp = build_space(1, 1)
+    assert indefinite_product(sp, [1, 0], [1, 0]) == pytest.approx(-1)
+    assert indefinite_product(sp, [0, 1], [0, 1]) == pytest.approx(1)
+    assert indefinite_product(sp, [1, 1], [1, 1]) == pytest.approx(0)
+
+
+def test_indefinite_product_dimension_mismatch():
+    sp = build_space(1, 1)
+    with pytest.raises(ValueError):
+        indefinite_product(sp, [1, 0, 0], [1, 0])
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_indefinite_product_self_is_real(seed):
+    rng = np.random.default_rng(seed)
+    sp = build_space(int(rng.integers(0, 4)), int(rng.integers(1, 5)))
+    x = random_complex(rng, sp.n)
+    val = indefinite_product(sp, x, x)
+    assert abs(val.imag) <= 1e-14 * np.linalg.norm(x) ** 2
+
+
+def test_j_adjoint_fixed_points():
+    sp = build_space(2, 3)
+    assert_allclose(j_adjoint(sp, sp.j), sp.j)
+    assert_allclose(j_adjoint(sp, np.eye(5)), np.eye(5))
+
+
+def test_j_adjoint_pairing_identity():
+    # [Ax, y] = [x, A^# y] over random vector pairs
+    rng = np.random.default_rng(11)
+    sp = build_space(2, 3)
+    a = random_complex(rng, (5, 5))
+    adj = j_adjoint(sp, a)
+    for _ in range(100):
+        x = random_complex(rng, 5)
+        y = random_complex(rng, 5)
+        lhs = indefinite_product(sp, a @ x, y)
+        rhs = indefinite_product(sp, x, adj @ y)
+        assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_j_adjoint_is_involution(seed):
+    rng = np.random.default_rng(seed)
+    sp = build_space(int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+    a = random_complex(rng, (sp.n, sp.n))
+    assert_allclose(j_adjoint(sp, j_adjoint(sp, a)), a, atol=0)
+
+
+def form_margin(sp, a):
+    """``lambda_min`` of A's dissipativity form, and the predicate tolerance ``PREDICATE_TOL * nu``."""
+    a = np.asarray(a, dtype=complex)
+    return float(np.min(np.linalg.eigvalsh(dissipativity_form(sp, a)))), PREDICATE_TOL * _norm_lower_bound(a)
+
+
+def is_j_expanding(sp, a):
+    """``lambda_min`` of the Hermitian part of ``A^H J A - J`` is ``>= -PREDICATE_TOL * nu``."""
+    a = np.asarray(a, dtype=complex)
+    gap = _unitarity_gap(sp, a)
+    return float(np.min(np.linalg.eigvalsh((gap + gap.conj().T) / 2.0))) >= -PREDICATE_TOL * _norm_lower_bound(a)
+
+
+def test_classify_j_itself():
+    # J is J-selfadjoint and J-unitary; its form is 0, so J-dissipative but not strongly
+    sp = build_space(1, 1)
+    margin, tol = form_margin(sp, sp.j)
+    assert operator_norm(sp.j - j_adjoint(sp, sp.j)) <= tol
+    assert operator_norm(_unitarity_gap(sp, sp.j.astype(complex))) <= tol
+    assert margin >= -tol and not margin > tol
+
+
+def test_classify_i_times_j_strongly_dissipative():
+    sp = build_space(1, 1)
+    margin, tol = form_margin(sp, 1j * sp.j)
+    assert margin > tol
+    assert margin == pytest.approx(1.0)
+
+
+def test_classify_tolerance_is_relative_like_mnps():
+    # the predicate slack PREDICATE_TOL * nu has no max(1, ||A||) floor: a
+    # tiny operator is judged at its own scale, exactly as mnps judges it
     from kreinkit import NotDissipativeError
 
     sp = build_space(1, 1)
+    bad = -1e-10j * sp.j
+    margin, tol = form_margin(sp, bad)
+    assert not margin >= -tol
     with pytest.raises(NotDissipativeError):
-        mnps(sp, -1e-10j * sp.j)
-    assert mnps(sp, 1e-10j * sp.j).certified
+        mnps(sp, bad)
+    good = 1e-10j * sp.j
+    margin, tol = form_margin(sp, good)
+    assert margin > tol
+    assert mnps(sp, good).certified
 
 
 def is_j_unitary(sp, u):
@@ -92,7 +181,15 @@ def test_norm_lower_bound_is_certified_and_tight(kind, n, exponent, seed):
     assert _norm_lower_bound(a.copy()) == nu  # seeded: deterministic for a given A
 
 
-def test_mobius_matrix_is_j_unitary():
+def test_classify_expanding():
+    sp = build_space(1, 1)
+    assert is_j_expanding(sp, sp.j)  # J-unitaries expand with equality
+    sp_def = build_space(0, 2)
+    assert is_j_expanding(sp_def, 2.0 * np.eye(2))
+    assert not is_j_expanding(sp_def, 0.5 * np.eye(2))
+
+
+def test_classify_mobius_matrix_is_j_unitary():
     from kreinkit import mobius_matrix
 
     rng = np.random.default_rng(5)
@@ -345,13 +442,16 @@ def test_subspace_rejects_rank_deficient_basis():
     "call,name,good",
     [
         (Subspace, "basis", np.eye(3)[:, :1]),
+        (lambda sp, v: indefinite_product(sp, v, np.ones(3)), "x", np.ones(3)),
+        (lambda sp, v: indefinite_product(sp, np.ones(3), v), "y", np.ones(3)),
+        (j_adjoint, "operator", np.eye(3)),
         (graph_of, "graph operator", np.zeros((2, 1))),
         (graph_from_subspace, "basis", np.eye(3)[:, :1]),
         (subspace_signature, "basis", np.eye(3)[:, :1]),
         (lambda sp, v: invariance_residual(sp, v, np.zeros((2, 1))), "operator", np.eye(3)),
         (lambda sp, v: invariance_residual(sp, np.eye(3), v), "graph operator", np.zeros((2, 1))),
     ],
-    ids=["Subspace", "graph_of", "graph_from_subspace", "subspace_signature", "residual-a", "residual-w"],
+    ids=["Subspace", "product-x", "product-y", "j_adjoint", "graph_of", "graph_from_subspace", "subspace_signature", "residual-a", "residual-w"],
 )
 def test_entry_points_reject_bad_input_by_name(call, name, good, bad):
     # the one input gate: a wrong shape or a non-finite entry is named
