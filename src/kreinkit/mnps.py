@@ -45,16 +45,21 @@ check, the ``cond(Y-)`` check and the certificate send the solve to the
 fallback.
 
 When the iteration stalls or its graph does not certify, the solver falls
-back to the finite-dimensional route: the spectral subspace of ``A + itJ``
-for the open lower half-plane, from a sorted Schur form (for t > 0 the
-operator is strongly J-dissipative and the subspace negative, hence a graph
-over H-).  The schedule is fixed: ``t = 0``, then ``T0_SCALE * nu *
-SHRINK**j`` for ``j < LADDER_LEVELS``.  Once a level certifies against the
-*original* matrix, t shrinks while the residual falls, and the certified
-level with the smallest residual wins: the MNPS of ``A + itJ`` moves away
-from that of A as t grows.  Either way the certificate -- not the sequence
-of iterates -- is the contract: its clause ``invariance_residual`` is the residual
-at most ``tol_res * nu``, its clause ``w_norm`` is ``||W|| <= 1 + W_NORM_SLACK``.
+back to one eigendecomposition of ``A + itJ``.  An eigenpair of a
+J-dissipative matrix has ``Im(lambda) [x, x] = Im[Ax, x] >= 0``, and near the
+axis, where rounding can move ``Im lambda`` across 0, the sign of the type
+``[x, x]`` still tells the sides apart (Gohberg, Lancaster and Rodman,
+*Indefinite Linear Algebra and Applications*, 2005).  So the rule keeps the
+eigenvectors with ``Im lambda < -TYPE_RTOL nu`` and, inside that strip, those
+with ``[x, x] < 0``.  It needs exactly ``n_minus`` independent vectors, which
+a defective eigenvalue denies, so t follows a fixed schedule: ``t = 0``, then
+``T0_SCALE * nu * SHRINK**j`` for ``j < LADDER_LEVELS``.  Once a level
+certifies against the *original* matrix, t shrinks while the residual falls,
+and the certified level with the smallest residual wins: the MNPS of ``A +
+itJ`` moves away from that of A as t grows.  Either way the certificate --
+not the sequence of iterates -- is the contract: its clause
+``invariance_residual`` is the residual at most ``tol_res * nu``, its clause
+``w_norm`` is ``||W|| <= 1 + W_NORM_SLACK``.
 
 Memory: up to the fallback, a solve holds at most one ``n x n`` array beside
 its input, which it never writes.  The dissipativity form is built fresh and
@@ -62,7 +67,7 @@ overwritten by its own Cholesky test (``spaces._positive_definite``), and it
 is freed before the copy of ``A22 + i mu`` that :func:`_block_lu` overwrites
 with its factors; a retry at the cap shift frees the first factors before it
 makes the second.  The last level of :func:`approximation_ladder` solves A
-itself.  Each Schur level of the fallback works on a copy of ``A + itJ``.
+itself.  Each level of the fallback holds ``A + itJ`` and its eigenvectors.
 """
 
 from __future__ import annotations
@@ -78,6 +83,7 @@ from .spaces import (
     Inertia,
     NotAGraphError,
     PREDICATE_TOL,
+    RANK_RTOL,
     Subspace,
     _Clause,
     _checked,
@@ -109,7 +115,10 @@ __all__ = [
 #: Relative half-width of the spectral exclusion strip around the real axis.
 AXIS_RTOL = 1e-12
 
-#: The Schur fallback's schedule of t after t = 0: ``T0_SCALE * nu * SHRINK**j``
+#: Half-width, relative to nu, of the axis strip where the fallback picks eigenvectors by type.
+TYPE_RTOL = 1.5e-8
+
+#: The fallback's schedule of t after t = 0: ``T0_SCALE * nu * SHRINK**j``
 #: for ``j < LADDER_LEVELS``.
 T0_SCALE = 1e-2
 SHRINK = 0.5
@@ -140,9 +149,9 @@ _LU_BLOCK = 128
 
 
 def __getattr__(name: str):
-    # ``kreinkit.mnps.sla`` is scipy.linalg, imported on first use: only the
-    # Schur fallback needs it, and its import costs more than a Cayley solve.
-    # perfbench's tracer wraps ``sla.schur`` through this name.
+    # ``kreinkit.mnps.sla`` is scipy.linalg, imported on first use.  No solver
+    # code uses it: it stays only because perfbench's tracer wraps ``sla.schur``
+    # through this name, and goes when the tracer stops reading it.
     if name == "sla":
         import scipy.linalg
 
@@ -213,47 +222,31 @@ class VerifyReport:
     inertia: Inertia
 
 
-def _half_plane_basis(
-    m: np.ndarray, lower: bool, tol_axis: float
-) -> np.ndarray:
-    """Orthonormal basis of the invariant subspace for Im(lambda) < 0 (or > 0)."""
-    import scipy.linalg as sla  # schur is looked up on the module at each call
-
-    try:
-        if lower:
-            t, z, sdim = sla.schur(m, output="complex", sort=lambda lam: lam.imag < 0.0)
-        else:
-            t, z, sdim = sla.schur(m, output="complex", sort=lambda lam: lam.imag > 0.0)
-    except sla.LinAlgError as exc:  # reordering failed: eigenvalues too entangled
-        raise SpectrumOnAxisError(
-            "the sorted Schur reordering failed to separate the spectrum "
-            "across the real axis"
-        ) from exc
-    eigs = np.diag(t)
-    if eigs.size and np.min(np.abs(eigs.imag)) <= tol_axis:
-        raise SpectrumOnAxisError(
-            f"an eigenvalue lies within AXIS_RTOL * nu = {tol_axis:.3e} of the real axis"
-        )
-    return z[:, :sdim]
+def _eig_basis(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of ``x[:, keep]`` by QR; columns that R shows dependent to RANK_RTOL raise."""
+    q, r = np.linalg.qr(x[:, keep])
+    d = np.abs(np.diagonal(r))
+    if d.size and d.min() <= RANK_RTOL * d.max():
+        raise SpectrumOnAxisError("the kept eigenvectors are dependent: a defective eigenvalue")
+    return q
 
 
 def spectral_split(space: IndefiniteSpace, a) -> tuple[Subspace, Subspace]:
     """Invariant subspaces for the lower / upper open half-planes.
 
-    Fails with :class:`SpectrumOnAxisError` when some eigenvalue is within
-    ``AXIS_RTOL * nu`` of the real axis, with ``nu <= ||A||`` the scale of
-    :func:`mnps`, whose fallback uses the same strip.
+    Both bases come from one eigendecomposition.  Fails with
+    :class:`SpectrumOnAxisError` when some eigenvalue is within ``AXIS_RTOL *
+    nu`` of the real axis, with ``nu <= ||A||`` the scale of :func:`mnps`, or
+    when the eigenvectors of one half-plane are dependent.
     """
     m = _checked(a, (space.n, space.n), "operator")
     tol_axis = AXIS_RTOL * _norm_lower_bound(m)
-    z_minus = _half_plane_basis(m, True, tol_axis)
-    z_plus = _half_plane_basis(m, False, tol_axis)
-    if z_minus.shape[1] + z_plus.shape[1] != space.n:
-        raise SpectrumOnAxisError(
-            f"{space.n - z_minus.shape[1] - z_plus.shape[1]} eigenvalues lie within "
-            f"AXIS_RTOL * nu = {tol_axis:.3e} of the real axis"
-        )
-    return Subspace(space, z_minus), Subspace(space, z_plus)
+    lam, x = np.linalg.eig(m)
+    on_axis = np.count_nonzero(np.abs(lam.imag) <= tol_axis)
+    if on_axis:
+        raise SpectrumOnAxisError(f"{on_axis} eigenvalues lie within AXIS_RTOL * nu = {tol_axis:.3e} "
+                                  "of the real axis")
+    return Subspace(space, _eig_basis(x, lam.imag < 0.0)), Subspace(space, _eig_basis(x, lam.imag > 0.0))
 
 
 def _certificate(space: IndefiniteSpace, m: np.ndarray, w: np.ndarray, tol: float, scale: float):
@@ -292,15 +285,17 @@ def _report_for(
     )
 
 
-def _lower_graph(space: IndefiniteSpace, m: np.ndarray, tol_axis: float) -> np.ndarray:
-    """Graph operator of the lower half-plane spectral subspace (one Schur pass)."""
-    z_minus = _half_plane_basis(m, True, tol_axis)
-    if z_minus.shape[1] != space.n_minus:
-        raise SpectrumOnAxisError(
-            f"lower half-plane subspace has dimension {z_minus.shape[1]}, "
-            f"expected {space.n_minus}"
-        )
-    return graph_from_subspace(space, z_minus)
+def _eig_graph(space: IndefiniteSpace, m: np.ndarray, delta: float) -> np.ndarray:
+    """Graph of m's eigenvectors with ``Im lambda < -delta`` or, within delta of the axis, ``[x, x] < 0``.
+
+    Raises :class:`SpectrumOnAxisError` unless exactly ``n_minus`` independent vectors are kept.
+    """
+    lam, x = np.linalg.eig(m)
+    types = space.j_signs @ (x.real**2 + x.imag**2)  # [x, x] of each column
+    keep = (lam.imag < -delta) | ((np.abs(lam.imag) <= delta) & (types < 0.0))
+    if np.count_nonzero(keep) != space.n_minus:
+        raise SpectrumOnAxisError(f"{np.count_nonzero(keep)} eigenvectors picked, expected {space.n_minus}")
+    return graph_from_subspace(space, _eig_basis(x, keep))
 
 
 def _block_lu(m: np.ndarray) -> np.ndarray:
@@ -444,19 +439,20 @@ def mnps(space: IndefiniteSpace, a, tol_res: float = DEFAULT_TOL_RES) -> MnpsRep
 
     Tries the Cayley fixed point first; a graph it finds that certifies is
     reported with ``t = 0`` and ``iterations = 1``.  Otherwise takes the
-    Schur graph of ``A + i t J`` along the fixed schedule of the module
-    docstring: ``t = 0`` first, which is the answer if it certifies, then
-    ``t = T0_SCALE * nu * SHRINK**j``.  A level certifies when the graph's
-    invariance residual against the original A is at most ``tol_res * nu``;
-    after the first one, t keeps shrinking while the residual falls, and
-    the certified level with the smallest residual is returned.
-    ``iterations`` counts the Schur levels tried.  When none certifies, the
-    level with the smallest residual is returned naming its failed clause.
+    graph of the eigenvectors of ``A + i t J`` that the rule of the module
+    docstring picks, along its fixed schedule: ``t = 0`` first, which is the
+    answer if it certifies, then ``t = T0_SCALE * nu * SHRINK**j``.  A level
+    certifies when the graph's invariance residual against the original A
+    is at most ``tol_res * nu``; after the first one, t keeps shrinking
+    while the residual falls, and the certified level with the smallest
+    residual is returned.  ``iterations`` counts the levels tried.  When none
+    certifies, the level with the smallest residual is returned naming its
+    failed clause.
     ``tol_res`` must be finite and above 0, and nu normal (``ValueError`` otherwise).
 
     ``nu <= ||A||`` is the seeded lower bound of the module docstring; it
     also scales the dissipativity slack, the Cayley shift, the schedule and
-    the Schur fallback's axis strip.
+    the fallback's type strip.
     """
     m = _checked(a, (space.n, space.n), "operator")
     _checked_tol(tol_res, "tol_res")
@@ -483,8 +479,8 @@ def mnps(space: IndefiniteSpace, a, tol_res: float = DEFAULT_TOL_RES) -> MnpsRep
     best: MnpsReport | None = None
     for tried, t in enumerate(schedule, 1):
         try:
-            w = _lower_graph(space, _plus_diagonal(m, 1j * t * space.j_signs), AXIS_RTOL * scale)
-        except (SpectrumOnAxisError, NotAGraphError):
+            w = _eig_graph(space, _plus_diagonal(m, 1j * t * space.j_signs), TYPE_RTOL * scale)
+        except (SpectrumOnAxisError, NotAGraphError, np.linalg.LinAlgError):  # eig did not converge
             report = None
         else:
             report = _report_for(space, m, w, t, tried, tol_res, scale)

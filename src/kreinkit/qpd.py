@@ -52,6 +52,7 @@ one product ``U_b (X c)`` per stack (:func:`_cyclic_parts`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,7 +61,7 @@ from .fixpoint import GroupRep
 from .groups import FiniteGroup
 from .serialization import report_to_json
 from .spaces import (_SAFE_BINADE, IndefiniteSpace, Inertia, _Clause, _checked, _checked_tol, _first_failed,
-                     _inertia, _normal_scale, _positive_definite, _unit_scaled)
+                     _inertia, _normal_scale, _positive_definite, _unit_exponent, _unit_scaled)
 
 __all__ = [
     "GroupFunction",
@@ -114,41 +115,43 @@ class GroupFunction:
         return float(np.max(np.abs(self.values)))
 
 
-def _hermitian_gram(phi: GroupFunction) -> np.ndarray:
-    """``(G + G^H) / 2`` of ``G[i, j] = phi(g_i^{-1} g_j)`` bit for bit, indexed from the Hermitian part of phi."""
+def _hermitian_gram(phi: GroupFunction, e: int = 0) -> np.ndarray:
+    """``(G + G^H) / 2`` of ``G[i, j] = psi(g_i^{-1} g_j)``, ``psi = 2^-e phi``, from psi's Hermitian part."""
     v, inv = phi.values, phi.group.inverses
+    v = np.ldexp(v.view(float), -e).view(complex) if e else v
     return ((v + v[inv].conj()) / 2.0)[phi.group.table[inv]]
 
 
 def _gram_blocks(
     phi: GroupFunction, vectors: bool
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
-    """Block stacks ``(U_b, eigenvalues, eigenvectors or None)`` of the Hermitian Gram matrix.
+    """Block stacks ``(U_b, eigenvalues, eigenvectors or None)`` of the Gram matrix of ``2^-e phi``.
 
     ``U^T Phi U`` is within ``R = ||Phi U - U (+)T||_F`` of ``(+)T`` (U orthogonal to
     roundoff), so by Weyl each block eigenvalue is within R of Phi's; the accepted
     ``R <= 1e-12 sqrt(MAX_ORDER) ||Phi||_2`` is below ``GRAM_KERNEL_RTOL ||Phi||_2``.
     A layout with a larger R is retried as one block, whose R is U's orthogonality error.
     """
-    gram, m = _hermitian_gram(phi), phi.group.order
+    # phi goes to unit scale out of the _SAFE_BINADE band; a subnormal phi has too few bits to judge
+    e, m = _unit_exponent(_normal_scale(phi.max_abs, "values")), phi.group.order
+    gram, largest = _hermitian_gram(phi, e), math.ldexp(phi.max_abs, -e)
     basis, layout = _invariant_basis(phi.group)
     if layout == [(0, m, m)] and np.array_equal(basis, np.eye(m)):
         stacks = [(basis[None], gram[None])]  # U = I: Phi is its one block, with a residual of exactly 0
     else:
         pu = _gram_times_basis(gram, basis)
         band = _SAFE_BINADE // 2  # squares of the two norms are compared
-        limit = (_BLOCK_RESIDUAL_RTOL * float(np.linalg.norm(_unit_scaled(gram, phi.max_abs, band)))) ** 2
+        limit = (_BLOCK_RESIDUAL_RTOL * float(np.linalg.norm(_unit_scaled(gram, largest, band)))) ** 2
         for blocks in (layout, [(0, m, m)]):
             stacks, res2 = [], 0.0
             for start, stop, d in blocks:  # c blocks of size d, stacked as (c, m, d)
                 ub, pub = (a[:, start:stop].reshape(m, -1, d).transpose(1, 0, 2) for a in (basis, pu))
                 t = _real_left(ub.transpose(0, 2, 1), pub)
-                res2 += float(np.linalg.norm(_unit_scaled(pub - _real_left(ub, t), phi.max_abs, band))) ** 2
+                res2 += float(np.linalg.norm(_unit_scaled(pub - _real_left(ub, t), largest, band))) ** 2
                 stacks.append((ub, t))
             if res2 <= limit:
                 break
         else:
-            _normal_scale(phi.max_abs, "values")  # a subnormal phi fails by its few bits, not by U
             raise RuntimeError(f"the invariant basis of the order-{m} group is not orthogonal")
     return [(ub, *(np.linalg.eigh(t) if vectors else (np.linalg.eigvalsh(t), None))) for ub, t in stacks]
 
@@ -156,7 +159,10 @@ def _gram_blocks(
 def _gram_spectrum(
     phi: GroupFunction, vectors: bool = False
 ) -> tuple[np.ndarray, np.ndarray | None, Inertia]:
-    """Ascending eigenvalues of the Hermitian Gram matrix, eigenvectors if asked, and the sign count."""
+    """Ascending eigenvalues of the Hermitian Gram matrix, eigenvectors if asked, and the sign count.
+
+    The count is taken at unit scale, so eigenvalues that overflow when scaled back keep their signs.
+    """
     stacks = _gram_blocks(phi, vectors)
     eigs = np.concatenate([w.reshape(-1) for _, w, _ in stacks])
     order = np.argsort(eigs, kind="stable")
@@ -166,11 +172,12 @@ def _gram_spectrum(
         vecs = np.hstack([_real_left(ub, x).transpose(1, 0, 2).reshape(m, -1) for ub, _, x in stacks])
         vecs = vecs[:, order]
     eigs = eigs[order]
-    return eigs, vecs, _inertia(eigs, GRAM_KERNEL_RTOL)
+    with np.errstate(over="ignore"):  # an eigenvalue beyond the float range is inf
+        return np.ldexp(eigs, _unit_exponent(phi.max_abs)), vecs, _inertia(eigs, GRAM_KERNEL_RTOL)
 
 
 def _cyclic_parts(phi: GroupFunction) -> tuple[list[np.ndarray], Inertia]:
-    """The cyclic vector split by sign, ``Phi_+^{1/2} delta_e`` and ``Phi_-^{1/2} delta_e``.
+    """The cyclic vector split by sign, ``Phi_+^{1/2} delta_e`` and ``Phi_-^{1/2} delta_e``, of ``2^-e phi``.
 
     Returned with the sign count.  Each vector is ``sum_k v_k sqrt|lambda_k| conj(v_k[e])``
     over the eigenpairs of one sign, with ``v_k = U_b x_k``: the coefficients come from
@@ -347,9 +354,13 @@ def decompose(
     rank(phi2) = negative_squares(phi), all against phi; its count
     of phi's negative squares is the one this eigendecomposition gives.
     """
-    group = phi.group
+    group, e = phi.group, _unit_exponent(phi.max_abs)
     cyclic, inertia = _cyclic_parts(phi)
-    phi1, phi2 = (GroupFunction(group, f[group.table].conj() @ f) for f in cyclic)
+    with np.errstate(over="ignore"):  # a part beyond the float range is rejected below
+        parts = [np.ldexp((f[group.table].conj() @ f).view(float), e).view(complex) for f in cyclic]
+    if not np.all(np.isfinite(parts)):
+        raise ValueError(f"values scale {phi.max_abs:.3e} is too large: a part of phi overflows")
+    phi1, phi2 = (GroupFunction(group, part) for part in parts)
     return phi1, phi2, _certificate(phi, phi1, phi2, inertia.n_neg)
 
 
@@ -393,5 +404,5 @@ def _pd_negative_squares(phi: GroupFunction) -> int:
     The null threshold is ``GRAM_KERNEL_RTOL max|eig|`` with ``max|eig| >= |phi(e)|``,
     the mean eigenvalue, so its other half covers the factor's roundoff.
     """
-    shift = GRAM_KERNEL_RTOL / 2.0 * float(phi.values[phi.group.identity].real)
-    return 0 if _positive_definite(_hermitian_gram(phi), shift) else negative_squares(phi)
+    gram = _hermitian_gram(phi, _unit_exponent(phi.max_abs))  # its diagonal is Re phi(e), at the same scale
+    return 0 if _positive_definite(gram, GRAM_KERNEL_RTOL / 2.0 * float(gram[0, 0].real)) else negative_squares(phi)

@@ -116,11 +116,15 @@ def _normal_scale(scale: float, name: str) -> float:
     return scale
 
 
+def _unit_exponent(largest: float, band: int = _SAFE_BINADE) -> int:
+    """0, or once ``largest`` leaves ``[2^-band, 2^band]`` the e with ``2^-e largest`` in [0.5, 1)."""
+    return 0 if 2.0**-band <= largest <= 2.0**band else math.frexp(largest)[1]
+
+
 def _unit_scaled(a: np.ndarray, largest: float, band: int = _SAFE_BINADE) -> np.ndarray:
-    """a, or once ``largest`` leaves ``[2^-band, 2^band]`` the exact ``2^-e a`` with ``2^-e largest`` in [0.5, 1)."""
-    if not largest or 2.0**-band <= largest <= 2.0**band:
-        return a
-    return np.ldexp(a.view(float), -math.frexp(largest)[1]).view(a.dtype)
+    """a, or the exact ``2^-e a`` with e from :func:`_unit_exponent`."""
+    e = _unit_exponent(largest, band)
+    return np.ldexp(a.view(float), -e).view(a.dtype) if e else a
 
 
 def _plus_diagonal(h: np.ndarray, c) -> np.ndarray:

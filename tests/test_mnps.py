@@ -3,7 +3,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import HealthCheck, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
@@ -38,16 +37,16 @@ MNPS_MODULE = importlib.import_module("kreinkit.mnps")
 
 
 @pytest.fixture
-def schur_calls(monkeypatch):
-    """Counts the sorted Schur factorizations the solver runs."""
+def eig_calls(monkeypatch):
+    """Counts the levels of the eigenvector fallback the solver runs."""
     calls = []
-    schur = scipy.linalg.schur
+    eig_graph = MNPS_MODULE._eig_graph
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return schur(*args, **kwargs)
+        return eig_graph(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "schur", counting)
+    monkeypatch.setattr(MNPS_MODULE, "_eig_graph", counting)
     return calls
 
 
@@ -107,6 +106,14 @@ class TestSpectralSplit:
             spectral_split(sp, sp.j)
         assert "regularization" not in str(exc.value)
 
+    def test_defective_eigenvalue_is_rejected(self):
+        # a Jordan block at -i: eig returns its one eigenvector twice, which
+        # spans one of the two dimensions of the lower subspace
+        sp = build_space(2, 1)
+        a = np.array([[-1j, 1, 0], [0, -1j, 0], [0, 0, 1j]])
+        with pytest.raises(SpectrumOnAxisError, match="dependent: a defective eigenvalue"):
+            spectral_split(sp, a)
+
     def test_definiteness_of_spectral_subspaces(self):
         # for strongly dissipative operators the split subspaces are definite
         rng = np.random.default_rng(4)
@@ -121,12 +128,12 @@ class TestSpectralSplit:
 class TestMnpsStrong:
     """Strongly J-dissipative input certifies at the first step, t = 0."""
 
-    def test_ij_gives_zero(self, schur_calls):
+    def test_ij_gives_zero(self, eig_calls):
         # the Ritz shift of A = iJ is ||A||, where A + i mu is singular; the
         # retry at 1.25||A|| is not
         sp = build_space(2, 3)
         rep = mnps(sp, 1j * sp.j)
-        assert not schur_calls
+        assert not eig_calls
         assert_allclose(rep.w, 0, atol=1e-14)
         assert rep.certified
         assert rep.regularization_t == 0.0 and rep.iterations == 1
@@ -158,18 +165,18 @@ class TestMnpsStrong:
             assert rep.residual <= 1e-8 * max(1.0, operator_norm(a))
             assert rep.subspace_inertia.is_negative
 
-    def test_cayley_fixed_point_replaces_schur(self, schur_calls):
+    def test_cayley_fixed_point_replaces_schur(self, eig_calls):
         rng = np.random.default_rng(15)
         sp = build_space(5, 100)
         a = random_strongly_j_dissipative(sp, rng)
         rep = mnps(sp, a)
-        assert not schur_calls
+        assert not eig_calls
         assert rep.certified
         assert rep.regularization_t == 0.0 and rep.iterations == 1
         lower, _ = spectral_split(sp, a)
         assert_allclose(rep.w, graph_from_subspace(sp, lower), atol=1e-9)
 
-    def test_cayley_solve_takes_no_svd_of_a(self, monkeypatch, schur_calls):
+    def test_cayley_solve_takes_no_svd_of_a(self, monkeypatch, eig_calls):
         # the scale is a seeded lower bound on ||A||: no n x n SVD or spectral
         # norm runs anywhere in a certified Cayley solve
         rng = np.random.default_rng(16)
@@ -195,13 +202,13 @@ class TestMnpsStrong:
         monkeypatch.setattr(np.linalg, "norm", recording_norm)
         monkeypatch.setattr(MNPS_MODULE, "operator_norm", recording_bound)
         rep = mnps(sp, a)
-        assert not schur_calls
+        assert not eig_calls
         assert rep.certified
         assert rep.regularization_t == 0.0 and rep.iterations == 1
         assert shapes  # the certificate's norms went through the recorders
         assert (sp.n, sp.n) not in shapes
 
-    def test_cayley_certificate_reads_one_svd_of_w(self, monkeypatch, schur_calls):
+    def test_cayley_certificate_reads_one_svd_of_w(self, monkeypatch, eig_calls):
         # ||W|| and the graph inertia come from one singular-value call on W;
         # the Ritz shift takes no SVD and no Hermitian eigensolve
         rng = np.random.default_rng(17)
@@ -221,12 +228,12 @@ class TestMnpsStrong:
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
         monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
         rep = mnps(sp, a)
-        assert not schur_calls
+        assert not eig_calls
         assert rep.certified and rep.regularization_t == 0.0
         assert svd_shapes == [(sp.n_plus, sp.n_minus)]
         assert not eigvalsh_shapes
 
-    def test_cayley_step_count(self, monkeypatch, schur_calls):
+    def test_cayley_step_count(self, monkeypatch, eig_calls):
         # the Ritz shift (0.41 nu here) with the stop on the tail bound
         # takes 15 steps; a shift of 0.77 nu from bounds on the rows of A
         # took 30, the fixed mu = 1.25 nu 50, and mu = 2 nu with a stop one
@@ -246,15 +253,15 @@ class TestMnpsStrong:
 
         monkeypatch.setattr(np.linalg, "inv", counting)
         rep = mnps(sp, a)
-        assert not schur_calls
+        assert not eig_calls
         assert rep.certified
         assert 0 < len(steps) <= 40
 
     @pytest.mark.parametrize("delta, fixed_shift_steps", [(0.1, 126), (0.05, 166), (0.02, 205)])
-    def test_near_axis_shift_takes_no_more_steps(self, monkeypatch, schur_calls, delta,
+    def test_near_axis_shift_takes_no_more_steps(self, monkeypatch, eig_calls, delta,
                                                  fixed_shift_steps):
         # -lambda_min(Im A) is about 2 delta here: a shift that low would run
-        # past the 300-step cap and fall back to the Schur path at delta <=
+        # past the 300-step cap and fall back to the eigenvectors at delta <=
         # 0.05; the lower eigenvalues near +-0.9 - i delta put the Ritz shift
         # near 0.91, and the steps at or below the fixed shift mu = 1.25 nu's
         # (fixed_shift_steps)
@@ -269,13 +276,13 @@ class TestMnpsStrong:
 
         monkeypatch.setattr(MNPS_MODULE, "_lu_solve", counting)
         rep = mnps(sp, a)
-        assert not schur_calls
+        assert not eig_calls
         assert rep.certified
         assert 0 < len(steps) <= fixed_shift_steps
 
     @pytest.mark.parametrize("s", [0.3, 1e-3, 1e-4])
     @pytest.mark.parametrize("seed", range(3))
-    def test_small_h_minus_block_stays_on_the_cayley_path(self, monkeypatch, schur_calls, s,
+    def test_small_h_minus_block_stays_on_the_cayley_path(self, monkeypatch, eig_calls, s,
                                                           seed):
         # D A D with D = diag(s I_3, I) shrinks the H- block far below the
         # rest; a shift aimed at the lower eigenvalues keeps the step count
@@ -292,7 +299,7 @@ class TestMnpsStrong:
 
         monkeypatch.setattr(MNPS_MODULE, "_lu_solve", counting)
         rep = mnps(sp, a)
-        assert not schur_calls
+        assert not eig_calls
         assert rep.certified and rep.regularization_t == 0.0
         assert 0 < len(steps) <= 50
 
@@ -302,7 +309,7 @@ class TestMnpsStrong:
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    def test_cayley_graph_does_not_depend_on_shift(self, schur_calls, seed, n_minus, n_plus):
+    def test_cayley_graph_does_not_depend_on_shift(self, eig_calls, seed, n_minus, n_plus):
         # |c(lambda)| = |lambda - i mu| / |lambda + i mu| > 1 exactly when
         # Im lambda < 0, for every mu > 0: the shift moves only the speed.
         # The Ritz shift is compared with fixed multiples of nu
@@ -317,21 +324,21 @@ class TestMnpsStrong:
                 rep = mnps(sp, a)
             assert rep.certified and rep.regularization_t == 0.0
             graphs.append(rep.w)
-        assert not schur_calls
+        assert not eig_calls
         for w in graphs[1:]:
             assert operator_norm(w - graphs[0]) <= 1e-12
 
-    def test_singular_shift_falls_back(self, monkeypatch, schur_calls):
+    def test_singular_shift_falls_back(self, monkeypatch, eig_calls):
         # mu = nu = ||A|| makes A + i mu exactly singular for A = iJ: the
-        # Cayley solve gives up and the Schur fallback certifies
+        # Cayley solve gives up and the eigenvector fallback certifies
         sp = build_space(1, 1)
         monkeypatch.setattr(MNPS_MODULE, "CAYLEY_SHIFT", 1.0)
         rep = mnps(sp, 1j * sp.j)
-        assert schur_calls
+        assert eig_calls
         assert rep.certified
         assert_allclose(rep.w, 0, atol=1e-14)
 
-    def test_cayley_solve_inverts_no_n_by_n_array(self, monkeypatch, schur_calls):
+    def test_cayley_solve_inverts_no_n_by_n_array(self, monkeypatch, eig_calls):
         # np.linalg.inv sees the diagonal blocks of the dissipativity test's
         # Cholesky factor (not the last), then the pivot blocks of the H+
         # block's LU, the Schur complement S and Y-
@@ -347,7 +354,7 @@ class TestMnpsStrong:
 
         monkeypatch.setattr(np.linalg, "inv", recording)
         rep = mnps(sp, a)
-        assert not schur_calls
+        assert not eig_calls
         assert rep.certified
         k = sp.n_minus
         assert shapes[:7] == [(64, 64)] * 4 + [(128, 128), (128, 128), (39, 39)]
@@ -474,7 +481,7 @@ class TestMnps:
         assert rep.certified
         assert_allclose(rep.w, 0, atol=1e-12)
 
-    def test_jordan_type_neutral_fixture(self, schur_calls):
+    def test_jordan_type_neutral_fixture(self, eig_calls):
         # nilpotent J-selfadjoint with a neutral eigenvector; the unique MNPS
         # graph sits on the boundary, reached only as the regularization shrinks
         sp = build_space(1, 1)
@@ -482,13 +489,13 @@ class TestMnps:
         a = sp.j @ h
         assert operator_norm(a - sp.j @ a.conj().T @ sp.j) <= PREDICATE_TOL * _norm_lower_bound(a)  # J-selfadjoint
         rep = mnps(sp, a, tol_res=1e-8)
-        assert schur_calls  # the Cayley iteration stalls on the boundary
+        assert eig_calls  # the Cayley iteration stalls on the boundary
         assert rep.certified
         assert rep.iterations > 3
         assert_allclose(rep.w, [[-1.0]], atol=1e-3)
         assert rep.residual <= 1e-8 * max(1.0, operator_norm(a))
 
-    def test_unreachable_tolerance_returns_uncertified_report(self, schur_calls):
+    def test_unreachable_tolerance_returns_uncertified_report(self, eig_calls):
         # the Cayley graph stalls on the boundary and no level of the fixed
         # schedule reaches a residual of 1e-30 nu: every level is tried
         sp = build_space(1, 1)
@@ -497,7 +504,20 @@ class TestMnps:
         assert not rep.certified
         assert rep.message.startswith("failed to certify")
         levels = 1 + MNPS_MODULE.LADDER_LEVELS  # t = 0, then the shrinking t
-        assert rep.iterations == levels == len(schur_calls)
+        assert rep.iterations == levels == len(eig_calls)
+
+    def test_fallback_level_whose_eig_fails_is_skipped(self, monkeypatch):
+        # np.linalg.eig raises LinAlgError when it does not converge: the level
+        # is skipped like one whose eigenvectors do not fit the rule
+        sp = build_space(1, 1)
+        a = sp.j @ np.array([[1.0, 1.0], [1.0, 1.0]])
+
+        def failing(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eig", failing)
+        rep = mnps(sp, a)
+        assert not rep.certified and rep.iterations == 1 + MNPS_MODULE.LADDER_LEVELS
 
     def test_random_dissipative_batch(self):
         rng = np.random.default_rng(7)
@@ -768,7 +788,7 @@ def test_operator_of_the_wrong_size_is_rejected(solve, a, message):
 @pytest.mark.parametrize("tol", [0.0, -1e-9, np.nan, np.inf])
 def test_tolerance_must_be_finite_and_positive(solve, tol):
     # 0 or nan certifies nothing and sends every solve through the whole
-    # Schur ladder; inf certifies any graph
+    # fallback schedule; inf certifies any graph
     sp = build_space(2, 3)
     with pytest.raises(ValueError, match="must be a finite number above 0"):
         solve(sp, 1j * sp.j, tol)
@@ -858,10 +878,10 @@ def test_cayley_shift_bounds(kind, n_minus, n_plus, exponent, seed):
 
 
 def test_certified_answers_lie_near_the_known_mnps():
-    # the Cayley path certifies none of these draws (97 certify by a Schur of
-    # A at t = 0, 11 on the t ladder), and the first Schur level that
-    # certifies can lie far from c: returning it puts 64 of the 108 answers
-    # more than 1e-6 away, up to 0.09
+    # the Cayley path certifies none of these draws; the eigenvectors of A
+    # picked by their type certify each at t = 0.  A graph from a t > 0 level
+    # can lie about t away from c with a residual under tol_res * nu, so only
+    # the distance to c shows it
     far, certified = [], 0
     for sig in [(1, 5), (2, 10), (3, 30)]:
         sp = build_space(*sig)
@@ -876,31 +896,45 @@ def test_certified_answers_lie_near_the_known_mnps():
                         if err > 1e-6:
                             far.append((sig, c_norm, eps, seed, err))
     assert certified == 108
-    assert len(far) <= 8, far
-    assert max((f[-1] for f in far), default=0.0) <= 1e-4
+    assert not far, far
 
 
 @given(
     st.integers(0, 2**32 - 1),
     st.integers(1, 4),
     st.integers(1, 12),
-    st.booleans(),
+    st.sampled_from(["dissipative", "strong", "j-selfadjoint"]),
     st.floats(0.0, 0.9),
 )
 @settings(max_examples=60, deadline=None)
-def test_mnps_is_j_unitarily_covariant(seed, n_minus, n_plus, strong, c_norm):
+def test_mnps_is_j_unitarily_covariant(seed, n_minus, n_plus, kind, c_norm):
     # V = M_c is J-unitary, so V A V^{-1} is J-dissipative with the MNPS
-    # V graph(W) = graph(phi_V(W))
+    # V graph(W) = graph(phi_V(W)).  A = J H with H positive definite is
+    # J-selfadjoint with a real spectrum: its dissipativity form is 0, the
+    # Cayley iteration stalls, and its MNPS is spanned by the eigenvectors of
+    # negative type, which a vanishing regularization itJ only approaches
     rng = np.random.default_rng(seed)
     sp = build_space(n_minus, n_plus)
-    draw = random_strongly_j_dissipative if strong else random_j_dissipative
-    a = draw(sp, rng)
+    if kind == "j-selfadjoint":
+        g = random_complex(rng, (sp.n, sp.n))
+        h = g @ g.conj().T / sp.n + 0.1 * np.eye(sp.n)
+        a = sp.j_signs[:, None] * h
+    else:
+        a = (random_strongly_j_dissipative if kind == "strong" else random_j_dissipative)(sp, rng)
     c = random_ball_point(sp, rng, c_norm)
     v = mobius_matrix(sp, c)
     rep = mnps(sp, a)
     moved = mnps(sp, v @ a @ mobius_matrix(sp, -c))
     assert rep.certified and moved.certified
     assert operator_norm(moved.w - fractional_linear(sp, v, rep.w)) <= 1e-10
+    if kind == "j-selfadjoint":
+        # with H = L L^H, J H x = lambda x for x = L^{-H} y and the Hermitian
+        # L^H J L y = lambda y; the negative lambda have the negative type
+        l = np.linalg.cholesky(h)
+        lam, y = np.linalg.eigh((l.conj().T * sp.j_signs) @ l)
+        exact = graph_from_subspace(sp, np.linalg.solve(l.conj().T, y[:, lam < 0.0]))
+        assert rep.regularization_t == 0.0
+        assert operator_norm(rep.w - exact) <= 1e-12
 
 
 def _ball_operator(data, n_plus, n_minus, seed):

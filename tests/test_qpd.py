@@ -626,6 +626,34 @@ class TestBlockSpectrum:
         assert cert.failed_clause == ""
         assert cert.negative_squares == negative_squares(phi) == 1
 
+    @pytest.mark.parametrize("name,e", [("D8", 1015), ("Z4", 1020)])
+    def test_top_of_the_float_range_certifies(self, name, e, tmp_path):
+        # eigvalsh overflows inside on D8's Gram matrix at 2^1015 (its spectrum
+        # stays below 2^1021), and Z4's Hermitian part overflows at 2^1020
+        # (max|phi| 2^1023.65): the spectrum is taken on 2^-e phi, so the count
+        # holds and no LinAlgError reaches the CLI
+        phi, _, _ = random_qpd_function(named_group(name), np.random.default_rng(5), k=1)
+        big = scaled_by_pow2(phi, e)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            phi1, phi2, cert = decompose(big)
+        assert cert.failed_clause == ""
+        assert cert.negative_squares == negative_squares(big) == negative_squares(phi) == 1
+        args = []
+        for key, obj in (("group", group_to_json(big.group)), ("values", group_function_to_json(big))):
+            (tmp_path / f"{key}.json").write_text(json.dumps(obj))
+            args += [f"--{key}", str(tmp_path / f"{key}.json")]
+        assert cli_main(["qpd", "decompose", *args, "--out", str(tmp_path / "out.json")]) == 0
+
+    def test_parts_beyond_the_float_range_are_rejected_by_scale(self):
+        # a flat spectrum of mixed signs puts phi1(e) near sqrt(m) / 2 times max|phi|
+        s = np.where(np.random.default_rng(0).random(64) < 0.5, -1.0, 1.0)
+        phi = GroupFunction(cyclic(64), np.fft.ifft(s))
+        big = scaled_by_pow2(phi, 1024 - np.frexp(phi.max_abs)[1])  # max|phi| in [2^1023, 2^1024)
+        assert negative_squares(big) == negative_squares(phi) == np.count_nonzero(s < 0)
+        with pytest.raises(ValueError, match=r"^values scale \S+ is too large: a part of phi overflows$"):
+            decompose(big)
+
     def test_subnormal_function_is_rejected_by_its_scale(self):
         phi, _, _ = random_qpd_function(named_group("S5"), np.random.default_rng(5), k=1)
         with pytest.raises(ValueError, match=r"^values scale \S+ is below the normal range"):

@@ -400,13 +400,13 @@ def test_positive_definite_makes_no_n_by_n_factor():
 
 
 def test_package_reads_no_dense_j(monkeypatch):
-    # the unitarity gap and the Schur fallback's A + itJ shift the diagonal by j_signs
+    # the unitarity gap and the fallback's A + itJ shift the diagonal by j_signs
     monkeypatch.setattr(IndefiniteSpace, "j", property(lambda self: pytest.fail("dense J read")))
     sp = build_space(2, 5)
     rng = np.random.default_rng(3)
     u = random_j_unitary(sp, rng)
     assert operator_norm(spaces_module._unitarity_gap(sp, u)) <= PREDICATE_TOL * _norm_lower_bound(u)
-    a = np.diag(build_space(1, 1).j_signs) @ np.ones((2, 2))  # the Jordan-type fixture: Schur only
+    a = np.diag(build_space(1, 1).j_signs) @ np.ones((2, 2))  # the Jordan-type fixture: the fallback only
     assert mnps(build_space(1, 1), a, tol_res=1e-8).certified
 
 
