@@ -127,9 +127,7 @@ def _threads() -> int:
 def cmd_mnps(args) -> int:
     space, matrix = _load_operator(args.input, args.signature)
     report = mnps(space, matrix, tol_res=DEFAULT_TOL_RES * args.tol)
-    payload = report.as_dict()
-    payload["norm_a"] = operator_norm(matrix)
-    _write_json(payload, args.out, args.no_timestamp)
+    _write_json(report.as_dict(), args.out, args.no_timestamp)
     return EXIT_CERTIFIED if report.certified else EXIT_UNCERTIFIED
 
 

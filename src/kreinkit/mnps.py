@@ -24,7 +24,10 @@ No step takes an SVD of A.  Its scale is ``nu <= ||A||``, a lower bound
 from a few seeded block-power steps (``spaces._norm_lower_bound``, within
 a few percent of ||A||; above ``0.95 ||A||`` on every draw measured).
 Every tolerance is relative to nu, so it is at least as strict as the same
-tolerance relative to ||A||.
+tolerance relative to ||A||.  A and sA (s > 0) have the same MNPS, and each
+step runs on ``2^-e A``, ``2^-e nu`` in [0.5, 1), through arrays it makes anyway
+(the form, the LU copy of ``A22 + i mu``, ``n x k`` copies, each ``A + itJ``)
+with mu, t and the slacks in units of ``2^e``: W has the same bits at every scale.
 
 For every ``mu > 0``, ``|c(lambda)| = |lambda - i mu| / |lambda + i mu|``
 exceeds 1 exactly when ``Im lambda < 0``, so the fixed point does not
@@ -94,6 +97,8 @@ from .spaces import (
     _norm_lower_bound,
     _plus_diagonal,
     _positive_definite,
+    _unit_product,
+    _unit_scaled,
     dissipativity_form,
     graph_from_subspace,
     operator_norm,
@@ -240,11 +245,11 @@ def spectral_split(space: IndefiniteSpace, a) -> tuple[Subspace, Subspace]:
     when the eigenvectors of one half-plane are dependent.
     """
     m = _checked(a, (space.n, space.n), "operator")
-    tol_axis = AXIS_RTOL * _norm_lower_bound(m)
-    lam, x = np.linalg.eig(m)
-    on_axis = np.count_nonzero(np.abs(lam.imag) <= tol_axis)
+    unit, e = math.frexp(scale := _norm_lower_bound(m))  # nu = 2^e unit, unit in [0.5, 1)
+    lam, x = np.linalg.eig(_unit_scaled(m, e))
+    on_axis = np.count_nonzero(np.abs(lam.imag) <= AXIS_RTOL * unit)
     if on_axis:
-        raise SpectrumOnAxisError(f"{on_axis} eigenvalues lie within AXIS_RTOL * nu = {tol_axis:.3e} "
+        raise SpectrumOnAxisError(f"{on_axis} eigenvalues lie within AXIS_RTOL * nu = {AXIS_RTOL * scale:.3e} "
                                   "of the real axis")
     return Subspace(space, _eig_basis(x, lam.imag < 0.0)), Subspace(space, _eig_basis(x, lam.imag > 0.0))
 
@@ -259,7 +264,7 @@ def _certificate(space: IndefiniteSpace, m: np.ndarray, w: np.ndarray, tol: floa
     with eigenvalues ``s_i^2 - 1`` and ``-1`` on the rest of H-.  The solver's ``tol_res``
     defaults to 1e-9 and the verifier's ``tol`` to 1e-8, so every certified W verifies.
     """
-    res = _invariance_residual(space, m, w)
+    res = _invariance_residual(space, m, w, math.frexp(scale)[1])
     s = np.linalg.svd(w, compute_uv=False)
     w_norm = float(s[0]) if s.size else 0.0
     gram_eigs = np.concatenate([s**2 - 1.0, -np.ones(space.n_minus - s.size)])
@@ -337,10 +342,11 @@ def _cayley_shift(space: IndefiniteSpace, m: np.ndarray, scale: float) -> float:
     ``p = min(4, n // n_minus)`` blocks: the first product is m's first
     ``n_minus`` columns, so the estimate costs ``p - 1`` block products.  The
     mean is clamped to ``[4 PREDICATE_TOL nu, CAYLEY_SHIFT nu]``; it is the
-    cap when the Ritz values in the open lower half-plane are not ``n_minus``.
+    cap when the Ritz values in the open lower half-plane are not ``n_minus``.  The blocks are
+    those of ``2^-e m``, e the exponent of ``scale``, so mu scales with m to the last bit.
     """
-    k = space.n_minus
-    v, av = np.eye(space.n, k, dtype=complex), m[:, :k]
+    (unit, e), k = math.frexp(scale), space.n_minus
+    v, av = np.eye(space.n, k, dtype=complex), _unit_scaled(m[:, :k], e)
     for _ in range(1, min(4, space.n // k)):
         w = av[:, -k:]
         for _ in range(2):  # Gram--Schmidt twice keeps the basis orthonormal
@@ -348,18 +354,11 @@ def _cayley_shift(space: IndefiniteSpace, m: np.ndarray, scale: float) -> float:
         q, r = np.linalg.qr(w)
         if not np.all(np.diagonal(r)):  # a zero pivot: q would repeat a column of v, so
             break  # stop at the Krylov space so far (exact when it is invariant, w = 0)
-        v, av = np.hstack([v, q]), np.hstack([av, m @ q])
-    # eigvals(2h) is not exactly 2 eigvals(h) (its square roots round), and for
-    # ill-conditioned Ritz values the gap reaches 1e-10 relative; dividing h by the
-    # power of 2 at its largest entry first makes the shift scale with A to the last bits
-    h = v.conj().T @ av
-    binade = math.ldexp(1.0, math.frexp(np.abs(h.view(float)).max())[1])
-    ritz = binade * np.linalg.eigvals(h / binade)
+        v, av = np.hstack([v, q]), np.hstack([av, _unit_product(m.__matmul__, q, e)])
+    ritz = np.linalg.eigvals(v.conj().T @ av)
     lower = np.abs(ritz[ritz.imag < 0.0])
-    if lower.size != k:
-        return CAYLEY_SHIFT * scale
-    mu = float(np.exp(np.mean(np.log(lower))))
-    return min(max(mu, 4.0 * PREDICATE_TOL * scale), CAYLEY_SHIFT * scale)
+    mu = float(np.exp(np.mean(np.log(lower)))) if lower.size == k else CAYLEY_SHIFT * unit
+    return math.ldexp(min(max(mu, 4.0 * PREDICATE_TOL * unit), CAYLEY_SHIFT * unit), e)
 
 
 def _cayley_graph(space: IndefiniteSpace, m: np.ndarray, scale: float) -> np.ndarray | None:
@@ -392,15 +391,18 @@ def _cayley_graph(space: IndefiniteSpace, m: np.ndarray, scale: float) -> np.nda
     distance to the fixed point is at most ``CAYLEY_TAIL``.  It is None when
     no shift gives a usable factorization, when the increment stops
     shrinking above ``CAYLEY_ROUNDOFF``, when the step cap is hit, or when
-    ``Y-`` is worse conditioned than ``GRAPH_COND_LIMIT``.
+    ``Y-`` is worse conditioned than ``GRAPH_COND_LIMIT``.  It runs on ``2^-e m``, e the exponent
+    of ``scale``: the LU copy of ``m22 + i mu`` is made scaled, ``m11``, ``m12`` and ``m21`` are
+    scaled copies and mu is in units of ``2^e``, so W has the same bits at every scale of m.
     """
-    k = space.n_minus
-    for mu in dict.fromkeys((_cayley_shift(space, m, scale), CAYLEY_SHIFT * scale)):
+    (unit, e), k = math.frexp(scale), space.n_minus
+    a11, a12, a21 = (_unit_scaled(b, e) for b in (m[:k, :k], m[:k, k:], m[k:, :k]))
+    for mu in dict.fromkeys((math.ldexp(_cayley_shift(space, m, scale), -e), CAYLEY_SHIFT * unit)):
         lu = None  # the first shift's factors are freed before the second's are made
         try:
-            lu = _block_lu(_plus_diagonal(m[k:, k:], 1j * mu))
-            f = _lu_solve(lu, m[k:, :k])
-            s = _plus_diagonal(m[:k, :k], 1j * mu) - m[:k, k:] @ f
+            lu = _block_lu(_plus_diagonal(m[k:, k:], 1j * mu, e))
+            f = _lu_solve(lu, a21)
+            s = _plus_diagonal(a11, 1j * mu) - a12 @ f
             s_inv = np.linalg.inv(s)
         except np.linalg.LinAlgError:  # a singular pivot block or S
             continue
@@ -412,7 +414,7 @@ def _cayley_graph(space: IndefiniteSpace, m: np.ndarray, scale: float) -> np.nda
     prev = prev_ratio = np.inf
     for _ in range(CAYLEY_MAX_STEPS):
         g = _lu_solve(lu, z[k:])
-        x_minus = s_inv @ (z[:k] - m[:k, k:] @ g)
+        x_minus = s_inv @ (z[:k] - a12 @ g)
         y_minus = z[:k] - 2j * mu * x_minus
         try:
             w = (z[k:] - 2j * mu * (g - f @ x_minus)) @ np.linalg.inv(y_minus)
@@ -447,24 +449,21 @@ def mnps(space: IndefiniteSpace, a, tol_res: float = DEFAULT_TOL_RES) -> MnpsRep
     while the residual falls, and the certified level with the smallest
     residual is returned.  ``iterations`` counts the levels tried.  When none
     certifies, the level with the smallest residual is returned naming its
-    failed clause.
-    ``tol_res`` must be finite and above 0, and nu normal (``ValueError`` otherwise).
-
-    ``nu <= ||A||`` is the seeded lower bound of the module docstring; it
-    also scales the dissipativity slack, the Cayley shift, the schedule and
-    the fallback's type strip.
+    failed clause.  ``nu <= ||A||``, the lower bound of the module docstring, also scales the
+    dissipativity slack, the Cayley shift, the schedule and the fallback's type strip.
+    ``tol_res`` must be finite and above 0, and A not subnormal (``ValueError`` otherwise).
     """
     m = _checked(a, (space.n, space.n), "operator")
     _checked_tol(tol_res, "tol_res")
     zero = np.zeros((space.n_plus, space.n_minus), dtype=complex)
     if not np.any(m):  # A = 0: every MNPS is invariant
         return _report_for(space, m, zero, 0.0, 0, tol_res, 0.0)
-    scale = _norm_lower_bound(m)
-    if not _positive_definite(dissipativity_form(space, m), PREDICATE_TOL * scale):
-        margin = float(np.min(np.linalg.eigvalsh(dissipativity_form(space, m))))
-        if margin < -PREDICATE_TOL * scale:
+    unit, e = math.frexp(scale := _norm_lower_bound(m))  # every step below runs on 2^-e A, where nu is unit
+    if not _positive_definite(dissipativity_form(space, m, e), PREDICATE_TOL * unit):
+        margin = float(np.min(np.linalg.eigvalsh(dissipativity_form(space, m, e))))
+        if margin < -PREDICATE_TOL * unit:
             raise NotDissipativeError(
-                f"operator is not J-dissipative (form margin {margin:.3e})"
+                f"operator is not J-dissipative (form margin {math.ldexp(margin, e):.3e})"
             )
     if space.n_minus == 0 or space.n_plus == 0:  # definite space: the MNPS is forced
         return _report_for(space, m, zero, 0.0, 0, tol_res, scale)
@@ -475,15 +474,15 @@ def mnps(space: IndefiniteSpace, a, tol_res: float = DEFAULT_TOL_RES) -> MnpsRep
         if report.certified:
             return report
 
-    schedule = (0.0, *(T0_SCALE * scale * SHRINK**j for j in range(LADDER_LEVELS)))
+    schedule = (0.0, *(T0_SCALE * unit * SHRINK**j for j in range(LADDER_LEVELS)))
     best: MnpsReport | None = None
     for tried, t in enumerate(schedule, 1):
         try:
-            w = _eig_graph(space, _plus_diagonal(m, 1j * t * space.j_signs), TYPE_RTOL * scale)
+            w = _eig_graph(space, _plus_diagonal(m, 1j * t * space.j_signs, e), TYPE_RTOL * unit)
         except (SpectrumOnAxisError, NotAGraphError, np.linalg.LinAlgError):  # eig did not converge
             report = None
         else:
-            report = _report_for(space, m, w, t, tried, tol_res, scale)
+            report = _report_for(space, m, w, math.ldexp(t, e), tried, tol_res, scale)
         if report is not None and (
             best is None or (report.certified, -report.residual) > (best.certified, -best.residual)
         ):
@@ -493,7 +492,7 @@ def mnps(space: IndefiniteSpace, a, tol_res: float = DEFAULT_TOL_RES) -> MnpsRep
         elif best is not None and best.certified:
             break  # the residual stopped falling past a certified level
     if best is None:
-        best = _report_for(space, m, zero, schedule[-1], tried, tol_res, scale)
+        best = _report_for(space, m, zero, math.ldexp(schedule[-1], e), tried, tol_res, scale)
     return replace(best, iterations=tried)
 
 

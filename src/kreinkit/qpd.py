@@ -25,7 +25,9 @@ off the one eigendecomposition of ``Phi`` without building any ``U(g)``.
 :func:`kreinkit.fixpoint.common_fixed_point` is the route for
 representations given in any other coordinates.
 
-Every spectrum comes from :func:`_gram_blocks`.  ``Phi = sum_x phi(x)
+Every spectrum comes from :func:`_gram_blocks`, on ``2^-e phi`` with its largest
+``|Re|`` or ``|Im|`` in [0.5, 1); eigenvalues and parts are scaled back by the
+exact ``2^e``, so they scale with phi bit for bit.  ``Phi = sum_x phi(x)
 R_x``, with right translations ``(R_x)[g, h] = [h = g x]``, commutes with
 every ``L_y[a, b] = y(a b^{-1})``, so each eigenspace of a real symmetric L_y
 (fixed-seed random real y with ``y(g^{-1}) = y(g)``) is invariant under every
@@ -52,7 +54,6 @@ one product ``U_b (X c)`` per stack (:func:`_cyclic_parts`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,8 +61,8 @@ import numpy as np
 from .fixpoint import GroupRep
 from .groups import FiniteGroup
 from .serialization import report_to_json
-from .spaces import (_SAFE_BINADE, IndefiniteSpace, Inertia, _Clause, _checked, _checked_tol, _first_failed,
-                     _inertia, _normal_scale, _positive_definite, _unit_exponent, _unit_scaled)
+from .spaces import (IndefiniteSpace, Inertia, _Clause, _checked, _checked_tol, _first_failed, _inertia,
+                     _normal_scale, _positive_definite, _unit_exponent, _unit_scaled)
 
 __all__ = [
     "GroupFunction",
@@ -117,8 +118,7 @@ class GroupFunction:
 
 def _hermitian_gram(phi: GroupFunction, e: int = 0) -> np.ndarray:
     """``(G + G^H) / 2`` of ``G[i, j] = psi(g_i^{-1} g_j)``, ``psi = 2^-e phi``, from psi's Hermitian part."""
-    v, inv = phi.values, phi.group.inverses
-    v = np.ldexp(v.view(float), -e).view(complex) if e else v
+    v, inv = _unit_scaled(phi.values, e), phi.group.inverses
     return ((v + v[inv].conj()) / 2.0)[phi.group.table[inv]]
 
 
@@ -132,22 +132,21 @@ def _gram_blocks(
     ``R <= 1e-12 sqrt(MAX_ORDER) ||Phi||_2`` is below ``GRAM_KERNEL_RTOL ||Phi||_2``.
     A layout with a larger R is retried as one block, whose R is U's orthogonality error.
     """
-    # phi goes to unit scale out of the _SAFE_BINADE band; a subnormal phi has too few bits to judge
-    e, m = _unit_exponent(_normal_scale(phi.max_abs, "values")), phi.group.order
-    gram, largest = _hermitian_gram(phi, e), math.ldexp(phi.max_abs, -e)
+    _normal_scale(phi.max_abs, "values")  # a subnormal phi has too few bits to judge
+    e, m = _unit_exponent(phi.values), phi.group.order
+    gram = _hermitian_gram(phi, e)  # at unit scale
     basis, layout = _invariant_basis(phi.group)
     if layout == [(0, m, m)] and np.array_equal(basis, np.eye(m)):
         stacks = [(basis[None], gram[None])]  # U = I: Phi is its one block, with a residual of exactly 0
     else:
         pu = _gram_times_basis(gram, basis)
-        band = _SAFE_BINADE // 2  # squares of the two norms are compared
-        limit = (_BLOCK_RESIDUAL_RTOL * float(np.linalg.norm(_unit_scaled(gram, largest, band)))) ** 2
+        limit = (_BLOCK_RESIDUAL_RTOL * float(np.linalg.norm(gram))) ** 2
         for blocks in (layout, [(0, m, m)]):
             stacks, res2 = [], 0.0
             for start, stop, d in blocks:  # c blocks of size d, stacked as (c, m, d)
                 ub, pub = (a[:, start:stop].reshape(m, -1, d).transpose(1, 0, 2) for a in (basis, pu))
                 t = _real_left(ub.transpose(0, 2, 1), pub)
-                res2 += float(np.linalg.norm(_unit_scaled(pub - _real_left(ub, t), largest, band))) ** 2
+                res2 += float(np.linalg.norm(pub - _real_left(ub, t))) ** 2
                 stacks.append((ub, t))
             if res2 <= limit:
                 break
@@ -173,7 +172,7 @@ def _gram_spectrum(
         vecs = vecs[:, order]
     eigs = eigs[order]
     with np.errstate(over="ignore"):  # an eigenvalue beyond the float range is inf
-        return np.ldexp(eigs, _unit_exponent(phi.max_abs)), vecs, _inertia(eigs, GRAM_KERNEL_RTOL)
+        return np.ldexp(eigs, _unit_exponent(phi.values)), vecs, _inertia(eigs, GRAM_KERNEL_RTOL)
 
 
 def _cyclic_parts(phi: GroupFunction) -> tuple[list[np.ndarray], Inertia]:
@@ -354,7 +353,7 @@ def decompose(
     rank(phi2) = negative_squares(phi), all against phi; its count
     of phi's negative squares is the one this eigendecomposition gives.
     """
-    group, e = phi.group, _unit_exponent(phi.max_abs)
+    group, e = phi.group, _unit_exponent(phi.values)
     cyclic, inertia = _cyclic_parts(phi)
     with np.errstate(over="ignore"):  # a part beyond the float range is rejected below
         parts = [np.ldexp((f[group.table].conj() @ f).view(float), e).view(complex) for f in cyclic]
@@ -404,5 +403,5 @@ def _pd_negative_squares(phi: GroupFunction) -> int:
     The null threshold is ``GRAM_KERNEL_RTOL max|eig|`` with ``max|eig| >= |phi(e)|``,
     the mean eigenvalue, so its other half covers the factor's roundoff.
     """
-    gram = _hermitian_gram(phi, _unit_exponent(phi.max_abs))  # its diagonal is Re phi(e), at the same scale
+    gram = _hermitian_gram(phi, _unit_exponent(phi.values))  # its diagonal is Re phi(e), at the same scale
     return 0 if _positive_definite(gram, GRAM_KERNEL_RTOL / 2.0 * float(gram[0, 0].real)) else negative_squares(phi)

@@ -54,9 +54,6 @@ GRAPH_COND_LIMIT = 1e12
 NORM_BOUND_STEPS = 6
 NORM_BOUND_COLS = 4
 
-#: An array whose largest entry leaves ``[2^-_SAFE_BINADE, 2^_SAFE_BINADE]`` is brought to unit scale.
-_SAFE_BINADE = 500
-
 #: Block size of the in-place Cholesky test (one call factors orders up to twice
 #: this), of the block-pair builds of :func:`_mirrored_blocks` and of the rows
 #: of ``c c^H`` that a dissipative draw forms at a time.
@@ -92,44 +89,48 @@ def _norm_lower_bound(m: np.ndarray) -> float:
     on ``A^H A`` from a fixed-seed Gaussian start of ``NORM_BOUND_COLS``
     columns, so nu is deterministic for a given A.  It costs ``O(n^2 k)``
     and allocates ``O(n k)``: ``A^H (A Q)`` is formed as ``((A Q)^H A)^H``,
-    never through ``A^H``.  A tolerance relative to nu is stricter than the
-    same tolerance relative to ||A||; never substitute an upper bound.
-
-    ``A Q`` goes to unit scale when its largest entry leaves the ``_SAFE_BINADE`` band,
-    where ``A^H (A Q)`` would overflow or underflow; a subnormal nu raises ``ValueError``.
+    never through ``A^H``, and each is one with ``2^-e A`` (:func:`_unit_product`), so nu
+    scales by exactly ``2^e``; a subnormal or infinite nu raises ``ValueError``.  A tolerance relative to
+    nu is stricter than the same tolerance relative to ||A||; never substitute an upper bound.
     """
-    n = m.shape[1]
+    n, e = m.shape[1], _unit_exponent(m)
     k = min(NORM_BOUND_COLS, n)
     rng = np.random.default_rng(0)
     q = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
     for _ in range(NORM_BOUND_STEPS):
-        mq = m @ q
-        mq = _unit_scaled(mq, float(np.max(np.abs(mq.view(float)))))
-        q = np.linalg.qr((mq.conj().T @ m).conj().T)[0]
-    return _normal_scale(float(np.linalg.norm(m @ q, 2)), "operator")
+        mq = _unit_product(m.__matmul__, q, e)
+        q = np.linalg.qr(_unit_product(lambda x: x.conj().T @ m, mq, e).conj().T)[0]
+    with np.errstate(over="ignore"):  # a bound beyond the float range reads inf and is rejected
+        return _normal_scale(float(np.ldexp(np.linalg.norm(_unit_product(m.__matmul__, q, e), 2), e)), "operator")
 
 
 def _normal_scale(scale: float, name: str) -> float:
-    """``scale``, or ``ValueError`` if it is subnormal: such entries carry too few bits to judge."""
-    if 0.0 < scale < np.finfo(float).tiny:
-        raise ValueError(f"{name} scale {scale:.3e} is below the normal range ({np.finfo(float).tiny:.3e})")
+    """``scale``, or ``ValueError`` if it is inf or subnormal: such entries carry too few bits to judge."""
+    if 0.0 < scale < np.finfo(float).tiny or scale == np.inf:
+        raise ValueError(f"{name} scale {scale:.3e} is {'above' if scale > 1.0 else 'below'} the normal range")
     return scale
 
 
-def _unit_exponent(largest: float, band: int = _SAFE_BINADE) -> int:
-    """0, or once ``largest`` leaves ``[2^-band, 2^band]`` the e with ``2^-e largest`` in [0.5, 1)."""
-    return 0 if 2.0**-band <= largest <= 2.0**band else math.frexp(largest)[1]
+def _unit_exponent(a: np.ndarray) -> int:
+    """e with the largest ``|Re|`` or ``|Im|`` of ``2^-e a`` in [0.5, 1), 0 for zeros; no temporary array."""
+    v = a.view(float)
+    return math.frexp(max(v.max(initial=0.0), -v.min(initial=0.0)))[1]
 
 
-def _unit_scaled(a: np.ndarray, largest: float, band: int = _SAFE_BINADE) -> np.ndarray:
-    """a, or the exact ``2^-e a`` with e from :func:`_unit_exponent`."""
-    e = _unit_exponent(largest, band)
-    return np.ldexp(a.view(float), -e).view(a.dtype) if e else a
+def _unit_scaled(a: np.ndarray, e: int) -> np.ndarray:
+    """The exact ``2^-e a`` as a new array; ``np.ldexp`` keeps signed zeros and has no factor to overflow."""
+    rows = a if a.strides[-1] == a.itemsize else a.copy()  # the float view needs unit-stride rows
+    return np.ldexp(rows.view(float), -e).view(a.dtype)
 
 
-def _plus_diagonal(h: np.ndarray, c) -> np.ndarray:
-    """``h + c I`` as a copy of h with c added to its diagonal; I is never built."""
-    out = h.copy()
+def _unit_product(product, x: np.ndarray, e: int) -> np.ndarray:
+    """``2^-e product(x)`` for a product with A of exponent e: half of ``2^-e`` scales x, half the result."""
+    return _unit_scaled(product(_unit_scaled(x, e // 2)), e - e // 2)
+
+
+def _plus_diagonal(h: np.ndarray, c, e: int = 0) -> np.ndarray:
+    """``2^-e h + c I`` as the exact copy ``2^-e h`` with c added to its diagonal; I is never built."""
+    out = _unit_scaled(h, e)
     out.flat[:: out.shape[1] + 1] += c
     return out
 
@@ -174,17 +175,13 @@ def _positive_definite(h: np.ndarray, shift) -> bool:
     return True
 
 
-def _mat(a) -> np.ndarray:
-    return np.asarray(a, dtype=complex)
-
-
 def _checked(a, shape: tuple, name: str) -> np.ndarray:
     """``a`` as a complex array of ``shape`` (``None``: any size) with finite entries.
 
     The package's one input gate: every public function that takes a matrix,
     vector, basis or stack passes it here before any linear algebra runs.
     """
-    m = _mat(a)
+    m = np.asarray(a, dtype=complex, order="C")  # unit-stride rows, for the float view of _unit_exponent
     if m.ndim != len(shape) or any(s not in (None, k) for s, k in zip(shape, m.shape)):
         want = "x".join("d" if s is None else str(s) for s in shape)
         want = want if len(shape) > 1 else f"of length {want}"
@@ -251,7 +248,7 @@ class IndefiniteSpace:
 
     def blocks(self, a) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Split an n x n matrix, or a stack of them, into (a11, a12, a21, a22) blocks."""
-        m = _mat(a)
+        m = np.asarray(a, dtype=complex)
         if m.shape[-2:] != (self.n, self.n):
             raise ValueError(f"expected a {self.n}x{self.n} matrix, got {m.shape}")
         k = self.n_minus
@@ -332,18 +329,18 @@ def j_adjoint(space: IndefiniteSpace, a) -> np.ndarray:
     return _j_conjugate(space, _checked(a, (space.n, space.n), "operator").conj().T)
 
 
-def dissipativity_form(space: IndefiniteSpace, a) -> np.ndarray:
-    """The Hermitian matrix representing x -> Im[Ax, x].
+def dissipativity_form(space: IndefiniteSpace, a, e: int = 0) -> np.ndarray:
+    """The Hermitian matrix representing x -> Im[Ax, x], of ``2^-e A``.
 
     Equals ``(JA - A^H J) / 2i``; A is J-dissipative iff this is PSD.  It is
     built into one fresh ``n x n`` array, one pair of mirrored blocks at a
     time, so beside A and the result only a few ``_BLOCK x _BLOCK`` blocks
-    are live.
+    are live.  The factor ``2^-e`` rides on the signs of J: no pass, no copy.
     """
     # with G = JA, h[I, J] = G[I, J] - G[J, I]^H.  h_ij and conj(h_ji) come
     # from the same two entries by mirrored exact steps, so they are equal
     # (the sign of a zero aside) and h needs no (h + h^H) / 2.
-    m, signs = _mat(a), space.j_signs
+    m, signs = np.asarray(a, dtype=complex), np.ldexp(space.j_signs, -e)
     h = np.empty_like(m)
     for rows, cols in _mirrored_blocks(space.n):
         upper, lower = signs[rows, None] * m[rows, cols], signs[cols, None] * m[cols, rows]
@@ -415,10 +412,17 @@ def subspace_signature(space: IndefiniteSpace, z, tol: float | None = None) -> I
 def invariance_residual(space: IndefiniteSpace, a, w) -> float:
     """Norm of W A11 + W A12 W - A21 - A22 W; zero iff L_W is A-invariant."""
     wm = _checked(w, (space.n_plus, space.n_minus), "graph operator")
-    return _invariance_residual(space, _checked(a, (space.n, space.n), "operator"), wm)
+    m = _checked(a, (space.n, space.n), "operator")
+    return _invariance_residual(space, m, wm, _unit_exponent(m))
 
 
-def _invariance_residual(space: IndefiniteSpace, a: np.ndarray, w: np.ndarray) -> float:
-    """Unchecked :func:`invariance_residual`; ``W (A12 W)`` keeps temporaries n_plus x n_minus."""
+def _invariance_residual(space: IndefiniteSpace, a: np.ndarray, w: np.ndarray, e: int) -> float:
+    """Unchecked :func:`invariance_residual`, ``2^e`` times that of ``2^-e A``; temporaries are n_plus x n_minus.
+
+    The norm is taken at the residual's own unit scale: each e that keeps it normal gives the same bits.
+    """
     a11, a12, a21, a22 = space.blocks(a)
-    return operator_norm(w @ a11 + w @ (a12 @ w) - a21 - a22 @ w)
+    x = _unit_scaled(w, e // 2)  # as in _unit_product, half of 2^-e before the products and half after
+    r = _unit_scaled(x @ a11 + w @ (a12 @ x) - _unit_scaled(a21, e // 2) - a22 @ x, e - e // 2)
+    f = _unit_exponent(r)
+    return math.ldexp(operator_norm(_unit_scaled(r, f)), e + f)

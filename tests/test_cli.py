@@ -271,8 +271,38 @@ class TestMnpsCommand:
         assert main(["mnps", "--input", inp, "--out", str(out)]) == code
         if code == 0:
             assert load(out)["certified"] is True
+            # the solve runs at unit scale, so the answer keeps its bits at 2^600
+            plain = random_strongly_j_dissipative(sp, np.random.default_rng(3))
+            base_inp = write(tmp_path / "base.json", {"space": space_to_json(sp), "matrix": matrix_to_json(plain)})
+            assert main(["mnps", "--input", base_inp, "--out", str(tmp_path / "base_r.json")]) == 0
+            assert load(out)["w"]["data"] == load(tmp_path / "base_r.json")["w"]["data"]
         else:
             assert "error: operator scale" in capsys.readouterr().err
+
+    def test_report_takes_no_svd_of_the_operator(self, tmp_path, monkeypatch):
+        # the report has no norm_a: its dense SVD of A cost more than the solve
+        sp = build_space(5, 95)
+        a = random_strongly_j_dissipative(sp, np.random.default_rng(21))
+        inp = write(tmp_path / "a.json", {"space": space_to_json(sp), "matrix": matrix_to_json(a)})
+        svd, norm, shapes = np.linalg.svd, np.linalg.norm, []
+
+        def recording_svd(x, *args, **kwargs):
+            shapes.append(np.shape(x))
+            return svd(x, *args, **kwargs)
+
+        def recording_norm(x, ord=None, *args, **kwargs):
+            if ord == 2:
+                shapes.append(np.shape(x))
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        monkeypatch.setattr(np.linalg, "norm", recording_norm)
+        out = tmp_path / "r.json"
+        assert main(["mnps", "--input", inp, "--out", str(out)]) == 0
+        report = load(out)
+        assert report["certified"] is True and "norm_a" not in report
+        assert shapes  # the certificate's norms went through the recorders
+        assert (sp.n, sp.n) not in shapes
 
     def test_malformed_json_exits_two(self, tmp_path):
         bad = tmp_path / "broken.json"

@@ -1,5 +1,6 @@
 import importlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -495,6 +496,17 @@ class TestMnps:
         assert_allclose(rep.w, [[-1.0]], atol=1e-3)
         assert rep.residual <= 1e-8 * max(1.0, operator_norm(a))
 
+    def test_jordan_type_fixture_keeps_its_answer_at_every_power_of_two(self):
+        # the solve runs on 2^-e A with e from nu, so the parity of the exponent
+        # no longer picks between a t = 0 answer and the end of the schedule
+        sp = build_space(1, 1)
+        a = sp.j @ np.array([[1.0, 1.0], [1.0, 1.0]])
+        rep = mnps(sp, a, tol_res=1e-8)
+        for k in range(-6, 7):
+            scaled = mnps(sp, 2.0**k * a, tol_res=1e-8)
+            assert np.array_equal(scaled.w, rep.w)
+            assert (scaled.iterations, scaled.regularization_t) == (rep.iterations, 2.0**k * rep.regularization_t)
+
     def test_unreachable_tolerance_returns_uncertified_report(self, eig_calls):
         # the Cayley graph stalls on the boundary and no level of the fixed
         # schedule reaches a residual of 1e-30 nu: every level is tried
@@ -605,6 +617,21 @@ class TestMnps:
         ladder = approximation_ladder(sp, scaled, [(1, 5), (2, 10)])
         assert ladder.all_certified
         assert operator_norm(ladder.final_w - w) <= 1e-12
+
+    def test_top_of_the_float_range(self):
+        # each product with A takes half of 2^-e before it and half after, so A Q
+        # stays finite: the draw certifies up to 2^1021 (max entry 2^1022.07) with
+        # the bits of its unscaled answer, and a norm bound beyond the range is rejected
+        sp = build_space(2, 10)
+        a = random_strongly_j_dissipative(sp, np.random.default_rng(3))
+        w = mnps(sp, a).w
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for e in (1020, 1021):
+                rep = mnps(sp, np.ldexp(a.view(float), e).view(complex))
+                assert rep.certified and np.array_equal(rep.w, w)
+            with pytest.raises(ValueError, match=r"^operator scale inf is above the normal range"):
+                mnps(sp, np.ldexp(a.view(float), 1022).view(complex))
 
     def test_subnormal_operator_is_rejected_by_its_scale(self):
         sp = build_space(2, 10)
@@ -875,6 +902,50 @@ def test_cayley_shift_bounds(kind, n_minus, n_plus, exponent, seed):
     assert np.linalg.eigvalsh(np.eye(n_plus) + (a22 - a22.conj().T) / (2j * mu))[0] >= 0.75 - 1e-12
     base_mu = MNPS_MODULE._cayley_shift(sp, base, _norm_lower_bound(base))
     assert mu == pytest.approx(2.0**exponent * base_mu, rel=1e-12)
+
+
+def _pow2(a, e):
+    """``2^e a``, exact in the normal range."""
+    return np.ldexp(np.ascontiguousarray(a).view(float), e).view(complex)
+
+
+@given(
+    st.sampled_from(
+        ["dissipative", "rank-deficient", "strong", "corner-decay", "decoupled", "known-answer"]
+    ),
+    st.integers(1, 5),
+    st.integers(1, 30),
+    st.integers(-1000, 1000),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_entry_points_are_exactly_scale_covariant(kind, n_minus, n_plus, e, seed):
+    # every step runs on 2^-f A with f the exponent of nu, and a power of two is
+    # exact: W and the bases keep their bits, and residual, nu and t scale by 2^e
+    sp = build_space(n_minus, n_plus)
+    a = _shift_input(kind, sp, np.random.default_rng(seed))
+    scaled = _pow2(a, e)
+    assert _norm_lower_bound(scaled) == np.ldexp(_norm_lower_bound(a), e)
+    rep, big = mnps(sp, a), mnps(sp, scaled)
+    assert np.array_equal(big.w, rep.w)
+    assert (big.certified, big.iterations, big.failed_clause) == (rep.certified, rep.iterations, rep.failed_clause)
+    assert big.residual == np.ldexp(rep.residual, e)
+    assert big.regularization_t == np.ldexp(rep.regularization_t, e)
+    check, big_check = verify_mnps(sp, a, rep.w), verify_mnps(sp, scaled, rep.w)
+    assert big_check.residual == np.ldexp(check.residual, e)
+    assert (big_check.invariant, big_check.maximal_nonpositive, big_check.inertia) == (
+        check.invariant, check.maximal_nonpositive, check.inertia)
+    levels = [(n_minus, n_plus)] if n_plus == 1 else [(n_minus, 1), (n_minus, n_plus)]
+    ladder, big_ladder = (approximation_ladder(sp, x, levels) for x in (a, scaled))
+    assert np.array_equal(big_ladder.final_w, ladder.final_w)
+    try:
+        split = spectral_split(sp, a)
+    except SpectrumOnAxisError:
+        with pytest.raises(SpectrumOnAxisError):
+            spectral_split(sp, scaled)
+    else:
+        for z, big_z in zip(split, spectral_split(sp, scaled)):
+            assert np.array_equal(big_z.basis, z.basis)
 
 
 def test_certified_answers_lie_near_the_known_mnps():

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import kreinkit.fixpoint as fixpoint_module
@@ -718,3 +719,27 @@ def test_real_products_with_the_basis_match_the_complex_product(name):
             t = qpd_module._real_left(ub.transpose(0, 2, 1), pub)
             assert_allclose(t, ub.transpose(0, 2, 1).astype(complex) @ pub,
                             rtol=0, atol=1e-14 * np.linalg.norm(gram))
+
+
+COVARIANCE_GROUPS = {name: named_group(name) for name in ("Z4", "S3", "D4", "Q8", "S4", "D8", "S5")}
+
+
+@given(st.sampled_from(sorted(COVARIANCE_GROUPS)), st.integers(1, 3), st.integers(-1000, 1000),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_decompose_is_exactly_scale_covariant(name, k, e, seed):
+    # phi always goes to 2^-f phi before its Gram spectrum: the parts of 2^e phi
+    # are exactly 2^e times those of phi, and every count is the same
+    group = COVARIANCE_GROUPS[name]
+    phi = random_qpd_function(group, np.random.default_rng(seed), k=min(k, group.order - 1))[0]
+    phi1, phi2, cert = decompose(phi)
+    with np.errstate(over="ignore"):
+        expected = [np.ldexp(part.values.view(float), e) for part in (phi1, phi2)]
+    if not all(np.all(np.isfinite(x)) for x in expected):
+        return  # a part beyond the float range is rejected, as its own test shows
+    big1, big2, big_cert = decompose(scaled_by_pow2(phi, e))
+    assert np.array_equal(big1.values.view(float), expected[0])
+    assert np.array_equal(big2.values.view(float), expected[1])
+    counts = ("negative_squares", "phi1_negative_squares", "phi2_negative_squares", "phi2_rank")
+    assert [getattr(big_cert, c) for c in counts] == [getattr(cert, c) for c in counts]
+    assert big_cert.failed_clause == cert.failed_clause == ""
