@@ -124,8 +124,9 @@ def _unit_scaled(a: np.ndarray, e: int) -> np.ndarray:
 
 
 def _unit_product(product, x: np.ndarray, e: int) -> np.ndarray:
-    """``2^-e product(x)`` for a product with A of exponent e: half of ``2^-e`` scales x, half the result."""
-    return _unit_scaled(product(_unit_scaled(x, e // 2)), e - e // 2)
+    """``2^-e product(x)``, A of exponent e: half of ``2^-e`` scales x (copied unless 1), half the fresh result."""
+    y = product(x if e // 2 == 0 else _unit_scaled(x, e // 2))
+    return np.ldexp(y.view(float), e // 2 - e, out=y.view(float)).view(y.dtype)
 
 
 def _plus_diagonal(h: np.ndarray, c, e: int = 0) -> np.ndarray:

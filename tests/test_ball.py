@@ -185,6 +185,18 @@ def test_hyperbolic_distance_values():
         hyperbolic_distance(sp, [[0.0]], [[1.0]])
 
 
+def test_hyperbolic_distance_checks_each_point_once(monkeypatch):
+    # each point's strictness is decided by its own check; mu_{-A}(B) runs on the checked pair
+    sp = build_space(2, 30)
+    rng = np.random.default_rng(9)
+    a, b = random_ball_point(sp, rng, 0.6), random_ball_point(sp, rng, 0.8)
+    expected = hyperbolic_distance(sp, a, b)
+    shapes = []
+    monkeypatch.setattr(ball_module, "operator_norm", lambda m: shapes.append(m.shape) or operator_norm(m))
+    assert hyperbolic_distance(sp, a, b) == expected
+    assert shapes == [(30, 2)] * 3  # A, B and the image
+
+
 def test_hyperbolic_distance_symmetry_and_separation():
     rng = np.random.default_rng(9)
     sp = build_space(2, 3)

@@ -557,6 +557,29 @@ class TestMnps:
         with pytest.raises(NotDissipativeError):
             mnps(sp, -1j * sp.j)
 
+    def test_failed_cholesky_test_rejects_at_once(self, monkeypatch):
+        # the seed-7 strongly dissipative (5,395) draw minus 0.5i J has form margin about -0.4:
+        # one form, one failed Cholesky test and no spectrum decide it; the message names the shift
+        sp = build_space(5, 395)
+        a = random_strongly_j_dissipative(sp, np.random.default_rng(7)) - 0.5j * sp.j
+        forms, spectra = [], []
+        form, eigvalsh = MNPS_MODULE.dissipativity_form, np.linalg.eigvalsh
+        monkeypatch.setattr(MNPS_MODULE, "dissipativity_form", lambda *args: forms.append(1) or form(*args))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args, **kw: spectra.append(1) or eigvalsh(*args, **kw))
+        with pytest.raises(NotDissipativeError) as info:
+            mnps(sp, a)
+        assert len(forms) == 1 and not spectra
+        assert f"{PREDICATE_TOL * _norm_lower_bound(a):.3e} I" in str(info.value)
+
+    def test_the_cholesky_test_alone_decides(self, monkeypatch):
+        # a failed test rejects even a J-dissipative input: no second test overrules it
+        sp = build_space(2, 10)
+        a = random_strongly_j_dissipative(sp, np.random.default_rng(3))
+        assert mnps(sp, a).certified
+        monkeypatch.setattr(MNPS_MODULE, "_positive_definite", lambda h, shift: False)
+        with pytest.raises(NotDissipativeError, match="has no Cholesky factor$"):
+            mnps(sp, a)
+
     def test_classify_agrees_with_dissipativity_test(self):
         # A + icJ raises the form margin by exactly c: place it within a few
         # percent of the threshold -PREDICATE_TOL * nu on either side; both

@@ -465,3 +465,22 @@ def test_entry_points_reject_bad_input_by_name(call, name, good, bad):
         v.flat[0] = np.nan if bad == "nan" else np.inf
     with pytest.raises(ValueError, match=f"^{name} {message}"):
         call(sp, v)
+
+
+@pytest.mark.parametrize("e", [-1001, -2, 0, 1, 3, 1000])
+def test_unit_product_scales_its_fresh_product_in_place(e):
+    # x is copied only when its half of 2^-e is not 1, and the product's own result is scaled where it lies
+    rng = np.random.default_rng(4)
+    m, x = random_complex(rng, (6, 6)), random_complex(rng, (6, 2))
+    seen, made = [], []
+
+    def product(v):
+        seen.append(v)
+        made.append(m @ v)
+        return made[-1]
+
+    out = spaces_module._unit_product(product, x, e)
+    assert (seen[0] is x) == (e // 2 == 0)
+    assert np.shares_memory(out, made[0])
+    half = np.ldexp(x.view(float), -(e // 2)).view(complex)
+    assert np.array_equal(out, np.ldexp((m @ half).view(float), e // 2 - e).view(complex))
